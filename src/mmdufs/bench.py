@@ -158,7 +158,9 @@ def run_experiment(spec: dict) -> list[dict]:
       mode:    "shared" (default) or "differential" (mmDUFS only)
       epochs / batch_size / learning_rate / lambda_x / lambda_y / b / c:
                optional overrides of the preset hyperparameters
-    Failures are recorded per cell; the experiment continues.
+    Numerical and contract failures (ArithmeticError, ValueError,
+    ContractError) are recorded per cell and the experiment continues; any
+    other exception propagates.
     """
     dataset = spec["dataset"]
     methods = spec.get("methods", list(BASELINES) + ["mmDUFS"])
@@ -201,7 +203,9 @@ def run_experiment(spec: dict) -> list[dict]:
                 else:
                     res = baseline_select(pair, method, k_x, k_y)
                 row.update(f1_x=res.f1_x, f1_y=res.f1_y, wall_time=res.wall_time)
-            except Exception as exc:  # record the failure, keep going
+            except (ArithmeticError, ValueError, ContractError) as exc:
+                # Numerical and contract failures of one cell are recorded and
+                # the grid goes on; anything else is a bug and propagates.
                 row.update(f1_x=None, f1_y=None, wall_time=None, error=str(exc))
             rows.append(row)
     return rows

@@ -36,7 +36,11 @@ def shared_operator(tape: Tape, l_x: Node, l_y: Node, b: float = 1.0) -> Node:
 def differential_operator(
     tape: Tape, l_target: Node, l_other: Node, c: float = DEFAULT_C, b: float = 1.0
 ) -> Node:
-    """b * (L_other + cI)^{-1} L_target (L_other + cI)^{-1}, on tape."""
+    """b * (L_other + cI)^{-1} L_target (L_other + cI)^{-1}, on tape.
+
+    Gradients flow into both Laplacian nodes; pass l_other as a tape constant
+    to differentiate with respect to the target modality only.
+    """
     if l_target.value.shape != l_other.value.shape:
         raise DimensionError("Laplacians must share shape")
     if c <= 0:

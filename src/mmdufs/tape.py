@@ -10,6 +10,7 @@ analysis utility.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg.lapack
 from scipy.special import ndtr
 
 __all__ = [
@@ -54,10 +55,11 @@ class Node:
 
     Leaves hold data (optionally trainable); interior nodes remember the
     primitive that produced them, their inputs, and whatever the backward
-    rule needs.
+    rule needs. needs_grad is true for a trainable leaf and for every node
+    with a trainable ancestor; the reverse pass visits only those.
     """
 
-    __slots__ = ("tape", "idx", "value", "op", "inputs", "cache", "trainable")
+    __slots__ = ("tape", "idx", "value", "op", "inputs", "cache", "trainable", "needs_grad")
 
     def __init__(self, tape, idx, value, op, inputs, cache=None, trainable=False):
         self.tape = tape
@@ -67,6 +69,7 @@ class Node:
         self.inputs = inputs
         self.cache = cache
         self.trainable = trainable
+        self.needs_grad = trainable or any(inp.needs_grad for inp in inputs)
 
     @property
     def shape(self):
@@ -153,10 +156,17 @@ class Tape:
         av = a.value
         if av.ndim != 2 or av.shape[0] != av.shape[1]:
             raise DimensionError("inverse needs a square matrix")
-        try:
-            inv = np.linalg.inv(av)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(str(exc)) from exc
+        # LU factorization plus getri with its optimal workspace: about half
+        # the cost of solving against the identity, as np.linalg.inv does.
+        getrf, getri, getri_lwork = scipy.linalg.lapack.get_lapack_funcs(
+            ("getrf", "getri", "getri_lwork"), (av,)
+        )
+        lu, piv, info = getrf(av)
+        if info == 0:
+            lwork, _ = getri_lwork(av.shape[0])
+            inv, info = getri(lu, piv, lwork=int(lwork))
+        if info != 0:
+            raise SingularMatrixError(f"inverse: LAPACK getrf/getri info {info}")
         # 1-norm condition estimate; cheap relative to the factorization.
         cond = np.linalg.norm(av, 1) * np.linalg.norm(inv, 1)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -214,7 +224,8 @@ class Tape:
         """Gradient of a scalar node w.r.t. every trainable leaf.
 
         Returns a map from leaf node index to gradient array; trainable
-        leaves the loss never touches get zeros.
+        leaves the loss never touches get zeros. Nodes without a trainable
+        ancestor are skipped, so constant subgraphs cost nothing here.
         """
         if loss.tape is not self:
             raise ContractError("loss node belongs to a different tape")
@@ -224,7 +235,7 @@ class Tape:
         grads: dict[int, np.ndarray] = {loss.idx: np.ones_like(loss.value)}
         for node in reversed(self.nodes[: loss.idx + 1]):
             g = grads.pop(node.idx, None)
-            if g is None or node.op == "leaf":
+            if g is None or not node.needs_grad or node.op == "leaf":
                 if g is not None:
                     grads[node.idx] = g  # keep leaf grads
                 continue
@@ -242,24 +253,39 @@ class Tape:
         return self.backward(loss)[leaf.idx]
 
     def _vjp(self, node: Node, g: np.ndarray):
+        """(input, contribution) pairs for the inputs that need a gradient.
+
+        A one-input node needs a gradient only if its input does, so only the
+        two-input rules check their operands.
+        """
         op = node.op
         a = node.inputs[0]
         if op == "matmul":
             b = node.inputs[1]
-            yield a, g @ b.value.T
-            yield b, a.value.T @ g
+            if a.needs_grad:
+                yield a, g @ b.value.T
+            if b.needs_grad:
+                yield b, a.value.T @ g
         elif op == "add":
-            yield a, g
-            yield node.inputs[1], g
+            b = node.inputs[1]
+            if a.needs_grad:
+                yield a, g
+            if b.needs_grad:
+                yield b, g
         elif op == "sub":
-            yield a, g
-            yield node.inputs[1], -g
+            b = node.inputs[1]
+            if a.needs_grad:
+                yield a, g
+            if b.needs_grad:
+                yield b, -g
         elif op == "scale":
             yield a, g * node.cache
         elif op == "hadamard":
             b = node.inputs[1]
-            yield a, g * b.value
-            yield b, g * a.value
+            if a.needs_grad:
+                yield a, g * b.value
+            if b.needs_grad:
+                yield b, g * a.value
         elif op == "exp":
             yield a, g * node.cache
         elif op == "transpose":
@@ -286,8 +312,10 @@ class Tape:
             yield a, g * node.cache
         elif op == "col_gate":
             x, z = node.inputs
-            yield x, g * z.value[None, :]
-            yield z, np.einsum("ij,ij->j", g, x.value)
+            if x.needs_grad:
+                yield x, g * z.value[None, :]
+            if z.needs_grad:
+                yield z, np.einsum("ij,ij->j", g, x.value)
         elif op == "sq_dists":
             h = g + g.T
             yield a, 2.0 * (h.sum(axis=1)[:, None] * a.value - h @ a.value)

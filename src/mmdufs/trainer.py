@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .gates import GateState, select_features
+from .gates import GateState, expected_l0, select_features
 from .graph import KernelConfig, build_graph_pair
 from .operators import differential_operator, shared_operator, zscore_columns
 from .tape import ContractError, Node, Tape
@@ -237,6 +237,10 @@ def train(
 
     ground_truth maps "x"/"y" to index arrays; when given, top-k selection F1
     (k = truth size) is logged per epoch.
+
+    In differential mode each modality's gates follow only their own loss:
+    the other modality's Laplacian enters Q_x (and Q_y) as a constant, so one
+    reverse sweep of loss_x + loss_y gives both gradients.
     """
     n = pair.n_samples
     if cfg.batch_size is not None and cfg.batch_size > n:
@@ -290,14 +294,19 @@ def train(
             loss_val = float(loss.value)
             score_x, score_y = float(s_x.value), float(s_y.value)
         else:
-            q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=cfg.c, b=cfg.b)
-            q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=cfg.c, b=cfg.b)
+            # The other modality's Laplacian is a constant here: loss_x then
+            # reaches only mu_x and loss_y only mu_y, so one sweep of their
+            # sum skips the inverses and the other modality's kernel chain.
+            const_l_x = tape.constant(graphs.l_x.value)
+            const_l_y = tape.constant(graphs.l_y.value)
+            q_x = differential_operator(tape, graphs.l_x, const_l_y, c=cfg.c, b=cfg.b)
+            q_y = differential_operator(tape, graphs.l_y, const_l_x, c=cfg.c, b=cfg.b)
             loss_x, s_x = differential_loss(tape, gated_x, q_x, mu_x, cfg.lambda_x, cfg.sigma_gate)
             loss_y, s_y = differential_loss(tape, gated_y, q_y, mu_y, cfg.lambda_y, cfg.sigma_gate)
-            # Each modality's gates follow only their own loss.
-            gx = tape.backward(loss_x)[mu_x.idx]
-            gy = tape.backward(loss_y)[mu_y.idx]
-            loss_val = float(loss_x.value) + float(loss_y.value)
+            total = tape.add(loss_x, loss_y)
+            grads = tape.backward(total)
+            gx, gy = grads[mu_x.idx], grads[mu_y.idx]
+            loss_val = float(total.value)
             score_x, score_y = float(s_x.value), float(s_y.value)
 
         if not np.isfinite(loss_val):
@@ -311,8 +320,8 @@ def train(
                 "loss": loss_val,
                 "score_x": score_x,
                 "score_y": score_y,
-                "reg_x": float(np.sum(_open_prob(gates_x))),
-                "reg_y": float(np.sum(_open_prob(gates_y))),
+                "reg_x": expected_l0(gates_x),
+                "reg_y": expected_l0(gates_y),
                 "open_x": int(np.count_nonzero(gates_x.eval_gates() > 0)),
                 "open_y": int(np.count_nonzero(gates_y.eval_gates() > 0)),
             }
@@ -331,12 +340,6 @@ def train(
         bandwidth_x=frozen_bw[0],
         bandwidth_y=frozen_bw[1],
     )
-
-
-def _open_prob(gates: GateState) -> np.ndarray:
-    from scipy.special import ndtr
-
-    return ndtr((0.5 + gates.mu) / gates.sigma)
 
 
 def _eval_scores(pair: ModalPair, cfg: RunConfig, result: TrainResult) -> tuple[float, float]:

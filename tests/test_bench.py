@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mmdufs import bench
 from mmdufs.bench import (
     BASELINES,
     DATASET_PRESETS,
@@ -16,7 +17,7 @@ from mmdufs.bench import (
     write_rows_csv,
 )
 from mmdufs.datagen import ModalPair, gen_gaussian_mixture
-from mmdufs.tape import ContractError
+from mmdufs.tape import ContractError, SingularMatrixError
 
 RNG = np.random.default_rng(3)
 
@@ -142,6 +143,24 @@ class TestRunExperiment:
         assert len(rows) == 1
         # either it worked (f1 None due to missing truth) or an error string was captured
         assert "error" in rows[0] or rows[0]["f1_x"] is None
+
+    @pytest.mark.parametrize(
+        "exc", [SingularMatrixError("singular"), ValueError("bad value"), ContractError("contract")]
+    )
+    def test_numerical_and_contract_failures_recorded(self, monkeypatch, exc):
+        def failing(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(bench, "baseline_select", failing)
+        pair = ModalPair(x=RNG.normal(size=(10, 3)), y=RNG.normal(size=(10, 2)))
+        rows = run_experiment({"dataset": pair, "methods": ["MC", "mmKS"], "k_x": 1, "k_y": 1})
+        assert [r["error"] for r in rows] == [str(exc)] * 2
+        assert all(r["f1_x"] is None and r["wall_time"] is None for r in rows)
+
+    def test_type_error_propagates(self):
+        """A programming error is not a failed cell: a string epoch count breaks RunConfig."""
+        with pytest.raises(TypeError):
+            run_experiment({"dataset": "gaussian", "methods": ["mmDUFS"], "epochs": "3"})
 
     def test_callable_dataset(self):
         rows = run_experiment(

@@ -211,6 +211,31 @@ class TestGradients:
         assert np.all(grads[b.idx] == 0.0)
         assert np.any(grads[a.idx] != 0.0)
 
+    def test_backward_skips_constant_subgraphs(self):
+        """No VJP runs for, and no contribution flows into, a node without a
+        trainable ancestor, such as the inverse of a constant."""
+        a0 = RNG.normal(size=(4, 4)) + 5 * np.eye(4)
+        t = Tape()
+        x = t.leaf(RNG.normal(size=(4, 4)), trainable=True)
+        inv = t.inverse(t.add(t.constant(a0), t.constant(np.eye(4))))
+        loss = t.trace(t.matmul(inv, t.matmul(x, inv)))
+        visited, fed = [], []
+        vjp = t._vjp
+
+        def counting_vjp(node, g):
+            visited.append(node)
+            for inp, contrib in vjp(node, g):
+                fed.append(inp)
+                yield inp, contrib
+
+        t._vjp = counting_vjp
+        g = t.grad(loss, x)
+        assert [node.op for node in visited] == ["trace", "matmul", "matmul"]
+        assert all(node.needs_grad for node in visited + fed)
+        assert not inv.needs_grad
+        # d Tr(A X A) / dX = (A A)^T
+        np.testing.assert_allclose(g, (inv.value @ inv.value).T, rtol=1e-12)
+
     def test_fanout_accumulates(self):
         x0 = RNG.normal(size=(3, 3))
 

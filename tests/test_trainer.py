@@ -26,8 +26,8 @@ def tiny_pair(seed=0, n=14, dx=5, dy=4):
     return ModalPair(x=rng.normal(size=(n, dx)), y=rng.normal(size=(n, dy)))
 
 
-def loss_for_mu(pair, mu_x_val, mu_y_val, mode, noise_x, noise_y, bw_x, bw_y):
-    """Deterministic loss as a function of gate parameters (frozen noise/bandwidth)."""
+def gated_graphs(pair, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y):
+    """Gate leaves, gated data and Laplacians on a fresh tape (frozen noise/bandwidth)."""
     tape = Tape()
     mu_x = tape.leaf(mu_x_val, trainable=True)
     mu_y = tape.leaf(mu_y_val, trainable=True)
@@ -37,6 +37,14 @@ def loss_for_mu(pair, mu_x_val, mu_y_val, mode, noise_x, noise_y, bw_x, bw_y):
     gated_y = tape.col_gate(tape.constant(unit_norm_columns(pair.y)), z_y)
     graphs = build_graph_pair(
         tape, gated_x, gated_y, KernelConfig(), KernelConfig(), bandwidth_x=bw_x, bandwidth_y=bw_y
+    )
+    return tape, mu_x, mu_y, gated_x, gated_y, graphs
+
+
+def loss_for_mu(pair, mu_x_val, mu_y_val, mode, noise_x, noise_y, bw_x, bw_y):
+    """Deterministic loss as a function of gate parameters (frozen noise/bandwidth)."""
+    tape, mu_x, mu_y, gated_x, gated_y, graphs = gated_graphs(
+        pair, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y
     )
     if mode == "shared":
         p = shared_operator(tape, graphs.l_x, graphs.l_y)
@@ -121,6 +129,69 @@ class TestGradientCheck:
                 fd = (float(lu.value) - float(ld.value)) / (2 * h)
                 denom = max(abs(fd), abs(g[i]), 1e-8)
                 assert abs(g[i] - fd) / denom < 1e-3
+
+
+def coupled_differential(pair, cfg, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y):
+    """Both differential losses on one tape, each Q built from both Laplacian nodes."""
+    tape, mu_x, mu_y, gated_x, gated_y, graphs = gated_graphs(
+        pair, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y
+    )
+    q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=cfg.c, b=cfg.b)
+    q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=cfg.c, b=cfg.b)
+    lx, _ = differential_loss(tape, gated_x, q_x, mu_x, cfg.lambda_x, cfg.sigma_gate)
+    ly, _ = differential_loss(tape, gated_y, q_y, mu_y, cfg.lambda_y, cfg.sigma_gate)
+    return tape, lx, ly, mu_x, mu_y
+
+
+class TestDifferentialSingleSweep:
+    """train's one reverse sweep against per-modality gradients of the coupled losses."""
+
+    CFG = RunConfig(
+        mode="differential", epochs=1, learning_rate=1.0, lambda_x=0.4, lambda_y=0.2,
+        c=0.1, b=0.5, seed=5,
+    )
+
+    def first_epoch(self, pair):
+        """Gradients of train's first epoch, with that epoch's noise and bandwidths."""
+        cfg = self.CFG
+        res = train(pair, cfg)
+        # one SGD step from mu = 0 at learning rate 1 leaves exactly mu = -grad
+        grads = (-res.gates_x.mu, -res.gates_y.mu)
+        # train seeds the gate states with seed and seed + 1
+        noise_x = GateState.zeros(pair.x.shape[1], cfg.sigma_gate, cfg.seed).draw_noise()
+        noise_y = GateState.zeros(pair.y.shape[1], cfg.sigma_gate, cfg.seed + 1).draw_noise()
+        return grads, (noise_x, noise_y), (res.bandwidth_x, res.bandwidth_y)
+
+    def test_matches_per_modality_oracle(self):
+        pair = tiny_pair(seed=3)
+        (gx, gy), noise, bws = self.first_epoch(pair)
+        zeros_x, zeros_y = np.zeros(pair.x.shape[1]), np.zeros(pair.y.shape[1])
+        tape, lx, ly, mu_x, mu_y = coupled_differential(
+            pair, self.CFG, zeros_x, zeros_y, *noise, *bws
+        )
+        oracle_x = tape.backward(lx)[mu_x.idx]
+        oracle_y = tape.backward(ly)[mu_y.idx]
+        assert np.count_nonzero(oracle_x) > 0 and np.count_nonzero(oracle_y) > 0
+        np.testing.assert_allclose(gx, oracle_x, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(gy, oracle_y, rtol=1e-12, atol=0)
+
+    def test_own_loss_matches_finite_differences(self):
+        """d loss_x / d mu_x by central differences, mu_y held fixed."""
+        pair = tiny_pair(seed=3)
+        (gx, _), noise, bws = self.first_epoch(pair)
+        zeros_y = np.zeros(pair.y.shape[1])
+
+        def loss_x(mu_x_val):
+            _, lx, _, _, _ = coupled_differential(pair, self.CFG, mu_x_val, zeros_y, *noise, *bws)
+            return float(lx.value)
+
+        h = 1e-5
+        fd = np.zeros_like(gx)
+        for i in range(gx.size):
+            step = np.zeros_like(gx)
+            step[i] = h
+            fd[i] = (loss_x(step) - loss_x(-step)) / (2 * h)
+        np.testing.assert_allclose(gx, fd, rtol=1e-6, atol=1e-9)
 
 
 class TestRunConfig:
