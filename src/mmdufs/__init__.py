@@ -24,7 +24,7 @@ from .operators import (
     score_all_features,
     shared_operator_array,
 )
-from .tape import Tape, eigh_descending
+from .tape import Tape, eigh_descending, pairwise_sq_dists
 from .trainer import RunConfig, TrainResult, train, warmup_tune
 
 __version__ = "0.1.0"
@@ -32,6 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tape",
     "eigh_descending",
+    "pairwise_sq_dists",
     "KernelConfig",
     "gaussian_kernel",
     "median_bandwidth",

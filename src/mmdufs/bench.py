@@ -18,7 +18,7 @@ from .datagen import ModalPair, gen_gaussian_mixture, gen_tree
 from .gates import select_features
 from .graph import gaussian_kernel, median_bandwidth, normalized_laplacian
 from .operators import score_all_features, zscore_columns
-from .tape import ContractError
+from .tape import ContractError, pairwise_sq_dists
 from .trainer import RunConfig, train
 
 __all__ = [
@@ -70,18 +70,21 @@ def _top_k(scores: np.ndarray, k: int) -> list[int]:
     return sorted(int(i) for i in order[:k])
 
 
+def _baseline_laplacian(data: np.ndarray) -> np.ndarray:
+    bw = BASELINE_BANDWIDTH_FACTOR * median_bandwidth(pairwise_sq_dists(data))
+    return normalized_laplacian(gaussian_kernel(data, bw))
+
+
 def baseline_select(pair: ModalPair, method: str, k_x: int, k_y: int) -> SelectionResult:
     """Top-k features per modality under a kernel-fusion baseline operator."""
     if method not in BASELINES:
         raise ContractError(f"unknown baseline '{method}'")
     start = time.perf_counter()
-    bw = BASELINE_BANDWIDTH_FACTOR
     if method == "MC":
-        concat = np.hstack([pair.x, pair.y])
-        op = normalized_laplacian(gaussian_kernel(concat, bw * median_bandwidth(concat)))
+        op = _baseline_laplacian(np.hstack([pair.x, pair.y]))
     else:
-        l_x = normalized_laplacian(gaussian_kernel(pair.x, bw * median_bandwidth(pair.x)))
-        l_y = normalized_laplacian(gaussian_kernel(pair.y, bw * median_bandwidth(pair.y)))
+        l_x = _baseline_laplacian(pair.x)
+        l_y = _baseline_laplacian(pair.y)
         op = l_x + l_y if method == "mmKS" else l_x @ l_y
     sel_x = _top_k(score_all_features(pair.x, op, zscore=True), k_x)
     sel_y = _top_k(score_all_features(pair.y, op, zscore=True), k_y)

@@ -34,7 +34,13 @@ from .datagen import IngestionError, ModalPair, gen_cube, load_pair, save_pair
 from .gates import load_gates_csv, save_gates_csv, select_features
 from .graph import gaussian_kernel, median_bandwidth, normalized_laplacian
 from .operators import shared_operator_array
-from .tape import ContractError, NumericalError, SingularMatrixError, eigh_descending
+from .tape import (
+    ContractError,
+    NumericalError,
+    SingularMatrixError,
+    eigh_descending,
+    pairwise_sq_dists,
+)
 from .trainer import RunConfig, TrainingDiverged, train, warmup_tune
 
 GENERATOR_PRESETS = dict(DATASET_PRESETS)
@@ -349,8 +355,9 @@ def _reproduce_tree_table(outdir: Path, seed: int, jobs: int, epochs: int | None
 def _reproduce_cube_figure(outdir: Path, seed: int) -> None:
     pair = gen_cube(seed)
     l_s = pair.meta["l_s"]
-    lx = normalized_laplacian(gaussian_kernel(pair.x, median_bandwidth(pair.x)))
-    ly = normalized_laplacian(gaussian_kernel(pair.y, median_bandwidth(pair.y)))
+    bw_x, bw_y = (median_bandwidth(pairwise_sq_dists(v)) for v in (pair.x, pair.y))
+    lx = normalized_laplacian(gaussian_kernel(pair.x, bw_x))
+    ly = normalized_laplacian(gaussian_kernel(pair.y, bw_y))
     p_shared = shared_operator_array(lx, ly)
     _, vecs_p = eigh_descending(p_shared)
     _, vecs_x = eigh_descending(lx)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tape import ContractError, DimensionError, Node, NumericalError, Tape
+from .tape import ContractError, DimensionError, Node, NumericalError, Tape, pairwise_sq_dists
 
 __all__ = [
     "KernelConfig",
@@ -30,8 +30,9 @@ class KernelConfig:
     """Bandwidth and normalization policy for one modality's kernel.
 
     bandwidth: explicit positive value, or "median" to use the median of all
-    nonzero pairwise distances of the (gated) data. scale multiplies the
-    resolved median (ignored for explicit bandwidths).
+    nonzero pairwise distances of the (gated) data, read from its matrix of
+    squared distances. scale multiplies the resolved median (ignored for
+    explicit bandwidths).
     """
 
     bandwidth: float | str = "median"
@@ -47,9 +48,10 @@ class KernelConfig:
         if self.scale <= 0:
             raise ContractError("bandwidth scale must be positive")
 
-    def resolve(self, data: np.ndarray) -> float:
+    def resolve(self, d2: np.ndarray) -> float:
+        """The bandwidth for data whose pairwise squared distances are d2."""
         if self.bandwidth == "median":
-            return self.scale * median_bandwidth(data)
+            return self.scale * median_bandwidth(d2)
         return float(self.bandwidth)
 
 
@@ -65,20 +67,28 @@ class GraphPair:
     bandwidth_y: float = field(default=1.0)
 
 
-def median_bandwidth(data: np.ndarray) -> float:
-    """Median of nonzero pairwise Euclidean distances; 1.0 if all coincide."""
-    data = np.asarray(data, dtype=np.float64)
-    n = data.shape[0]
-    if n < 2:
+def median_bandwidth(d2: np.ndarray) -> float:
+    """Median of nonzero pairwise Euclidean distances; 1.0 if all coincide.
+
+    d2 is the symmetric matrix of pairwise squared distances, as made by
+    pairwise_sq_dists; only its strict upper triangle is read.
+    """
+    d2 = np.asarray(d2, dtype=np.float64)
+    if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
+        raise DimensionError(f"median bandwidth needs a square distance matrix, got {d2.shape}")
+    if d2.shape[0] < 2:
         raise ContractError("median bandwidth needs at least two rows")
-    sq = np.einsum("ij,ij->i", data, data)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * data @ data.T
-    iu = np.triu_indices(n, k=1)
-    dist = np.sqrt(np.maximum(d2[iu], 0.0))
-    dist = dist[dist > 0]
-    if dist.size == 0:
+    upper = d2[np.triu(d2 > 0, k=1)]
+    m = upper.size
+    if m == 0:
         return 1.0
-    return float(np.median(dist))
+    # sqrt is monotone, so one partition of the squares finds the middle
+    # distance (or the two middle ones, for an even count).
+    part = np.partition(upper, m // 2)
+    hi = np.sqrt(part[m // 2])
+    if m % 2:
+        return float(hi)
+    return float((np.sqrt(part[: m // 2].max()) + hi) / 2)
 
 
 def gaussian_kernel(data: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -90,11 +100,7 @@ def gaussian_kernel(data: np.ndarray, bandwidth: float) -> np.ndarray:
         raise ContractError("kernel needs at least two rows")
     if bandwidth <= 0:
         raise ContractError("bandwidth must be positive")
-    sq = np.einsum("ij,ij->i", data, data)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * data @ data.T
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    k = np.exp(-d2 / (2.0 * bandwidth**2))
+    k = np.exp(-pairwise_sq_dists(data) / (2.0 * bandwidth**2))
     return 0.5 * (k + k.T)
 
 
@@ -110,16 +116,15 @@ def normalized_laplacian(k: np.ndarray) -> np.ndarray:
     return k * r[:, None] * r[None, :]
 
 
-def kernel_on_tape(tape: Tape, data: Node, bandwidth: float) -> Node:
-    """Gaussian kernel of a (gated) data node, recorded on the tape."""
+def kernel_on_tape(tape: Tape, d2: Node, bandwidth: float) -> Node:
+    """Gaussian kernel from a squared-distance node (tape.sq_dists), on the tape."""
     if bandwidth <= 0:
         raise ContractError("bandwidth must be positive")
-    d2 = tape.sq_dists(data)
     return tape.exp(tape.scale(d2, -1.0 / (2.0 * bandwidth**2)))
 
 
 def laplacian_on_tape(tape: Tape, data: Node, bandwidth: float, normalize: bool = True) -> Node:
-    k = kernel_on_tape(tape, data, bandwidth)
+    k = kernel_on_tape(tape, tape.sq_dists(data), bandwidth)
     return tape.sym_normalize(k) if normalize else k
 
 
@@ -134,17 +139,20 @@ def build_graph_pair(
 ) -> GraphPair:
     """Kernels and Laplacians for both modalities from the gated data nodes.
 
-    Bandwidths are resolved from the configs on the current gated values
-    unless frozen values are passed in; either way the bandwidth is treated
-    as a constant for differentiation.
+    Bandwidths are resolved from the configs on the squared distances of the
+    current gated values, the same node the kernel is built from, unless
+    frozen values are passed in; either way the bandwidth is treated as a
+    constant for differentiation.
     """
     if gated_x.value.shape[0] != gated_y.value.shape[0]:
         raise DimensionError("modalities must share the sample count")
-    bw_x = bandwidth_x if bandwidth_x is not None else cfg_x.resolve(gated_x.value)
-    bw_y = bandwidth_y if bandwidth_y is not None else cfg_y.resolve(gated_y.value)
+    d2_x = tape.sq_dists(gated_x)
+    d2_y = tape.sq_dists(gated_y)
+    bw_x = bandwidth_x if bandwidth_x is not None else cfg_x.resolve(d2_x.value)
+    bw_y = bandwidth_y if bandwidth_y is not None else cfg_y.resolve(d2_y.value)
 
-    k_x = kernel_on_tape(tape, gated_x, bw_x)
-    k_y = kernel_on_tape(tape, gated_y, bw_y)
+    k_x = kernel_on_tape(tape, d2_x, bw_x)
+    k_y = kernel_on_tape(tape, d2_y, bw_y)
     l_x = tape.sym_normalize(k_x) if cfg_x.normalize else k_x
     l_y = tape.sym_normalize(k_y) if cfg_y.normalize else k_y
     return GraphPair(

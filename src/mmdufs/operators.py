@@ -29,7 +29,10 @@ def shared_operator(tape: Tape, l_x: Node, l_y: Node, b: float = 1.0) -> Node:
     """b * (L_x L_y + L_y L_x), on tape."""
     if l_x.value.shape != l_y.value.shape:
         raise DimensionError("Laplacians must share shape")
-    p = tape.add(tape.matmul(l_x, l_y), tape.matmul(l_y, l_x))
+    # L_y L_x = (L_x L_y)^T for symmetric Laplacians: one product, and P is
+    # exactly symmetric.
+    m = tape.matmul(l_x, l_y)
+    p = tape.add(m, tape.transpose(m))
     return tape.scale(p, b) if b != 1.0 else p
 
 
@@ -92,7 +95,7 @@ def score_all_features(data: np.ndarray, op: np.ndarray, zscore: bool = False) -
         data = zscore_columns(data)
     if op.shape[0] != data.shape[0]:
         raise DimensionError("operator size does not match sample count")
-    return np.einsum("ij,ik,kj->j", data, op, data)
+    return np.einsum("ij,ij->j", data, op @ data)
 
 
 def principal_angle_degrees(basis_a: np.ndarray, basis_b: np.ndarray) -> float:

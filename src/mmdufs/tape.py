@@ -21,6 +21,7 @@ __all__ = [
     "NumericalError",
     "ContractError",
     "eigh_descending",
+    "pairwise_sq_dists",
     "PRIMITIVES",
 ]
 
@@ -41,6 +42,19 @@ class NumericalError(FloatingPointError):
 
 class ContractError(RuntimeError):
     """An operation was called outside its contract."""
+
+
+def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
+    """All pairwise squared Euclidean distances between rows of a 2-D array.
+
+    Clamped at zero with an exactly zero diagonal. For a contiguous x,
+    x @ x.T runs as a BLAS syrk and the result is exactly symmetric.
+    """
+    sq = np.einsum("ij,ij->i", x, x)
+    d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.maximum(d, 0.0, out=d)
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
 def _as_array(value) -> np.ndarray:
@@ -178,6 +192,14 @@ class Tape:
             raise DimensionError("trace needs a square matrix")
         return self._record(np.trace(a.value), "trace", (a,))
 
+    def quad_trace(self, a: Node, x: Node) -> Node:
+        """Tr[x^T a x], computed as sum(x * (a x)) without the d x d product."""
+        av, xv = a.value, x.value
+        if av.ndim != 2 or xv.ndim != 2 or av.shape != (xv.shape[0], xv.shape[0]):
+            raise DimensionError(f"quad_trace: {av.shape} with {xv.shape}")
+        ax = av @ xv
+        return self._record(np.vdot(xv, ax), "quad_trace", (a, x), cache=ax)
+
     def hard_sigmoid(self, a: Node) -> Node:
         """clamp01(0.5 + x); subgradient 1 strictly inside (0, 1), else 0."""
         shifted = 0.5 + a.value
@@ -195,11 +217,7 @@ class Tape:
         """All pairwise squared Euclidean distances between rows of x."""
         if x.value.ndim != 2:
             raise DimensionError("sq_dists needs a 2-D matrix")
-        sq = np.einsum("ij,ij->i", x.value, x.value)
-        d = sq[:, None] + sq[None, :] - 2.0 * (x.value @ x.value.T)
-        np.maximum(d, 0.0, out=d)
-        np.fill_diagonal(d, 0.0)
-        return self._record(d, "sq_dists", (x,))
+        return self._record(pairwise_sq_dists(x.value), "sq_dists", (x,))
 
     def open_gate_expectation(self, mu: Node, sigma: float) -> Node:
         """Sum over i of Phi((0.5 + mu_i)/sigma): expected count of open gates."""
@@ -308,6 +326,13 @@ class Tape:
         elif op == "trace":
             n = a.value.shape[0]
             yield a, float(g) * np.eye(n)
+        elif op == "quad_trace":
+            x = node.inputs[1]
+            g = float(g)
+            if a.needs_grad:
+                yield a, g * (x.value @ x.value.T)
+            if x.needs_grad:
+                yield x, g * (node.cache + a.value.T @ x.value)
         elif op == "hard_sigmoid":
             yield a, g * node.cache
         elif op == "col_gate":
@@ -339,6 +364,7 @@ PRIMITIVES = (
     "sym_normalize",
     "inverse",
     "trace",
+    "quad_trace",
     "hard_sigmoid",
     "col_gate",
     "sq_dists",

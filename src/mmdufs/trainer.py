@@ -138,8 +138,8 @@ def shared_loss(
     Returns (loss, score_x, score_y); the score nodes are the raw traces.
     """
     n = gated_x.value.shape[0]
-    score_x = tape.trace(tape.matmul(tape.transpose(gated_x), tape.matmul(p_shared, gated_x)))
-    score_y = tape.trace(tape.matmul(tape.transpose(gated_y), tape.matmul(p_shared, gated_y)))
+    score_x = tape.quad_trace(p_shared, gated_x)
+    score_y = tape.quad_trace(p_shared, gated_y)
     loss = tape.add(tape.scale(score_x, -1.0 / n), tape.scale(score_y, -1.0 / n))
     loss = tape.add(loss, tape.scale(tape.open_gate_expectation(mu_x, sigma_gate), lambda_x))
     loss = tape.add(loss, tape.scale(tape.open_gate_expectation(mu_y, sigma_gate), lambda_y))
@@ -164,7 +164,7 @@ def differential_loss(
     instead of a first-step collapse.
     """
     n = gated.value.shape[0]
-    score = tape.trace(tape.matmul(tape.transpose(gated), tape.matmul(q_op, gated)))
+    score = tape.quad_trace(q_op, gated)
     loss = tape.add(
         tape.scale(score, -1.0 / n),
         tape.scale(tape.open_gate_expectation(mu, sigma_gate), lam / n),
@@ -358,15 +358,11 @@ def _eval_scores(pair: ModalPair, cfg: RunConfig, result: TrainResult) -> tuple[
         bandwidth_y=result.bandwidth_y,
     )
     if cfg.mode == "shared":
-        op = shared_operator(tape, graphs.l_x, graphs.l_y, b=cfg.b)
-        tr_x = tape.trace(tape.matmul(tape.transpose(gated_x), tape.matmul(op, gated_x)))
-        tr_y = tape.trace(tape.matmul(tape.transpose(gated_y), tape.matmul(op, gated_y)))
+        op_x = op_y = shared_operator(tape, graphs.l_x, graphs.l_y, b=cfg.b)
     else:
-        q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=cfg.c, b=cfg.b)
-        q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=cfg.c, b=cfg.b)
-        tr_x = tape.trace(tape.matmul(tape.transpose(gated_x), tape.matmul(q_x, gated_x)))
-        tr_y = tape.trace(tape.matmul(tape.transpose(gated_y), tape.matmul(q_y, gated_y)))
-    return float(tr_x.value), float(tr_y.value)
+        op_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=cfg.c, b=cfg.b)
+        op_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=cfg.c, b=cfg.b)
+    return float(tape.quad_trace(op_x, gated_x).value), float(tape.quad_trace(op_y, gated_y).value)
 
 
 def warmup_tune(

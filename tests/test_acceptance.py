@@ -27,6 +27,7 @@ from mmdufs.cli import main
 from mmdufs.datagen import ModalPair, gen_gaussian_mixture
 from mmdufs.gates import GateState, sample_gates, select_features
 from mmdufs.graph import KernelConfig, build_graph_pair, median_bandwidth
+from mmdufs.tape import pairwise_sq_dists
 from mmdufs.operators import (
     differential_operator,
     differential_operator_array,
@@ -225,8 +226,8 @@ class TestCriterion7GradientCheck:
             mu_y0 = rng.uniform(-0.3, 0.3, dy)
             noise_x = rng.normal(0, 0.5, dx)
             noise_y = rng.normal(0, 0.5, dy)
-            bw_x = median_bandwidth(unit_norm_columns(pair.x))
-            bw_y = median_bandwidth(unit_norm_columns(pair.y))
+            bw_x = median_bandwidth(pairwise_sq_dists(unit_norm_columns(pair.x)))
+            bw_y = median_bandwidth(pairwise_sq_dists(unit_norm_columns(pair.y)))
             args = (pair, mu_x0, mu_y0, mode, noise_x, noise_y, bw_x, bw_y)
             tape, loss, mu_x, mu_y = self._loss(*args)
             grads = tape.backward(loss)

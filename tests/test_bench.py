@@ -80,14 +80,14 @@ class TestBaselineSelect:
         from mmdufs.graph import gaussian_kernel, median_bandwidth, normalized_laplacian
         from mmdufs.bench import BASELINE_BANDWIDTH_FACTOR
         from mmdufs.operators import score_all_features
+        from mmdufs.tape import pairwise_sq_dists
 
         rng = np.random.default_rng(5)
         x = rng.normal(size=(40, 8))
         x[:20, :3] += 3.0  # a planted cluster
         pair = ModalPair(x=x, y=x.copy())
-        l = normalized_laplacian(
-            gaussian_kernel(x, BASELINE_BANDWIDTH_FACTOR * median_bandwidth(x))
-        )
+        bw = BASELINE_BANDWIDTH_FACTOR * median_bandwidth(pairwise_sq_dists(x))
+        l = normalized_laplacian(gaussian_kernel(x, bw))
         base = np.argsort(-score_all_features(x, l, zscore=True), kind="stable")[:4]
         base_sq = np.argsort(-score_all_features(x, l @ l, zscore=True), kind="stable")[:4]
         ks = baseline_select(pair, "mmKS", 4, 4)
@@ -138,11 +138,13 @@ class TestRunExperiment:
             run_experiment({"dataset": "mnist", "methods": ["MC"]})
 
     def test_failure_recorded_not_raised(self):
-        bad = ModalPair(x=np.ones((5, 2)), y=np.ones((5, 2)))  # degenerate kernel
+        x = RNG.normal(size=(5, 2))
+        x[2, 1] = np.nan  # gaussian_kernel rejects non-finite input with NumericalError
+        bad = ModalPair(x=x, y=RNG.normal(size=(5, 2)))
         rows = run_experiment({"dataset": bad, "methods": ["MC"], "seeds": [0], "k_x": 1, "k_y": 1})
         assert len(rows) == 1
-        # either it worked (f1 None due to missing truth) or an error string was captured
-        assert "error" in rows[0] or rows[0]["f1_x"] is None
+        assert "non-finite" in rows[0]["error"]
+        assert rows[0]["f1_x"] is None and rows[0]["f1_y"] is None
 
     @pytest.mark.parametrize(
         "exc", [SingularMatrixError("singular"), ValueError("bad value"), ContractError("contract")]

@@ -59,9 +59,10 @@ class TestGaussianMixture:
     def test_kernel_block_structure(self):
         """Within-cluster kernel means dominate between-cluster means 3x."""
         from mmdufs.graph import gaussian_kernel, median_bandwidth
+        from mmdufs.tape import pairwise_sq_dists
 
         p = gen_gaussian_mixture(seed=0)
-        k = gaussian_kernel(p.x, 0.3 * median_bandwidth(p.x))
+        k = gaussian_kernel(p.x, 0.3 * median_bandwidth(pairwise_sq_dists(p.x)))
         a = np.flatnonzero(p.labels == 0)
         b = np.flatnonzero(p.labels == 1)
         within = k[np.ix_(a, a)].mean()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmdufs.graph import (
     GraphPair,
@@ -13,7 +15,7 @@ from mmdufs.graph import (
     median_bandwidth,
     normalized_laplacian,
 )
-from mmdufs.tape import ContractError, DimensionError, NumericalError, Tape
+from mmdufs.tape import ContractError, DimensionError, NumericalError, Tape, pairwise_sq_dists
 
 RNG = np.random.default_rng(7)
 
@@ -24,19 +26,47 @@ class TestMedianBandwidth:
         dists = [
             np.linalg.norm(x[i] - x[j]) for i in range(12) for j in range(i + 1, 12)
         ]
-        assert median_bandwidth(x) == pytest.approx(np.median(dists))
+        assert median_bandwidth(pairwise_sq_dists(x)) == pytest.approx(np.median(dists))
+
+    def test_reads_brute_force_squared_distances(self):
+        """Any symmetric squared-distance matrix works, not only pairwise_sq_dists's."""
+        x = RNG.normal(size=(9, 3))
+        d2 = np.array([[np.sum((a - b) ** 2) for b in x] for a in x])
+        dists = [np.sqrt(d2[i, j]) for i in range(9) for j in range(i + 1, 9)]
+        assert median_bandwidth(d2) == pytest.approx(np.median(dists), rel=1e-12)
+        # only the strict upper triangle is read
+        assert median_bandwidth(np.triu(d2, 1) + np.tril(np.full_like(d2, 1e3))) == (
+            median_bandwidth(d2)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 14), seed=st.integers(0, 2**32 - 1), repeats=st.booleans())
+    def test_odd_and_even_counts_with_ties(self, n, seed, repeats):
+        """Brute-force median over pairs i < j, with coincident rows and tied distances."""
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2, 3, size=(n, 2)).astype(float)
+        if repeats:
+            x[: n // 2] = x[0]
+        d2 = np.array([[np.sum((a - b) ** 2) for b in x] for a in x])
+        dists = [np.sqrt(d2[i, j]) for i in range(n) for j in range(i + 1, n) if d2[i, j] > 0]
+        expect = float(np.median(dists)) if dists else 1.0
+        assert median_bandwidth(d2) == pytest.approx(expect, rel=1e-15)
 
     def test_ignores_zero_distances(self):
         x = np.array([[0.0], [0.0], [3.0]])
         # nonzero pairwise distances: 3, 3 -> median 3
-        assert median_bandwidth(x) == pytest.approx(3.0)
+        assert median_bandwidth(pairwise_sq_dists(x)) == pytest.approx(3.0)
 
     def test_all_coincident_fallback(self):
-        assert median_bandwidth(np.zeros((4, 2))) == 1.0
+        assert median_bandwidth(pairwise_sq_dists(np.zeros((4, 2)))) == 1.0
 
     def test_needs_two_rows(self):
         with pytest.raises(ContractError):
-            median_bandwidth(np.ones((1, 3)))
+            median_bandwidth(pairwise_sq_dists(np.ones((1, 3))))
+
+    def test_needs_square_matrix(self):
+        with pytest.raises(DimensionError):
+            median_bandwidth(np.ones((4, 3)))
 
 
 class TestGaussianKernel:
@@ -93,11 +123,12 @@ class TestNormalizedLaplacian:
 class TestKernelConfig:
     def test_resolve_median_and_scale(self):
         x = RNG.normal(size=(10, 3))
-        base = median_bandwidth(x)
-        assert KernelConfig().resolve(x) == pytest.approx(base)
-        assert KernelConfig(scale=0.4).resolve(x) == pytest.approx(0.4 * base)
+        d2 = pairwise_sq_dists(x)
+        base = median_bandwidth(d2)
+        assert KernelConfig().resolve(d2) == pytest.approx(base)
+        assert KernelConfig(scale=0.4).resolve(d2) == pytest.approx(0.4 * base)
         # explicit bandwidth ignores scale
-        assert KernelConfig(bandwidth=2.0, scale=0.4).resolve(x) == 2.0
+        assert KernelConfig(bandwidth=2.0, scale=0.4).resolve(d2) == 2.0
 
     def test_validation(self):
         with pytest.raises(ContractError):
@@ -112,7 +143,7 @@ class TestOnTape:
     def test_kernel_on_tape_matches_array(self):
         x = RNG.normal(size=(8, 3))
         t = Tape()
-        node = kernel_on_tape(t, t.constant(x), 1.1)
+        node = kernel_on_tape(t, t.sq_dists(t.constant(x)), 1.1)
         np.testing.assert_allclose(node.value, gaussian_kernel(x, 1.1), atol=1e-12)
 
     def test_laplacian_on_tape_matches_array(self):
@@ -142,7 +173,7 @@ class TestOnTape:
             t, t.constant(x), t.constant(y), KernelConfig(scale=0.5), KernelConfig(scale=0.5)
         )
         assert isinstance(gp, GraphPair)
-        assert gp.bandwidth_x == pytest.approx(0.5 * median_bandwidth(x))
+        assert gp.bandwidth_x == pytest.approx(0.5 * median_bandwidth(pairwise_sq_dists(x)))
         np.testing.assert_allclose(
             gp.l_x.value, normalized_laplacian(gaussian_kernel(x, gp.bandwidth_x)), atol=1e-12
         )

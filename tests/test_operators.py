@@ -14,6 +14,7 @@ from mmdufs.operators import (
     top_eigenspace,
     zscore_columns,
 )
+from mmdufs.graph import gaussian_kernel, normalized_laplacian
 from mmdufs.tape import ContractError, DimensionError, Tape, eigh_descending
 
 RNG = np.random.default_rng(42)
@@ -66,6 +67,16 @@ class TestSharedOperator:
         np.testing.assert_allclose(
             0.5 * (node.value + node.value.T), shared_operator_array(a, b, b=2.5), atol=1e-12
         )
+
+    def test_one_product_is_exactly_symmetric(self):
+        """L_x L_y + (L_x L_y)^T: exactly symmetric, and L_x L_y + L_y L_x to rounding."""
+        x, y = RNG.normal(size=(30, 4)), RNG.normal(size=(30, 3))
+        l_x = normalized_laplacian(gaussian_kernel(x, 1.2))
+        l_y = normalized_laplacian(gaussian_kernel(y, 0.8))
+        t = Tape()
+        p = shared_operator(t, t.constant(l_x), t.constant(l_y)).value
+        assert np.array_equal(p, p.T)
+        np.testing.assert_allclose(p, l_x @ l_y + l_y @ l_x, rtol=0, atol=1e-14)
 
     def test_scale_covariance(self):
         """Scaling both Laplacians by alpha scales the operator by alpha^2."""

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmdufs.tape import (
     ContractError,
@@ -243,6 +245,65 @@ class TestGradients:
             return t.trace(t.add(t.matmul(x, x), t.scale(x, 2.0)))
 
         check_grad(build, x0)
+
+
+def quad_trace_chain(t, a, x):
+    """Tr[x^T a x] as the transpose -> matmul -> matmul -> trace chain quad_trace fuses."""
+    return t.trace(t.matmul(t.transpose(x), t.matmul(a, x)))
+
+
+def fused_and_chain(a0, x0):
+    """[(value, grad a, grad x)] of Tr[x^T a x] from quad_trace, then from the chain."""
+    out = []
+    for build in (lambda t, a, x: t.quad_trace(a, x), quad_trace_chain):
+        t = Tape()
+        a, x = t.leaf(a0, trainable=True), t.leaf(x0, trainable=True)
+        score = build(t, a, x)
+        grads = t.backward(score)
+        out.append((float(score.value), grads[a.idx], grads[x.idx]))
+    return out
+
+
+class TestQuadTrace:
+    def test_value(self):
+        a, x = RNG.normal(size=(5, 5)), RNG.normal(size=(5, 3))
+        t = Tape()
+        out = t.quad_trace(t.constant(a), t.constant(x))
+        assert float(out.value) == pytest.approx(np.trace(x.T @ a @ x), rel=1e-12)
+        assert "quad_trace" in PRIMITIVES
+
+    def test_fd_wrt_nonsymmetric_operator(self):
+        x0 = RNG.normal(size=(4, 3))
+        check_grad(
+            lambda t, a: t.scale(t.quad_trace(a, t.constant(x0)), -0.7), RNG.normal(size=(4, 4))
+        )
+
+    def test_fd_wrt_data(self):
+        a0 = RNG.normal(size=(4, 4))  # not symmetric: the rule needs both a x and a^T x
+        check_grad(
+            lambda t, x: t.scale(t.quad_trace(t.constant(a0), x), -0.7), RNG.normal(size=(4, 6))
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 7), d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    @example(n=2, d=1, seed=0)
+    @example(n=3, d=8, seed=1)
+    def test_matches_trace_chain(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        a0, x0 = rng.normal(size=(n, n)), rng.normal(size=(n, d))
+        (val, ga, gx), (val_ref, ga_ref, gx_ref) = fused_and_chain(a0, x0)
+        assert val == pytest.approx(val_ref, rel=1e-10, abs=1e-12)
+        np.testing.assert_allclose(ga, ga_ref, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(gx, gx_ref, rtol=1e-10, atol=1e-12)
+
+    def test_dimension_errors(self):
+        t = Tape()
+        with pytest.raises(DimensionError):
+            t.quad_trace(t.constant(np.ones((3, 3))), t.constant(np.ones((4, 2))))
+        with pytest.raises(DimensionError):
+            t.quad_trace(t.constant(np.ones((4, 3))), t.constant(np.ones((4, 2))))
+        with pytest.raises(DimensionError):
+            t.quad_trace(t.constant(np.ones((4, 4))), t.constant(np.ones(4)))
 
 
 class TestErrors:

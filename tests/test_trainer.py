@@ -1,5 +1,10 @@
 """Training loop: losses, gradients, determinism, config contracts, warm-up tuning."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +12,7 @@ from mmdufs.datagen import ModalPair, gen_gaussian_mixture
 from mmdufs.gates import GateState
 from mmdufs.graph import KernelConfig, build_graph_pair, median_bandwidth
 from mmdufs.operators import differential_operator, shared_operator
-from mmdufs.tape import ContractError, Tape
+from mmdufs.tape import ContractError, Tape, pairwise_sq_dists
 from mmdufs.trainer import (
     RunConfig,
     TrainingDiverged,
@@ -108,8 +113,8 @@ class TestGradientCheck:
         mu_y0 = rng.uniform(-0.3, 0.3, 4)
         noise_x = rng.normal(0, 0.5, 5)
         noise_y = rng.normal(0, 0.5, 4)
-        bw_x = median_bandwidth(unit_norm_columns(pair.x))
-        bw_y = median_bandwidth(unit_norm_columns(pair.y))
+        bw_x = median_bandwidth(pairwise_sq_dists(unit_norm_columns(pair.x)))
+        bw_y = median_bandwidth(pairwise_sq_dists(unit_norm_columns(pair.y)))
 
         tape, loss, mu_x, mu_y = loss_for_mu(pair, mu_x0, mu_y0, mode, noise_x, noise_y, bw_x, bw_y)
         grads = tape.backward(loss)
@@ -192,6 +197,85 @@ class TestDifferentialSingleSweep:
             step[i] = h
             fd[i] = (loss_x(step) - loss_x(-step)) / (2 * h)
         np.testing.assert_allclose(gx, fd, rtol=1e-6, atol=1e-9)
+
+
+class TestSharedFusedEpoch:
+    """train's shared gradients against the two-product, trace-chain composition."""
+
+    CFG = RunConfig(
+        mode="shared", epochs=1, learning_rate=1.0, lambda_x=0.3, lambda_y=0.1, b=1.5, seed=4
+    )
+
+    def test_matches_trace_chain_oracle(self):
+        pair = tiny_pair(seed=6, n=12, dx=7, dy=15)  # dy > n
+        cfg = self.CFG
+        res = train(pair, cfg)
+        # one SGD step from mu = 0 at learning rate 1 leaves exactly mu = -grad
+        gx, gy = -res.gates_x.mu, -res.gates_y.mu
+        noise_x = GateState.zeros(pair.x.shape[1], cfg.sigma_gate, cfg.seed).draw_noise()
+        noise_y = GateState.zeros(pair.y.shape[1], cfg.sigma_gate, cfg.seed + 1).draw_noise()
+        tape, mu_x, mu_y, gated_x, gated_y, graphs = gated_graphs(
+            pair, np.zeros(7), np.zeros(15), noise_x, noise_y, res.bandwidth_x, res.bandwidth_y
+        )
+        l_x, l_y = graphs.l_x, graphs.l_y
+        p = tape.scale(tape.add(tape.matmul(l_x, l_y), tape.matmul(l_y, l_x)), cfg.b)
+
+        def score(gated):
+            return tape.trace(tape.matmul(tape.transpose(gated), tape.matmul(p, gated)))
+
+        def reg(mu, lam):
+            return tape.scale(tape.open_gate_expectation(mu, cfg.sigma_gate), lam)
+
+        n = pair.n_samples
+        loss = tape.add(tape.scale(score(gated_x), -1 / n), tape.scale(score(gated_y), -1 / n))
+        loss = tape.add(tape.add(loss, reg(mu_x, cfg.lambda_x)), reg(mu_y, cfg.lambda_y))
+        grads = tape.backward(loss)
+        assert np.count_nonzero(gx) > 0 and np.count_nonzero(gy) > 0
+        np.testing.assert_allclose(gx, grads[mu_x.idx], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(gy, grads[mu_y.idx], rtol=1e-10, atol=0)
+
+
+# A short shared run on the gaussian preset (n=260, large enough for BLAS to
+# split work across threads); saves mu and the top-k selections to argv[1].
+_THREADED_RUN = """
+import sys
+from dataclasses import replace
+import numpy as np
+from mmdufs.bench import SHARED_HYPERPARAMS
+from mmdufs.datagen import gen_gaussian_mixture
+from mmdufs.gates import select_features
+from mmdufs.trainer import train
+pair = gen_gaussian_mixture(0)
+res = train(pair, replace(SHARED_HYPERPARAMS["gaussian"], epochs=30))
+np.savez(
+    sys.argv[1],
+    mu_x=res.gates_x.mu,
+    mu_y=res.gates_y.mu,
+    sel_x=select_features(res.gates_x, "top-k", k=len(pair.truth_shared_x)),
+    sel_y=select_features(res.gates_y, "top-k", k=len(pair.truth_shared_y)),
+)
+"""
+
+
+class TestBlasThreadDeterminism:
+    def test_one_and_two_threads_agree(self, tmp_path):
+        """Equal top-k and |delta mu| <= 1e-12 at OPENBLAS_NUM_THREADS=1 and =2."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"threads{threads}.npz"
+            subprocess.run(
+                [sys.executable, "-c", _THREADED_RUN, str(out)], env=env, check=True, timeout=300
+            )
+            with np.load(out) as saved:
+                runs.append(dict(saved))
+        one, two = runs
+        for key in ("sel_x", "sel_y"):
+            np.testing.assert_array_equal(one[key], two[key])
+        for key in ("mu_x", "mu_y"):
+            np.testing.assert_allclose(one[key], two[key], rtol=0, atol=1e-12)
 
 
 class TestRunConfig:
