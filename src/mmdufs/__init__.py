@@ -5,7 +5,7 @@ registered data modalities, or specific to one of them, by optimizing
 stochastic feature gates against Laplacian-based graph operator scores.
 """
 
-from .bench import SelectionResult, baseline_select, f1, run_experiment
+from .bench import SelectionResult, baseline_select, run_experiment
 from .datagen import (
     ModalPair,
     gen_cube,
@@ -16,8 +16,8 @@ from .datagen import (
     load_pair,
     save_pair,
 )
-from .gates import GateState, apply_gates, expected_l0, sample_gates, select_features
-from .graph import KernelConfig, gaussian_kernel, median_bandwidth, normalized_laplacian
+from .gates import GateState, expected_l0, f1, sample_gates, select_features
+from .graph import gaussian_kernel, median_bandwidth, normalized_laplacian
 from .operators import (
     differential_operator_array,
     generalized_laplacian_score,
@@ -33,7 +33,6 @@ __all__ = [
     "Tape",
     "eigh_descending",
     "pairwise_sq_dists",
-    "KernelConfig",
     "gaussian_kernel",
     "median_bandwidth",
     "normalized_laplacian",
@@ -44,7 +43,6 @@ __all__ = [
     "GateState",
     "sample_gates",
     "expected_l0",
-    "apply_gates",
     "select_features",
     "RunConfig",
     "TrainResult",

@@ -15,15 +15,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .datagen import ModalPair, gen_gaussian_mixture, gen_tree
-from .gates import select_features
-from .graph import gaussian_kernel, median_bandwidth, normalized_laplacian
-from .operators import score_all_features, zscore_columns
-from .tape import ContractError, pairwise_sq_dists
+from .gates import f1, select_features, top_k
+from .graph import data_laplacian
+from .operators import score_all_features
+from .tape import ContractError
 from .trainer import RunConfig, train
 
 __all__ = [
     "SelectionResult",
-    "f1",
     "baseline_select",
     "run_experiment",
     "format_report",
@@ -51,43 +50,19 @@ class SelectionResult:
     extra: dict = field(default_factory=dict)
 
 
-def f1(selected, truth) -> float:
-    """Standard F1 = 2TP / (2TP + FP + FN) on index sets."""
-    tru = set(int(i) for i in truth)
-    if not tru:
-        raise ContractError("truth set must be nonempty")
-    sel = set(int(i) for i in selected)
-    tp = len(sel & tru)
-    fp = len(sel - tru)
-    fn = len(tru - sel)
-    return 2 * tp / (2 * tp + fp + fn)
-
-
-def _top_k(scores: np.ndarray, k: int) -> list[int]:
-    if k < 0 or k > scores.size:
-        raise ContractError(f"k={k} out of range for {scores.size} features")
-    order = np.argsort(-scores, kind="stable")
-    return sorted(int(i) for i in order[:k])
-
-
-def _baseline_laplacian(data: np.ndarray) -> np.ndarray:
-    bw = BASELINE_BANDWIDTH_FACTOR * median_bandwidth(pairwise_sq_dists(data))
-    return normalized_laplacian(gaussian_kernel(data, bw))
-
-
 def baseline_select(pair: ModalPair, method: str, k_x: int, k_y: int) -> SelectionResult:
     """Top-k features per modality under a kernel-fusion baseline operator."""
     if method not in BASELINES:
         raise ContractError(f"unknown baseline '{method}'")
     start = time.perf_counter()
     if method == "MC":
-        op = _baseline_laplacian(np.hstack([pair.x, pair.y]))
+        op = data_laplacian(np.hstack([pair.x, pair.y]), BASELINE_BANDWIDTH_FACTOR)
     else:
-        l_x = _baseline_laplacian(pair.x)
-        l_y = _baseline_laplacian(pair.y)
+        l_x = data_laplacian(pair.x, BASELINE_BANDWIDTH_FACTOR)
+        l_y = data_laplacian(pair.y, BASELINE_BANDWIDTH_FACTOR)
         op = l_x + l_y if method == "mmKS" else l_x @ l_y
-    sel_x = _top_k(score_all_features(pair.x, op, zscore=True), k_x)
-    sel_y = _top_k(score_all_features(pair.y, op, zscore=True), k_y)
+    sel_x = top_k(score_all_features(pair.x, op, zscore=True), k_x)
+    sel_y = top_k(score_all_features(pair.y, op, zscore=True), k_y)
     result = SelectionResult(
         method=method,
         selected_x=sel_x,

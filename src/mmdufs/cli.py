@@ -24,23 +24,16 @@ from .bench import (
     DIFFERENTIAL_HYPERPARAMS,
     SHARED_HYPERPARAMS,
     baseline_select,
-    f1,
     format_report,
     mean_f1,
     run_experiment,
     write_rows_csv,
 )
 from .datagen import IngestionError, ModalPair, gen_cube, load_pair, save_pair
-from .gates import load_gates_csv, save_gates_csv, select_features
-from .graph import gaussian_kernel, median_bandwidth, normalized_laplacian
+from .gates import f1, load_gates_csv, save_gates_csv, select_features
+from .graph import data_laplacian
 from .operators import shared_operator_array
-from .tape import (
-    ContractError,
-    NumericalError,
-    SingularMatrixError,
-    eigh_descending,
-    pairwise_sq_dists,
-)
+from .tape import ContractError, NumericalError, SingularMatrixError, eigh_descending
 from .trainer import RunConfig, TrainingDiverged, train, warmup_tune
 
 GENERATOR_PRESETS = dict(DATASET_PRESETS)
@@ -355,9 +348,7 @@ def _reproduce_tree_table(outdir: Path, seed: int, jobs: int, epochs: int | None
 def _reproduce_cube_figure(outdir: Path, seed: int) -> None:
     pair = gen_cube(seed)
     l_s = pair.meta["l_s"]
-    bw_x, bw_y = (median_bandwidth(pairwise_sq_dists(v)) for v in (pair.x, pair.y))
-    lx = normalized_laplacian(gaussian_kernel(pair.x, bw_x))
-    ly = normalized_laplacian(gaussian_kernel(pair.y, bw_y))
+    lx, ly = data_laplacian(pair.x, 1.0), data_laplacian(pair.y, 1.0)
     p_shared = shared_operator_array(lx, ly)
     _, vecs_p = eigh_descending(p_shared)
     _, vecs_x = eigh_descending(lx)

@@ -54,8 +54,19 @@ class ModalPair:
             )
         for name in ("truth_shared_x", "truth_shared_y", "truth_diff_x", "truth_diff_y"):
             v = getattr(self, name)
-            if v is not None:
-                setattr(self, name, np.asarray(v, dtype=np.int64))
+            if v is None:
+                continue
+            v = np.asarray(v, dtype=np.int64)
+            width = (self.x if name.endswith("_x") else self.y).shape[1]
+            # k = len(truth) sets the selection size, so a repeated index
+            # would cap F1 below 1 and an empty set leaves F1 undefined.
+            if v.size == 0:
+                raise IngestionError(f"{name} is empty")
+            if v.min() < 0 or v.max() >= width:
+                raise IngestionError(f"{name} has indices outside [0, {width})")
+            if np.unique(v).size != v.size:
+                raise IngestionError(f"{name} has duplicate indices")
+            setattr(self, name, v)
 
     @property
     def n_samples(self) -> int:

@@ -3,7 +3,8 @@
 A gate for feature i is z_i = clamp01(0.5 + mu_i + eps_i) with
 eps_i ~ N(0, sigma^2) during training and eps_i = 0 at evaluation time.
 The expected number of open gates, sum_i Phi((0.5 + mu_i)/sigma), serves as
-a differentiable sparsity regularizer.
+a differentiable sparsity regularizer. Selections made from the gates are
+scored against ground-truth index sets by F1.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import norm
 
 from .tape import ContractError
 
@@ -21,9 +21,9 @@ __all__ = [
     "GateState",
     "sample_gates",
     "expected_l0",
-    "expected_l0_grad",
-    "apply_gates",
     "select_features",
+    "top_k",
+    "f1",
     "save_gates_csv",
     "load_gates_csv",
 ]
@@ -72,19 +72,6 @@ def expected_l0(state: GateState) -> float:
     return float(ndtr((0.5 + state.mu) / state.sigma).sum())
 
 
-def expected_l0_grad(state: GateState) -> np.ndarray:
-    """d expected_l0 / d mu, elementwise: phi((0.5+mu)/sigma)/sigma."""
-    return norm.pdf((0.5 + state.mu) / state.sigma) / state.sigma
-
-
-def apply_gates(data: np.ndarray, z: np.ndarray) -> np.ndarray:
-    data = np.asarray(data, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if data.shape[1] != z.size:
-        raise ContractError(f"{z.size} gates for {data.shape[1]} columns")
-    return data * z[None, :]
-
-
 def select_features(state: GateState, policy: str = "top-k", k: int | None = None) -> list[int]:
     """Selected feature indices.
 
@@ -92,14 +79,31 @@ def select_features(state: GateState, policy: str = "top-k", k: int | None = Non
     "top-k": indices of the k largest raw mu, ties broken by lower index.
     """
     if policy == "converged":
-        return list(np.flatnonzero(state.eval_gates() >= 1.0 - CONVERGED_TOL))
+        return [int(i) for i in np.flatnonzero(state.eval_gates() >= 1.0 - CONVERGED_TOL)]
     if policy == "top-k":
-        if k is None or k < 0 or k > state.n_features:
-            raise ContractError(f"top-k needs 0 <= k <= {state.n_features}, got {k}")
-        # stable sort on -mu keeps lower indices first among ties
-        order = np.argsort(-state.mu, kind="stable")
-        return sorted(int(i) for i in order[:k])
+        return top_k(state.mu, k)
     raise ContractError(f"unknown selection policy '{policy}'")
+
+
+def top_k(scores: np.ndarray, k: int | None) -> list[int]:
+    """Indices of the k largest scores, ascending; ties go to the lower index."""
+    if k is None or k < 0 or k > scores.size:
+        raise ContractError(f"top-k needs 0 <= k <= {scores.size}, got {k}")
+    # stable sort on -scores keeps lower indices first among ties
+    order = np.argsort(-scores, kind="stable")
+    return sorted(int(i) for i in order[:k])
+
+
+def f1(selected, truth) -> float:
+    """Standard F1 = 2TP / (2TP + FP + FN) on index sets."""
+    tru = set(int(i) for i in truth)
+    if not tru:
+        raise ContractError("truth set must be nonempty")
+    sel = set(int(i) for i in selected)
+    tp = len(sel & tru)
+    fp = len(sel - tru)
+    fn = len(tru - sel)
+    return 2 * tp / (2 * tp + fp + fn)
 
 
 def save_gates_csv(state: GateState, path) -> None:

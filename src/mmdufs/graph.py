@@ -7,52 +7,21 @@ gates that scaled the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tape import ContractError, DimensionError, Node, NumericalError, Tape, pairwise_sq_dists
 
 __all__ = [
-    "KernelConfig",
     "GraphPair",
     "gaussian_kernel",
     "median_bandwidth",
     "normalized_laplacian",
+    "data_laplacian",
     "kernel_on_tape",
-    "laplacian_on_tape",
     "build_graph_pair",
 ]
-
-
-@dataclass
-class KernelConfig:
-    """Bandwidth and normalization policy for one modality's kernel.
-
-    bandwidth: explicit positive value, or "median" to use the median of all
-    nonzero pairwise distances of the (gated) data, read from its matrix of
-    squared distances. scale multiplies the resolved median (ignored for
-    explicit bandwidths).
-    """
-
-    bandwidth: float | str = "median"
-    normalize: bool = True
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if isinstance(self.bandwidth, str):
-            if self.bandwidth != "median":
-                raise ContractError(f"unknown bandwidth policy '{self.bandwidth}'")
-        elif self.bandwidth <= 0:
-            raise ContractError("explicit bandwidth must be positive")
-        if self.scale <= 0:
-            raise ContractError("bandwidth scale must be positive")
-
-    def resolve(self, d2: np.ndarray) -> float:
-        """The bandwidth for data whose pairwise squared distances are d2."""
-        if self.bandwidth == "median":
-            return self.scale * median_bandwidth(d2)
-        return float(self.bandwidth)
 
 
 @dataclass
@@ -61,10 +30,8 @@ class GraphPair:
 
     l_x: Node
     l_y: Node
-    degrees_x: np.ndarray
-    degrees_y: np.ndarray
-    bandwidth_x: float = field(default=1.0)
-    bandwidth_y: float = field(default=1.0)
+    bandwidth_x: float
+    bandwidth_y: float
 
 
 def median_bandwidth(d2: np.ndarray) -> float:
@@ -91,16 +58,21 @@ def median_bandwidth(d2: np.ndarray) -> float:
     return float((np.sqrt(part[: m // 2].max()) + hi) / 2)
 
 
-def gaussian_kernel(data: np.ndarray, bandwidth: float) -> np.ndarray:
-    """K_ij = exp(-||row_i - row_j||^2 / (2 sigma^2)). Plain-array version."""
-    data = np.asarray(data, dtype=np.float64)
-    if not np.isfinite(data).all():
+def gaussian_kernel(d2: np.ndarray, bandwidth: float) -> np.ndarray:
+    """K_ij = exp(-d2_ij / (2 sigma^2)) from pairwise squared distances d2.
+
+    Plain-array version of kernel_on_tape; d2 is made by pairwise_sq_dists.
+    """
+    d2 = np.asarray(d2, dtype=np.float64)
+    if not np.isfinite(d2).all():
         raise NumericalError("kernel input contains non-finite entries")
-    if data.shape[0] < 2:
+    if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
+        raise DimensionError(f"kernel needs a square distance matrix, got {d2.shape}")
+    if d2.shape[0] < 2:
         raise ContractError("kernel needs at least two rows")
     if bandwidth <= 0:
         raise ContractError("bandwidth must be positive")
-    k = np.exp(-pairwise_sq_dists(data) / (2.0 * bandwidth**2))
+    k = np.exp(-d2 / (2.0 * bandwidth**2))
     return 0.5 * (k + k.T)
 
 
@@ -116,6 +88,16 @@ def normalized_laplacian(k: np.ndarray) -> np.ndarray:
     return k * r[:, None] * r[None, :]
 
 
+def data_laplacian(data: np.ndarray, scale: float) -> np.ndarray:
+    """Normalized Laplacian of the data's Gaussian kernel at scale x median bandwidth.
+
+    The squared distances are computed once and feed both the bandwidth and
+    the kernel. Plain-array version, for baselines and analysis.
+    """
+    d2 = pairwise_sq_dists(np.asarray(data, dtype=np.float64))
+    return normalized_laplacian(gaussian_kernel(d2, scale * median_bandwidth(d2)))
+
+
 def kernel_on_tape(tape: Tape, d2: Node, bandwidth: float) -> Node:
     """Gaussian kernel from a squared-distance node (tape.sq_dists), on the tape."""
     if bandwidth <= 0:
@@ -123,43 +105,33 @@ def kernel_on_tape(tape: Tape, d2: Node, bandwidth: float) -> Node:
     return tape.exp(tape.scale(d2, -1.0 / (2.0 * bandwidth**2)))
 
 
-def laplacian_on_tape(tape: Tape, data: Node, bandwidth: float, normalize: bool = True) -> Node:
-    k = kernel_on_tape(tape, tape.sq_dists(data), bandwidth)
-    return tape.sym_normalize(k) if normalize else k
-
-
 def build_graph_pair(
     tape: Tape,
     gated_x: Node,
     gated_y: Node,
-    cfg_x: KernelConfig,
-    cfg_y: KernelConfig,
+    scale: float,
     bandwidth_x: float | None = None,
     bandwidth_y: float | None = None,
 ) -> GraphPair:
-    """Kernels and Laplacians for both modalities from the gated data nodes.
+    """Kernels and normalized Laplacians for both modalities from the gated data nodes.
 
-    Bandwidths are resolved from the configs on the squared distances of the
-    current gated values, the same node the kernel is built from, unless
-    frozen values are passed in; either way the bandwidth is treated as a
+    Each bandwidth is scale x the median distance of the current gated values,
+    read from the same squared-distance node the kernel is built from, unless
+    a frozen value is passed in; either way the bandwidth is treated as a
     constant for differentiation.
     """
     if gated_x.value.shape[0] != gated_y.value.shape[0]:
         raise DimensionError("modalities must share the sample count")
     d2_x = tape.sq_dists(gated_x)
     d2_y = tape.sq_dists(gated_y)
-    bw_x = bandwidth_x if bandwidth_x is not None else cfg_x.resolve(d2_x.value)
-    bw_y = bandwidth_y if bandwidth_y is not None else cfg_y.resolve(d2_y.value)
+    bw_x = bandwidth_x if bandwidth_x is not None else scale * median_bandwidth(d2_x.value)
+    bw_y = bandwidth_y if bandwidth_y is not None else scale * median_bandwidth(d2_y.value)
 
     k_x = kernel_on_tape(tape, d2_x, bw_x)
     k_y = kernel_on_tape(tape, d2_y, bw_y)
-    l_x = tape.sym_normalize(k_x) if cfg_x.normalize else k_x
-    l_y = tape.sym_normalize(k_y) if cfg_y.normalize else k_y
     return GraphPair(
-        l_x=l_x,
-        l_y=l_y,
-        degrees_x=k_x.value.sum(axis=1),
-        degrees_y=k_y.value.sum(axis=1),
+        l_x=tape.sym_normalize(k_x),
+        l_y=tape.sym_normalize(k_y),
         bandwidth_x=bw_x,
         bandwidth_y=bw_y,
     )

@@ -127,18 +127,8 @@ class Tape:
             raise DimensionError(f"add: {a.value.shape} vs {b.value.shape}")
         return self._record(a.value + b.value, "add", (a, b))
 
-    def sub(self, a: Node, b: Node) -> Node:
-        if a.value.shape != b.value.shape:
-            raise DimensionError(f"sub: {a.value.shape} vs {b.value.shape}")
-        return self._record(a.value - b.value, "sub", (a, b))
-
     def scale(self, a: Node, alpha: float) -> Node:
         return self._record(a.value * float(alpha), "scale", (a,), cache=float(alpha))
-
-    def hadamard(self, a: Node, b: Node) -> Node:
-        if a.value.shape != b.value.shape:
-            raise DimensionError(f"hadamard: {a.value.shape} vs {b.value.shape}")
-        return self._record(a.value * b.value, "hadamard", (a, b))
 
     def exp(self, a: Node) -> Node:
         out = np.exp(a.value)
@@ -148,11 +138,6 @@ class Tape:
         if a.value.ndim != 2:
             raise DimensionError("transpose needs a 2-D matrix")
         return self._record(a.value.T.copy(), "transpose", (a,))
-
-    def row_sum(self, a: Node) -> Node:
-        if a.value.ndim != 2:
-            raise DimensionError("row_sum needs a 2-D matrix")
-        return self._record(a.value.sum(axis=1), "row_sum", (a,))
 
     def sym_normalize(self, k: Node) -> Node:
         """D^{-1/2} K D^{-1/2} with D = diag of row sums of K."""
@@ -290,26 +275,12 @@ class Tape:
                 yield a, g
             if b.needs_grad:
                 yield b, g
-        elif op == "sub":
-            b = node.inputs[1]
-            if a.needs_grad:
-                yield a, g
-            if b.needs_grad:
-                yield b, -g
         elif op == "scale":
             yield a, g * node.cache
-        elif op == "hadamard":
-            b = node.inputs[1]
-            if a.needs_grad:
-                yield a, g * b.value
-            if b.needs_grad:
-                yield b, g * a.value
         elif op == "exp":
             yield a, g * node.cache
         elif op == "transpose":
             yield a, g.T
-        elif op == "row_sum":
-            yield a, np.broadcast_to(g[:, None], a.value.shape).copy()
         elif op == "sym_normalize":
             d, r = node.cache
             k = a.value
@@ -355,12 +326,9 @@ class Tape:
 PRIMITIVES = (
     "matmul",
     "add",
-    "sub",
     "scale",
-    "hadamard",
     "exp",
     "transpose",
-    "row_sum",
     "sym_normalize",
     "inverse",
     "trace",

@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .gates import GateState, expected_l0, select_features
-from .graph import KernelConfig, build_graph_pair
+from .gates import GateState, expected_l0, f1, select_features
+from .graph import GraphPair, build_graph_pair
 from .operators import differential_operator, shared_operator, zscore_columns
 from .tape import ContractError, Node, Tape
 from .datagen import ModalPair
@@ -46,13 +46,9 @@ class RunConfig:
     batch_size: int | None = None  # None = full batch
     optimizer: str = "sgd"  # "sgd" | "adam"
     seed: int = 0
-    bandwidth_x: float | str = "median"
-    bandwidth_y: float | str = "median"
     bandwidth_scale: float = 0.5
-    normalize_laplacian: bool = True
     sigma_gate: float = 0.5
     recompute_bandwidth: bool = True
-    standardize: bool = True
     log_every: int = 1
 
     def __post_init__(self):
@@ -196,20 +192,6 @@ class _Optimizer:
             p -= self.lr * mhat / (np.sqrt(vhat) + eps)
 
 
-def _f1_against(selected, truth) -> float:
-    sel = set(int(i) for i in selected)
-    tru = set(int(i) for i in truth)
-    tp = len(sel & tru)
-    fp = len(sel - tru)
-    fn = len(tru - sel)
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
-
-
-def _kernel_cfg(bandwidth, normalize, scale=1.0) -> KernelConfig:
-    return KernelConfig(bandwidth=bandwidth, normalize=normalize, scale=scale)
-
-
 def unit_norm_columns(data: np.ndarray) -> np.ndarray:
     """Z-score columns, then rescale so every column has unit Euclidean norm.
 
@@ -221,11 +203,21 @@ def unit_norm_columns(data: np.ndarray) -> np.ndarray:
     return z / np.sqrt(data.shape[0])
 
 
-def _prepared(pair: ModalPair, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-norm feature columns unless standardization is disabled."""
-    if not cfg.standardize:
-        return np.asarray(pair.x, dtype=np.float64), np.asarray(pair.y, dtype=np.float64)
-    return unit_norm_columns(pair.x), unit_norm_columns(pair.y)
+def _operators(tape: Tape, graphs: GraphPair, cfg: RunConfig) -> tuple[Node, Node]:
+    """(op_x, op_y): the shared P for both, or the differential Q_x and Q_y.
+
+    Each Q takes the other modality's Laplacian as a constant: loss_x then
+    reaches only mu_x and loss_y only mu_y, so one sweep of their sum skips
+    the inverses and the other modality's kernel chain.
+    """
+    if cfg.mode == "shared":
+        p = shared_operator(tape, graphs.l_x, graphs.l_y, b=cfg.b)
+        return p, p
+    const_l_x = tape.constant(graphs.l_x.value)
+    const_l_y = tape.constant(graphs.l_y.value)
+    q_x = differential_operator(tape, graphs.l_x, const_l_y, c=cfg.c, b=cfg.b)
+    q_y = differential_operator(tape, graphs.l_y, const_l_x, c=cfg.c, b=cfg.b)
+    return q_x, q_y
 
 
 def train(
@@ -246,15 +238,13 @@ def train(
     if cfg.batch_size is not None and cfg.batch_size > n:
         raise ContractError(f"batch size {cfg.batch_size} exceeds sample count {n}")
 
-    data_x, data_y = _prepared(pair, cfg)
+    data_x, data_y = unit_norm_columns(pair.x), unit_norm_columns(pair.y)
 
     gates_x = GateState.zeros(pair.x.shape[1], sigma=cfg.sigma_gate, seed=cfg.seed)
     gates_y = GateState.zeros(pair.y.shape[1], sigma=cfg.sigma_gate, seed=cfg.seed + 1)
     batch_rng = np.random.default_rng(cfg.seed + 2)
     opt = _Optimizer(cfg.optimizer, cfg.learning_rate, [gates_x.n_features, gates_y.n_features])
 
-    cfg_x = _kernel_cfg(cfg.bandwidth_x, cfg.normalize_laplacian, cfg.bandwidth_scale)
-    cfg_y = _kernel_cfg(cfg.bandwidth_y, cfg.normalize_laplacian, cfg.bandwidth_scale)
     frozen_bw: tuple[float, float] | None = None
     log = TrainLog()
 
@@ -277,37 +267,25 @@ def train(
             tape,
             gated_x,
             gated_y,
-            cfg_x,
-            cfg_y,
+            cfg.bandwidth_scale,
             bandwidth_x=None if cfg.recompute_bandwidth else (frozen_bw[0] if frozen_bw else None),
             bandwidth_y=None if cfg.recompute_bandwidth else (frozen_bw[1] if frozen_bw else None),
         )
         frozen_bw = (graphs.bandwidth_x, graphs.bandwidth_y)
 
+        op_x, op_y = _operators(tape, graphs, cfg)
         if cfg.mode == "shared":
-            p = shared_operator(tape, graphs.l_x, graphs.l_y, b=cfg.b)
             loss, s_x, s_y = shared_loss(
-                tape, gated_x, gated_y, p, mu_x, mu_y, cfg.lambda_x, cfg.lambda_y, cfg.sigma_gate
+                tape, gated_x, gated_y, op_x, mu_x, mu_y, cfg.lambda_x, cfg.lambda_y, cfg.sigma_gate
             )
-            grads = tape.backward(loss)
-            gx, gy = grads[mu_x.idx], grads[mu_y.idx]
-            loss_val = float(loss.value)
-            score_x, score_y = float(s_x.value), float(s_y.value)
         else:
-            # The other modality's Laplacian is a constant here: loss_x then
-            # reaches only mu_x and loss_y only mu_y, so one sweep of their
-            # sum skips the inverses and the other modality's kernel chain.
-            const_l_x = tape.constant(graphs.l_x.value)
-            const_l_y = tape.constant(graphs.l_y.value)
-            q_x = differential_operator(tape, graphs.l_x, const_l_y, c=cfg.c, b=cfg.b)
-            q_y = differential_operator(tape, graphs.l_y, const_l_x, c=cfg.c, b=cfg.b)
-            loss_x, s_x = differential_loss(tape, gated_x, q_x, mu_x, cfg.lambda_x, cfg.sigma_gate)
-            loss_y, s_y = differential_loss(tape, gated_y, q_y, mu_y, cfg.lambda_y, cfg.sigma_gate)
-            total = tape.add(loss_x, loss_y)
-            grads = tape.backward(total)
-            gx, gy = grads[mu_x.idx], grads[mu_y.idx]
-            loss_val = float(total.value)
-            score_x, score_y = float(s_x.value), float(s_y.value)
+            loss_x, s_x = differential_loss(tape, gated_x, op_x, mu_x, cfg.lambda_x, cfg.sigma_gate)
+            loss_y, s_y = differential_loss(tape, gated_y, op_y, mu_y, cfg.lambda_y, cfg.sigma_gate)
+            loss = tape.add(loss_x, loss_y)
+        grads = tape.backward(loss)
+        gx, gy = grads[mu_x.idx], grads[mu_y.idx]
+        loss_val = float(loss.value)
+        score_x, score_y = float(s_x.value), float(s_y.value)
 
         if not np.isfinite(loss_val):
             raise TrainingDiverged(epoch, log.last)
@@ -330,7 +308,7 @@ def train(
                     truth = ground_truth.get(key)
                     if truth is not None:
                         sel = select_features(gates, "top-k", k=len(truth))
-                        record[f"f1_{key}"] = _f1_against(sel, truth)
+                        record[f"f1_{key}"] = f1(sel, truth)
             log.append(**record)
 
     return TrainResult(
@@ -344,7 +322,7 @@ def train(
 
 def _eval_scores(pair: ModalPair, cfg: RunConfig, result: TrainResult) -> tuple[float, float]:
     """Raw trace scores Tr[X~T Op X~], Tr[Y~T Op Y~] at deterministic gates."""
-    data_x, data_y = _prepared(pair, cfg)
+    data_x, data_y = unit_norm_columns(pair.x), unit_norm_columns(pair.y)
     tape = Tape()
     gated_x = tape.col_gate(tape.constant(data_x), tape.constant(result.gates_x.eval_gates()))
     gated_y = tape.col_gate(tape.constant(data_y), tape.constant(result.gates_y.eval_gates()))
@@ -352,16 +330,11 @@ def _eval_scores(pair: ModalPair, cfg: RunConfig, result: TrainResult) -> tuple[
         tape,
         gated_x,
         gated_y,
-        _kernel_cfg(cfg.bandwidth_x, cfg.normalize_laplacian, cfg.bandwidth_scale),
-        _kernel_cfg(cfg.bandwidth_y, cfg.normalize_laplacian, cfg.bandwidth_scale),
+        cfg.bandwidth_scale,
         bandwidth_x=result.bandwidth_x,
         bandwidth_y=result.bandwidth_y,
     )
-    if cfg.mode == "shared":
-        op_x = op_y = shared_operator(tape, graphs.l_x, graphs.l_y, b=cfg.b)
-    else:
-        op_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=cfg.c, b=cfg.b)
-        op_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=cfg.c, b=cfg.b)
+    op_x, op_y = _operators(tape, graphs, cfg)
     return float(tape.quad_trace(op_x, gated_x).value), float(tape.quad_trace(op_y, gated_y).value)
 
 

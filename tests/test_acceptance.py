@@ -26,7 +26,7 @@ from mmdufs.bench import (
 from mmdufs.cli import main
 from mmdufs.datagen import ModalPair, gen_gaussian_mixture
 from mmdufs.gates import GateState, sample_gates, select_features
-from mmdufs.graph import KernelConfig, build_graph_pair, median_bandwidth
+from mmdufs.graph import build_graph_pair, median_bandwidth
 from mmdufs.tape import pairwise_sq_dists
 from mmdufs.operators import (
     differential_operator,
@@ -196,10 +196,7 @@ class TestCriterion7GradientCheck:
         z_y = tape.hard_sigmoid(tape.add(mu_y, tape.constant(noise_y)))
         gated_x = tape.col_gate(tape.constant(unit_norm_columns(pair.x)), z_x)
         gated_y = tape.col_gate(tape.constant(unit_norm_columns(pair.y)), z_y)
-        graphs = build_graph_pair(
-            tape, gated_x, gated_y, KernelConfig(), KernelConfig(),
-            bandwidth_x=bw_x, bandwidth_y=bw_y,
-        )
+        graphs = build_graph_pair(tape, gated_x, gated_y, 1.0, bandwidth_x=bw_x, bandwidth_y=bw_y)
         if mode == "shared":
             p = shared_operator(tape, graphs.l_x, graphs.l_y)
             loss, _, _ = shared_loss(

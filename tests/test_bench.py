@@ -10,13 +10,13 @@ from mmdufs.bench import (
     DIFFERENTIAL_HYPERPARAMS,
     SHARED_HYPERPARAMS,
     baseline_select,
-    f1,
     format_report,
     mean_f1,
     run_experiment,
     write_rows_csv,
 )
 from mmdufs.datagen import ModalPair, gen_gaussian_mixture
+from mmdufs.gates import f1
 from mmdufs.tape import ContractError, SingularMatrixError
 
 RNG = np.random.default_rng(3)
@@ -86,8 +86,9 @@ class TestBaselineSelect:
         x = rng.normal(size=(40, 8))
         x[:20, :3] += 3.0  # a planted cluster
         pair = ModalPair(x=x, y=x.copy())
-        bw = BASELINE_BANDWIDTH_FACTOR * median_bandwidth(pairwise_sq_dists(x))
-        l = normalized_laplacian(gaussian_kernel(x, bw))
+        d2 = pairwise_sq_dists(x)
+        bw = BASELINE_BANDWIDTH_FACTOR * median_bandwidth(d2)
+        l = normalized_laplacian(gaussian_kernel(d2, bw))
         base = np.argsort(-score_all_features(x, l, zscore=True), kind="stable")[:4]
         base_sq = np.argsort(-score_all_features(x, l @ l, zscore=True), kind="stable")[:4]
         ks = baseline_select(pair, "mmKS", 4, 4)

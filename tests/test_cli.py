@@ -1,6 +1,10 @@
 """CLI: artifact layout, exit codes, overwrite guard, seed handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +98,42 @@ class TestTrain:
                                    "--out", str(tmp_path / "run")])
         assert res.exit_code == 2
         assert "epochs" in res.output
+
+    def test_removed_config_field_is_usage_error(self, runner, dataset, tmp_path):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"mode": "shared", "epochs": 1, "normalize_laplacian": True}))
+        res = runner.invoke(main, ["train", "--data", str(dataset), "--config", str(cfg),
+                                   "--out", str(tmp_path / "run")])
+        assert res.exit_code == 2
+        assert "normalize_laplacian" in res.output
+
+    def test_converged_gates_reach_selection_json(self, runner, dataset, tmp_path):
+        """A large step saturates gates within three epochs; their indices are JSON ints."""
+        cfg = write_config(tmp_path, learning_rate=200.0, epochs=3)
+        out = tmp_path / "run"
+        res = runner.invoke(main, ["train", "--data", str(dataset), "--config", str(cfg),
+                                   "--out", str(out), "--seed", "0"])
+        assert res.exit_code == 0, res.output
+        sel = json.loads((out / "selection.json").read_text())
+        assert sel["converged_x"] and sel["converged_y"]
+        assert (out / "run_manifest.json").exists()
+        res = runner.invoke(main, ["select", "--gates", str(out / "gates_x.csv"),
+                                   "--policy", "converged"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["selected"] == sel["converged_x"]
+
+    def test_bad_truth_file_is_usage_error(self, runner, dataset, tmp_path):
+        """Empty, duplicate, negative or out-of-range truth indices fail ingestion (exit 2)."""
+        sel = tmp_path / "sel.json"
+        sel.write_text(json.dumps({"x": list(range(30)), "y": list(range(20))}))
+        for bad in ("", "0\n0\n1\n", "-1\n2\n", "0\n130\n"):
+            (dataset / "truth_shared_x.csv").write_text(bad)
+            res = runner.invoke(main, ["train", "--data", str(dataset), "--out",
+                                       str(tmp_path / "run"), "--epochs", "1", "--force"])
+            assert res.exit_code == 2, res.output
+            assert "truth_shared_x" in res.output
+            res = runner.invoke(main, ["evaluate", "--selection", str(sel), "--data", str(dataset)])
+            assert res.exit_code == 2, res.output
 
     def test_missing_data(self, runner, tmp_path):
         res = runner.invoke(main, ["train", "--data", str(tmp_path / "nope"),
@@ -221,3 +261,15 @@ class TestReproduce:
     def test_unknown_target(self, runner, tmp_path):
         res = runner.invoke(main, ["reproduce", "mnist-figure", "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
+
+
+class TestImport:
+    def test_scipy_stats_not_imported(self):
+        """Importing the package stays clear of scipy.stats, which costs most of a second."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, mmdufs, mmdufs.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "False"

@@ -25,6 +25,20 @@ class TestModalPair:
         p = ModalPair(x=np.zeros((3, 2)), y=np.zeros((3, 2)), truth_shared_x=[0.0, 1.0])
         assert p.truth_shared_x.dtype == np.int64
 
+    @pytest.mark.parametrize(
+        "name, truth",
+        [
+            ("truth_shared_x", []),
+            ("truth_shared_x", [0, 0, 1]),
+            ("truth_diff_x", [-1, 2]),
+            ("truth_diff_x", [0, 3]),
+            ("truth_shared_y", [2]),  # Y has two columns, X three
+        ],
+    )
+    def test_bad_truth_indices(self, name, truth):
+        with pytest.raises(IngestionError, match=name):
+            ModalPair(x=np.zeros((3, 3)), y=np.zeros((3, 2)), **{name: truth})
+
 
 class TestGaussianMixture:
     def test_shapes_and_truth_sets(self):
@@ -62,7 +76,8 @@ class TestGaussianMixture:
         from mmdufs.tape import pairwise_sq_dists
 
         p = gen_gaussian_mixture(seed=0)
-        k = gaussian_kernel(p.x, 0.3 * median_bandwidth(pairwise_sq_dists(p.x)))
+        d2 = pairwise_sq_dists(p.x)
+        k = gaussian_kernel(d2, 0.3 * median_bandwidth(d2))
         a = np.flatnonzero(p.labels == 0)
         b = np.flatnonzero(p.labels == 1)
         within = k[np.ix_(a, a)].mean()
@@ -233,3 +248,10 @@ class TestSaveLoad:
         back = load_pair(tmp_path / "c")
         np.testing.assert_array_equal(back.latent, p.latent)
         assert back.truth_shared_x is None
+
+    @pytest.mark.parametrize("text", ["", "0\n0\n1\n", "-1\n", "0\n130\n"])
+    def test_load_rejects_bad_truth_indices(self, tmp_path, text):
+        save_pair(gen_gaussian_mixture(seed=0), tmp_path / "d")
+        (tmp_path / "d" / "truth_diff_x.csv").write_text(text)
+        with pytest.raises(IngestionError, match="truth_diff_x"):
+            load_pair(tmp_path / "d")

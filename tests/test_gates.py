@@ -1,5 +1,7 @@
 """Stochastic gates: sampling, expected-L0, selection policies, CSV round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -8,15 +10,13 @@ from scipy.stats import norm
 from mmdufs.gates import (
     CONVERGED_TOL,
     GateState,
-    apply_gates,
     expected_l0,
-    expected_l0_grad,
     load_gates_csv,
     sample_gates,
     save_gates_csv,
     select_features,
 )
-from mmdufs.tape import ContractError
+from mmdufs.tape import ContractError, Tape
 
 
 class TestGateState:
@@ -92,8 +92,11 @@ class TestExpectedL0:
         assert expected_l0(g) == pytest.approx(np.mean(draws > 0), abs=3e-3)
 
     def test_grad_matches_finite_difference(self):
+        """The tape's open_gate_expectation gradient against differences of expected_l0."""
         mu = np.array([-0.6, 0.0, 0.8])
-        g = expected_l0_grad(GateState(mu=mu))
+        t = Tape()
+        leaf = t.leaf(mu, trainable=True)
+        g = t.grad(t.open_gate_expectation(leaf, 0.5), leaf)
         h = 1e-6
         for i in range(3):
             up, dn = mu.copy(), mu.copy()
@@ -107,6 +110,14 @@ class TestSelection:
     def test_converged_policy(self):
         g = GateState(mu=np.array([0.5, 0.5 - CONVERGED_TOL / 2, 0.4, -0.1]))
         assert select_features(g, "converged") == [0, 1]
+
+    def test_policies_return_python_ints(self):
+        """Selections go into JSON artifacts, which take no numpy integers."""
+        g = GateState(mu=np.array([0.5, -0.2, 0.7, 0.1]))
+        for policy, k in (("converged", None), ("top-k", 2)):
+            chosen = select_features(g, policy, k=k)
+            assert chosen and all(type(i) is int for i in chosen)
+            json.dumps(chosen)
 
     def test_top_k_matches_sort_oracle_with_ties(self):
         rng = np.random.default_rng(11)
@@ -127,17 +138,6 @@ class TestSelection:
             select_features(g, "top-k")
         with pytest.raises(ContractError):
             select_features(g, "bottom-k", k=1)
-
-
-class TestApplyGates:
-    def test_column_scaling(self):
-        data = np.arange(6.0).reshape(2, 3)
-        z = np.array([1.0, 0.0, 0.5])
-        np.testing.assert_allclose(apply_gates(data, z), data * z)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ContractError):
-            apply_gates(np.ones((2, 3)), np.ones(2))
 
 
 class TestCsvRoundTrip:

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from mmdufs.graph import (
     GraphPair,
-    KernelConfig,
     build_graph_pair,
+    data_laplacian,
     gaussian_kernel,
     kernel_on_tape,
-    laplacian_on_tape,
     median_bandwidth,
     normalized_laplacian,
 )
@@ -69,47 +68,53 @@ class TestMedianBandwidth:
             median_bandwidth(np.ones((4, 3)))
 
 
+def kernel(x, sigma):
+    return gaussian_kernel(pairwise_sq_dists(x), sigma)
+
+
 class TestGaussianKernel:
     def test_entries(self):
         x = RNG.normal(size=(8, 3))
         sigma = 1.3
-        k = gaussian_kernel(x, sigma)
+        k = kernel(x, sigma)
         i, j = 2, 5
         expect = np.exp(-np.sum((x[i] - x[j]) ** 2) / (2 * sigma**2))
         assert k[i, j] == pytest.approx(expect)
         assert np.all(np.diag(k) == 1.0)
 
     def test_symmetric_and_bounded(self):
-        k = gaussian_kernel(RNG.normal(size=(10, 4)), 0.8)
+        k = kernel(RNG.normal(size=(10, 4)), 0.8)
         assert np.abs(k - k.T).max() == 0.0
         assert k.min() >= 0.0 and k.max() <= 1.0
 
     def test_input_validation(self):
         with pytest.raises(ContractError):
-            gaussian_kernel(RNG.normal(size=(5, 2)), 0.0)
+            kernel(RNG.normal(size=(5, 2)), 0.0)
         with pytest.raises(ContractError):
-            gaussian_kernel(RNG.normal(size=(1, 2)), 1.0)
+            kernel(RNG.normal(size=(1, 2)), 1.0)
         with pytest.raises(NumericalError):
-            gaussian_kernel(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1.0)
+            gaussian_kernel(np.array([[0.0, np.inf], [np.inf, 0.0]]), 1.0)
+        with pytest.raises(DimensionError):
+            gaussian_kernel(np.ones((4, 3)), 1.0)
 
 
 class TestNormalizedLaplacian:
     def test_spectrum_in_unit_interval(self):
         for _ in range(5):
-            k = gaussian_kernel(RNG.normal(size=(15, 3)), 1.0)
+            k = kernel(RNG.normal(size=(15, 3)), 1.0)
             l = normalized_laplacian(k)
             w = np.linalg.eigvalsh(0.5 * (l + l.T))
             assert w.min() >= -1.0 - 1e-6 and w.max() <= 1.0 + 1e-6
 
     def test_top_eigenvalue_is_one_with_sqrt_degree_vector(self):
-        k = gaussian_kernel(RNG.normal(size=(12, 3)), 1.0)
+        k = kernel(RNG.normal(size=(12, 3)), 1.0)
         l = normalized_laplacian(k)
         d = np.sqrt(k.sum(axis=1))
         d /= np.linalg.norm(d)
         np.testing.assert_allclose(l @ d, d, atol=1e-10)
 
     def test_matches_explicit_sandwich(self):
-        k = gaussian_kernel(RNG.normal(size=(9, 2)), 0.7)
+        k = kernel(RNG.normal(size=(9, 2)), 0.7)
         dm = np.diag(1.0 / np.sqrt(k.sum(axis=1)))
         np.testing.assert_allclose(normalized_laplacian(k), dm @ k @ dm, atol=1e-12)
 
@@ -120,23 +125,21 @@ class TestNormalizedLaplacian:
             normalized_laplacian(-np.eye(3))
 
 
-class TestKernelConfig:
-    def test_resolve_median_and_scale(self):
+class TestDataLaplacian:
+    def test_scaled_median_bandwidth(self):
+        """scale x the median distance of the data itself, as a brute-force oracle."""
         x = RNG.normal(size=(10, 3))
-        d2 = pairwise_sq_dists(x)
-        base = median_bandwidth(d2)
-        assert KernelConfig().resolve(d2) == pytest.approx(base)
-        assert KernelConfig(scale=0.4).resolve(d2) == pytest.approx(0.4 * base)
-        # explicit bandwidth ignores scale
-        assert KernelConfig(bandwidth=2.0, scale=0.4).resolve(d2) == 2.0
+        dists = [np.linalg.norm(x[i] - x[j]) for i in range(10) for j in range(i + 1, 10)]
+        for scale in (1.0, 0.4):
+            np.testing.assert_allclose(
+                data_laplacian(x, scale),
+                normalized_laplacian(kernel(x, scale * np.median(dists))),
+                atol=1e-12,
+            )
 
-    def test_validation(self):
+    def test_nonpositive_scale(self):
         with pytest.raises(ContractError):
-            KernelConfig(bandwidth="mean")
-        with pytest.raises(ContractError):
-            KernelConfig(bandwidth=-1.0)
-        with pytest.raises(ContractError):
-            KernelConfig(scale=0.0)
+            data_laplacian(RNG.normal(size=(6, 2)), 0.0)
 
 
 class TestOnTape:
@@ -144,15 +147,13 @@ class TestOnTape:
         x = RNG.normal(size=(8, 3))
         t = Tape()
         node = kernel_on_tape(t, t.sq_dists(t.constant(x)), 1.1)
-        np.testing.assert_allclose(node.value, gaussian_kernel(x, 1.1), atol=1e-12)
+        np.testing.assert_allclose(node.value, kernel(x, 1.1), atol=1e-12)
 
     def test_laplacian_on_tape_matches_array(self):
         x = RNG.normal(size=(8, 3))
         t = Tape()
-        node = laplacian_on_tape(t, t.constant(x), 0.9)
-        np.testing.assert_allclose(
-            node.value, normalized_laplacian(gaussian_kernel(x, 0.9)), atol=1e-12
-        )
+        node = t.sym_normalize(kernel_on_tape(t, t.sq_dists(t.constant(x)), 0.9))
+        np.testing.assert_allclose(node.value, normalized_laplacian(kernel(x, 0.9)), atol=1e-12)
 
     def test_gradient_reaches_gates(self):
         """d||L||_F^2/d mu nonzero for a gate on a varying feature."""
@@ -161,7 +162,7 @@ class TestOnTape:
         mu = t.leaf(np.zeros(3), trainable=True)
         z = t.hard_sigmoid(mu)
         gated = t.col_gate(t.constant(x), z)
-        l = laplacian_on_tape(t, gated, 1.0)
+        l = build_graph_pair(t, gated, gated, 1.0, bandwidth_x=1.0, bandwidth_y=1.0).l_x
         loss = t.trace(t.matmul(l, t.transpose(l)))
         g = t.grad(loss, mu)
         assert np.any(g != 0.0)
@@ -169,24 +170,22 @@ class TestOnTape:
     def test_build_graph_pair(self):
         x, y = RNG.normal(size=(10, 4)), RNG.normal(size=(10, 3))
         t = Tape()
-        gp = build_graph_pair(
-            t, t.constant(x), t.constant(y), KernelConfig(scale=0.5), KernelConfig(scale=0.5)
-        )
+        gp = build_graph_pair(t, t.constant(x), t.constant(y), 0.5)
         assert isinstance(gp, GraphPair)
         assert gp.bandwidth_x == pytest.approx(0.5 * median_bandwidth(pairwise_sq_dists(x)))
-        np.testing.assert_allclose(
-            gp.l_x.value, normalized_laplacian(gaussian_kernel(x, gp.bandwidth_x)), atol=1e-12
-        )
-        assert gp.degrees_x.shape == (10,)
+        assert gp.bandwidth_y == pytest.approx(0.5 * median_bandwidth(pairwise_sq_dists(y)))
+        np.testing.assert_allclose(gp.l_x.value, data_laplacian(x, 0.5), atol=1e-12)
+        np.testing.assert_allclose(gp.l_y.value, data_laplacian(y, 0.5), atol=1e-12)
 
     def test_build_graph_pair_frozen_bandwidth(self):
         x, y = RNG.normal(size=(8, 3)), RNG.normal(size=(8, 2))
         t = Tape()
         gp = build_graph_pair(
-            t, t.constant(x), t.constant(y), KernelConfig(), KernelConfig(),
-            bandwidth_x=2.0, bandwidth_y=3.0,
+            t, t.constant(x), t.constant(y), 0.4, bandwidth_x=2.0, bandwidth_y=3.0
         )
+        # frozen bandwidths ignore the scale
         assert gp.bandwidth_x == 2.0 and gp.bandwidth_y == 3.0
+        np.testing.assert_allclose(gp.l_y.value, normalized_laplacian(kernel(y, 3.0)), atol=1e-12)
 
     def test_row_count_mismatch(self):
         t = Tape()
@@ -195,6 +194,5 @@ class TestOnTape:
                 t,
                 t.constant(RNG.normal(size=(5, 2))),
                 t.constant(RNG.normal(size=(6, 2))),
-                KernelConfig(),
-                KernelConfig(),
+                1.0,
             )

@@ -15,7 +15,7 @@ from mmdufs.operators import (
     zscore_columns,
 )
 from mmdufs.graph import gaussian_kernel, normalized_laplacian
-from mmdufs.tape import ContractError, DimensionError, Tape, eigh_descending
+from mmdufs.tape import ContractError, DimensionError, Tape, eigh_descending, pairwise_sq_dists
 
 RNG = np.random.default_rng(42)
 
@@ -71,8 +71,8 @@ class TestSharedOperator:
     def test_one_product_is_exactly_symmetric(self):
         """L_x L_y + (L_x L_y)^T: exactly symmetric, and L_x L_y + L_y L_x to rounding."""
         x, y = RNG.normal(size=(30, 4)), RNG.normal(size=(30, 3))
-        l_x = normalized_laplacian(gaussian_kernel(x, 1.2))
-        l_y = normalized_laplacian(gaussian_kernel(y, 0.8))
+        l_x = normalized_laplacian(gaussian_kernel(pairwise_sq_dists(x), 1.2))
+        l_y = normalized_laplacian(gaussian_kernel(pairwise_sq_dists(y), 0.8))
         t = Tape()
         p = shared_operator(t, t.constant(l_x), t.constant(l_y)).value
         assert np.array_equal(p, p.T)

@@ -10,7 +10,7 @@ import pytest
 
 from mmdufs.datagen import ModalPair, gen_gaussian_mixture
 from mmdufs.gates import GateState
-from mmdufs.graph import KernelConfig, build_graph_pair, median_bandwidth
+from mmdufs.graph import build_graph_pair, median_bandwidth
 from mmdufs.operators import differential_operator, shared_operator
 from mmdufs.tape import ContractError, Tape, pairwise_sq_dists
 from mmdufs.trainer import (
@@ -40,9 +40,7 @@ def gated_graphs(pair, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y):
     z_y = tape.hard_sigmoid(tape.add(mu_y, tape.constant(noise_y)))
     gated_x = tape.col_gate(tape.constant(unit_norm_columns(pair.x)), z_x)
     gated_y = tape.col_gate(tape.constant(unit_norm_columns(pair.y)), z_y)
-    graphs = build_graph_pair(
-        tape, gated_x, gated_y, KernelConfig(), KernelConfig(), bandwidth_x=bw_x, bandwidth_y=bw_y
-    )
+    graphs = build_graph_pair(tape, gated_x, gated_y, 1.0, bandwidth_x=bw_x, bandwidth_y=bw_y)
     return tape, mu_x, mu_y, gated_x, gated_y, graphs
 
 
@@ -80,8 +78,8 @@ class TestLosses:
         from mmdufs.graph import gaussian_kernel, normalized_laplacian
         from mmdufs.operators import shared_operator_array
 
-        lx = normalized_laplacian(gaussian_kernel(x, 1.0))
-        ly = normalized_laplacian(gaussian_kernel(y, 1.0))
+        lx = normalized_laplacian(gaussian_kernel(pairwise_sq_dists(x), 1.0))
+        ly = normalized_laplacian(gaussian_kernel(pairwise_sq_dists(y), 1.0))
         p = shared_operator_array(lx, ly)
         expect = (
             -(np.trace(x.T @ p @ x) + np.trace(y.T @ p @ y)) / n
