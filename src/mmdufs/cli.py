@@ -65,19 +65,19 @@ def _guard_overwrite(paths: list[Path], force: bool) -> None:
         )
 
 
-def _load_config(config_path, seed: int, overrides: dict) -> RunConfig:
-    if config_path is None:
-        cfg = RunConfig(seed=seed)
-    else:
+def _load_config(config_path, seed: int | None, overrides: dict) -> RunConfig:
+    """RunConfig from the file or defaults; seed: --seed, the file's, MMDUFS_SEED, else 0."""
+    cfg = RunConfig()
+    if config_path is not None:
         try:
-            cfg = RunConfig.from_json(Path(config_path).read_text())
+            fields = json.loads(Path(config_path).read_text())
+            cfg = RunConfig(**fields)
         except (json.JSONDecodeError, TypeError) as exc:
             raise click.UsageError(f"bad config {config_path}: {exc}")
-        cfg = replace(cfg, seed=seed)
+        if seed is None and "seed" in fields:
+            seed = cfg.seed
     clean = {k: v for k, v in overrides.items() if v is not None}
-    if clean:
-        cfg = replace(cfg, **clean)
-    return cfg
+    return replace(cfg, seed=_resolve_seed(seed), **clean)
 
 
 def _run(body) -> None:
@@ -136,7 +136,7 @@ def train_cmd(datadir, config_path, outdir, seed, epochs, mode, force) -> None:
     """Train gate vectors; write gates, train log, selection, and manifest."""
 
     def body():
-        cfg = _load_config(config_path, _resolve_seed(seed), {"epochs": epochs, "mode": mode})
+        cfg = _load_config(config_path, seed, {"epochs": epochs, "mode": mode})
         pair = _load_data(datadir)
         outdir.mkdir(parents=True, exist_ok=True)
         artifacts = [outdir / n for n in
@@ -186,7 +186,7 @@ def tune(datadir, config_path, outdir, grid, warmup_epochs, seed, force) -> None
             values = [float(v) for v in grid.split(",") if v.strip()]
         except ValueError:
             raise click.UsageError(f"bad --grid '{grid}'")
-        cfg = _load_config(config_path, _resolve_seed(seed), {})
+        cfg = _load_config(config_path, seed, {})
         pair = _load_data(datadir)
         outdir.mkdir(parents=True, exist_ok=True)
         _guard_overwrite([outdir / "lambda_grid.csv", outdir / "chosen_lambda.json"], force)

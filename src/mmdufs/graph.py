@@ -26,10 +26,12 @@ __all__ = [
 
 @dataclass
 class GraphPair:
-    """Laplacians (as tape nodes) plus resolved bandwidths for both modalities."""
+    """Laplacians and Gram matrices (tape nodes) plus resolved bandwidths of both modalities."""
 
     l_x: Node
     l_y: Node
+    gram_x: Node
+    gram_y: Node
     bandwidth_x: float
     bandwidth_y: float
 
@@ -99,7 +101,7 @@ def data_laplacian(data: np.ndarray, scale: float) -> np.ndarray:
 
 
 def kernel_on_tape(tape: Tape, d2: Node, bandwidth: float) -> Node:
-    """Gaussian kernel from a squared-distance node (tape.sq_dists), on the tape."""
+    """Gaussian kernel, on the tape, from d2 = tape.sq_dists(tape.gram(gated data))."""
     if bandwidth <= 0:
         raise ContractError("bandwidth must be positive")
     return tape.exp(tape.scale(d2, -1.0 / (2.0 * bandwidth**2)))
@@ -115,15 +117,15 @@ def build_graph_pair(
 ) -> GraphPair:
     """Kernels and normalized Laplacians for both modalities from the gated data nodes.
 
-    Each bandwidth is scale x the median distance of the current gated values,
-    read from the same squared-distance node the kernel is built from, unless
-    a frozen value is passed in; either way the bandwidth is treated as a
-    constant for differentiation.
+    The Gram node X~X~^T of each modality feeds its squared distances and is
+    returned for the scores <Op, X~X~^T>. Each bandwidth is scale x the median
+    of those distances, unless a frozen value is passed in; either way it is
+    a constant for differentiation.
     """
     if gated_x.value.shape[0] != gated_y.value.shape[0]:
         raise DimensionError("modalities must share the sample count")
-    d2_x = tape.sq_dists(gated_x)
-    d2_y = tape.sq_dists(gated_y)
+    gram_x, gram_y = tape.gram(gated_x), tape.gram(gated_y)
+    d2_x, d2_y = tape.sq_dists(gram_x), tape.sq_dists(gram_y)
     bw_x = bandwidth_x if bandwidth_x is not None else scale * median_bandwidth(d2_x.value)
     bw_y = bandwidth_y if bandwidth_y is not None else scale * median_bandwidth(d2_y.value)
 
@@ -132,6 +134,8 @@ def build_graph_pair(
     return GraphPair(
         l_x=tape.sym_normalize(k_x),
         l_y=tape.sym_normalize(k_y),
+        gram_x=gram_x,
+        gram_y=gram_y,
         bandwidth_x=bw_x,
         bandwidth_y=bw_y,
     )

@@ -50,8 +50,11 @@ def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     Clamped at zero with an exactly zero diagonal. For a contiguous x,
     x @ x.T runs as a BLAS syrk and the result is exactly symmetric.
     """
-    sq = np.einsum("ij,ij->i", x, x)
-    d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    return _dists_from_gram(np.einsum("ij,ij->i", x, x), x @ x.T)
+
+
+def _dists_from_gram(sq: np.ndarray, g: np.ndarray) -> np.ndarray:
+    d = sq[:, None] + sq[None, :] - 2.0 * g
     np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
     return d
@@ -137,7 +140,8 @@ class Tape:
     def transpose(self, a: Node) -> Node:
         if a.value.ndim != 2:
             raise DimensionError("transpose needs a 2-D matrix")
-        return self._record(a.value.T.copy(), "transpose", (a,))
+        # A view: no tape value is ever mutated in place.
+        return self._record(a.value.T, "transpose", (a,))
 
     def sym_normalize(self, k: Node) -> Node:
         """D^{-1/2} K D^{-1/2} with D = diag of row sums of K."""
@@ -177,13 +181,17 @@ class Tape:
             raise DimensionError("trace needs a square matrix")
         return self._record(np.trace(a.value), "trace", (a,))
 
-    def quad_trace(self, a: Node, x: Node) -> Node:
-        """Tr[x^T a x], computed as sum(x * (a x)) without the d x d product."""
-        av, xv = a.value, x.value
-        if av.ndim != 2 or xv.ndim != 2 or av.shape != (xv.shape[0], xv.shape[0]):
-            raise DimensionError(f"quad_trace: {av.shape} with {xv.shape}")
-        ax = av @ xv
-        return self._record(np.vdot(xv, ax), "quad_trace", (a, x), cache=ax)
+    def gram(self, x: Node) -> Node:
+        """x x^T: one BLAS syrk for a contiguous x, so exactly symmetric."""
+        if x.value.ndim != 2:
+            raise DimensionError("gram needs a 2-D matrix")
+        return self._record(x.value @ x.value.T, "gram", (x,))
+
+    def inner(self, a: Node, b: Node) -> Node:
+        """<a, b> = sum(a * b); inner(a, gram(x)) is Tr[x^T a x] for any square a."""
+        if a.value.ndim != 2 or a.value.shape != b.value.shape:
+            raise DimensionError(f"inner: {a.value.shape} with {b.value.shape}")
+        return self._record(np.vdot(a.value, b.value), "inner", (a, b))
 
     def hard_sigmoid(self, a: Node) -> Node:
         """clamp01(0.5 + x); subgradient 1 strictly inside (0, 1), else 0."""
@@ -198,11 +206,11 @@ class Tape:
             raise DimensionError(f"col_gate: {x.value.shape} with gates {z.value.shape}")
         return self._record(x.value * z.value[None, :], "col_gate", (x, z))
 
-    def sq_dists(self, x: Node) -> Node:
-        """All pairwise squared Euclidean distances between rows of x."""
-        if x.value.ndim != 2:
-            raise DimensionError("sq_dists needs a 2-D matrix")
-        return self._record(pairwise_sq_dists(x.value), "sq_dists", (x,))
+    def sq_dists(self, g: Node) -> Node:
+        """Pairwise squared distances between the rows of x, from g = gram(x)."""
+        if g.value.ndim != 2 or g.value.shape[0] != g.value.shape[1]:
+            raise DimensionError("sq_dists needs a square Gram matrix")
+        return self._record(_dists_from_gram(np.diag(g.value), g.value), "sq_dists", (g,))
 
     def open_gate_expectation(self, mu: Node, sigma: float) -> Node:
         """Sum over i of Phi((0.5 + mu_i)/sigma): expected count of open gates."""
@@ -297,13 +305,14 @@ class Tape:
         elif op == "trace":
             n = a.value.shape[0]
             yield a, float(g) * np.eye(n)
-        elif op == "quad_trace":
-            x = node.inputs[1]
-            g = float(g)
+        elif op == "gram":
+            yield a, (g + g.T) @ a.value
+        elif op == "inner":
+            b, g = node.inputs[1], float(g)
             if a.needs_grad:
-                yield a, g * (x.value @ x.value.T)
-            if x.needs_grad:
-                yield x, g * (node.cache + a.value.T @ x.value)
+                yield a, g * b.value
+            if b.needs_grad:
+                yield b, g * a.value
         elif op == "hard_sigmoid":
             yield a, g * node.cache
         elif op == "col_gate":
@@ -312,9 +321,8 @@ class Tape:
                 yield x, g * z.value[None, :]
             if z.needs_grad:
                 yield z, np.einsum("ij,ij->j", g, x.value)
-        elif op == "sq_dists":
-            h = g + g.T
-            yield a, 2.0 * (h.sum(axis=1)[:, None] * a.value - h @ a.value)
+        elif op == "sq_dists":  # d_ij = G_ii + G_jj - 2 G_ij
+            yield a, np.diag(g.sum(axis=1) + g.sum(axis=0)) - 2.0 * g
         elif op == "open_gate_expectation":
             t, sigma = node.cache
             pdf = np.exp(-0.5 * t * t) / (np.sqrt(2.0 * np.pi) * sigma)
@@ -332,7 +340,8 @@ PRIMITIVES = (
     "sym_normalize",
     "inverse",
     "trace",
-    "quad_trace",
+    "gram",
+    "inner",
     "hard_sigmoid",
     "col_gate",
     "sq_dists",

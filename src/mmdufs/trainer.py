@@ -68,13 +68,11 @@ class RunConfig:
             raise ContractError("batch size must be >= 2")
         if self.bandwidth_scale <= 0:
             raise ContractError("bandwidth scale must be positive")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ContractError(f"seed must be an integer, got {self.seed!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
 
 
 @dataclass
@@ -120,8 +118,8 @@ class TrainingDiverged(ArithmeticError):
 
 def shared_loss(
     tape: Tape,
-    gated_x: Node,
-    gated_y: Node,
+    gram_x: Node,
+    gram_y: Node,
     p_shared: Node,
     mu_x: Node,
     mu_y: Node,
@@ -131,11 +129,11 @@ def shared_loss(
 ) -> tuple[Node, Node, Node]:
     """-(1/n)Tr[X~T P X~] - (1/n)Tr[Y~T P Y~] + lam_x E|z_x|_0 + lam_y E|z_y|_0.
 
-    Returns (loss, score_x, score_y); the score nodes are the raw traces.
+    Returns (loss, score_x, score_y): the raw traces, as <P, gram> of each modality.
     """
-    n = gated_x.value.shape[0]
-    score_x = tape.quad_trace(p_shared, gated_x)
-    score_y = tape.quad_trace(p_shared, gated_y)
+    n = gram_x.value.shape[0]
+    score_x = tape.inner(p_shared, gram_x)
+    score_y = tape.inner(p_shared, gram_y)
     loss = tape.add(tape.scale(score_x, -1.0 / n), tape.scale(score_y, -1.0 / n))
     loss = tape.add(loss, tape.scale(tape.open_gate_expectation(mu_x, sigma_gate), lambda_x))
     loss = tape.add(loss, tape.scale(tape.open_gate_expectation(mu_y, sigma_gate), lambda_y))
@@ -144,13 +142,13 @@ def shared_loss(
 
 def differential_loss(
     tape: Tape,
-    gated: Node,
+    gram: Node,
     q_op: Node,
     mu: Node,
     lam: float,
     sigma_gate: float,
 ) -> tuple[Node, Node]:
-    """(1/n)(-Tr[D~T Q D~] + lam E|z|_0). Returns (loss, score).
+    """(1/n)(-Tr[D~T Q D~] + lam E|z|_0), the trace as <Q, gram>. Returns (loss, score).
 
     Unlike the shared objective, the whole differential objective — including
     the regularizer — is normalized per sample. The published regularization
@@ -159,8 +157,8 @@ def differential_loss(
     scale preserves that balance for any n and yields gradual gate dynamics
     instead of a first-step collapse.
     """
-    n = gated.value.shape[0]
-    score = tape.quad_trace(q_op, gated)
+    n = gram.value.shape[0]
+    score = tape.inner(q_op, gram)
     loss = tape.add(
         tape.scale(score, -1.0 / n),
         tape.scale(tape.open_gate_expectation(mu, sigma_gate), lam / n),
@@ -237,6 +235,9 @@ def train(
     n = pair.n_samples
     if cfg.batch_size is not None and cfg.batch_size > n:
         raise ContractError(f"batch size {cfg.batch_size} exceeds sample count {n}")
+    for name, data in (("x", pair.x), ("y", pair.y)):
+        if np.all(data == data[0]):
+            raise ContractError(f"modality {name} is constant: every sample has the same values")
 
     data_x, data_y = unit_norm_columns(pair.x), unit_norm_columns(pair.y)
 
@@ -274,13 +275,14 @@ def train(
         frozen_bw = (graphs.bandwidth_x, graphs.bandwidth_y)
 
         op_x, op_y = _operators(tape, graphs, cfg)
+        gram_x, gram_y = graphs.gram_x, graphs.gram_y
         if cfg.mode == "shared":
             loss, s_x, s_y = shared_loss(
-                tape, gated_x, gated_y, op_x, mu_x, mu_y, cfg.lambda_x, cfg.lambda_y, cfg.sigma_gate
+                tape, gram_x, gram_y, op_x, mu_x, mu_y, cfg.lambda_x, cfg.lambda_y, cfg.sigma_gate
             )
         else:
-            loss_x, s_x = differential_loss(tape, gated_x, op_x, mu_x, cfg.lambda_x, cfg.sigma_gate)
-            loss_y, s_y = differential_loss(tape, gated_y, op_y, mu_y, cfg.lambda_y, cfg.sigma_gate)
+            loss_x, s_x = differential_loss(tape, gram_x, op_x, mu_x, cfg.lambda_x, cfg.sigma_gate)
+            loss_y, s_y = differential_loss(tape, gram_y, op_y, mu_y, cfg.lambda_y, cfg.sigma_gate)
             loss = tape.add(loss_x, loss_y)
         grads = tape.backward(loss)
         gx, gy = grads[mu_x.idx], grads[mu_y.idx]
@@ -335,7 +337,8 @@ def _eval_scores(pair: ModalPair, cfg: RunConfig, result: TrainResult) -> tuple[
         bandwidth_y=result.bandwidth_y,
     )
     op_x, op_y = _operators(tape, graphs, cfg)
-    return float(tape.quad_trace(op_x, gated_x).value), float(tape.quad_trace(op_y, gated_y).value)
+    score_x, score_y = tape.inner(op_x, graphs.gram_x), tape.inner(op_y, graphs.gram_y)
+    return float(score_x.value), float(score_y.value)
 
 
 def warmup_tune(

@@ -200,13 +200,13 @@ class TestCriterion7GradientCheck:
         if mode == "shared":
             p = shared_operator(tape, graphs.l_x, graphs.l_y)
             loss, _, _ = shared_loss(
-                tape, gated_x, gated_y, p, mu_x, mu_y, 1e-2, 1e-2, 0.5
+                tape, graphs.gram_x, graphs.gram_y, p, mu_x, mu_y, 1e-2, 1e-2, 0.5
             )
         else:
             q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=0.1)
             q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=0.1)
-            lx, _ = differential_loss(tape, gated_x, q_x, mu_x, 0.4, 0.5)
-            ly, _ = differential_loss(tape, gated_y, q_y, mu_y, 0.4, 0.5)
+            lx, _ = differential_loss(tape, graphs.gram_x, q_x, mu_x, 0.4, 0.5)
+            ly, _ = differential_loss(tape, graphs.gram_y, q_y, mu_y, 0.4, 0.5)
             loss = tape.add(lx, ly)
         return tape, loss, mu_x, mu_y
 

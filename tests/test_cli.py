@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from mmdufs.cli import main
-from mmdufs.datagen import load_pair
+from mmdufs.datagen import ModalPair, load_pair, save_pair
 
 
 @pytest.fixture
@@ -134,6 +134,47 @@ class TestTrain:
             assert "truth_shared_x" in res.output
             res = runner.invoke(main, ["evaluate", "--selection", str(sel), "--data", str(dataset)])
             assert res.exit_code == 2, res.output
+
+    def test_seed_precedence(self, runner, dataset, tmp_path):
+        """--seed, then the config file's seed, then MMDUFS_SEED, then 0."""
+        with_seed = write_config(tmp_path, epochs=1, seed=7)
+        no_seed = tmp_path / "no_seed.json"
+        no_seed.write_text(json.dumps({"mode": "shared", "epochs": 1}))
+        cases = [
+            (with_seed, ["--seed", "3"], "5", 3),
+            (with_seed, [], "5", 7),
+            (with_seed, [], None, 7),
+            (no_seed, [], "5", 5),
+            (no_seed, [], None, 0),
+            (None, ["--epochs", "1"], "5", 5),
+            (None, ["--epochs", "1", "--seed", "2"], "5", 2),
+        ]
+        for i, (cfg, extra, env_seed, expect) in enumerate(cases):
+            out = tmp_path / f"run{i}"
+            args = ["train", "--data", str(dataset), "--out", str(out), *extra]
+            if cfg is not None:
+                args += ["--config", str(cfg)]
+            res = runner.invoke(main, args, env={"MMDUFS_SEED": env_seed})
+            assert res.exit_code == 0, res.output
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert manifest["seed"] == expect, (i, manifest["seed"])
+
+    def test_non_integer_config_seed_is_usage_error(self, runner, dataset, tmp_path):
+        cfg = tmp_path / "bad_seed.json"
+        cfg.write_text(json.dumps({"mode": "shared", "epochs": 1, "seed": "7"}))
+        res = runner.invoke(main, ["train", "--data", str(dataset), "--config", str(cfg),
+                                   "--out", str(tmp_path / "run")])
+        assert res.exit_code == 2
+        assert "seed" in res.output
+
+    def test_constant_modality_is_usage_error(self, runner, dataset, tmp_path):
+        pair = load_pair(dataset)
+        const = tmp_path / "const"
+        save_pair(ModalPair(x=pair.x, y=np.ones_like(pair.y)), const)
+        res = runner.invoke(main, ["train", "--data", str(const), "--out", str(tmp_path / "run"),
+                                   "--epochs", "1"])
+        assert res.exit_code == 2
+        assert "modality y is constant" in res.output
 
     def test_missing_data(self, runner, tmp_path):
         res = runner.invoke(main, ["train", "--data", str(tmp_path / "nope"),

@@ -146,13 +146,13 @@ class TestOnTape:
     def test_kernel_on_tape_matches_array(self):
         x = RNG.normal(size=(8, 3))
         t = Tape()
-        node = kernel_on_tape(t, t.sq_dists(t.constant(x)), 1.1)
+        node = kernel_on_tape(t, t.sq_dists(t.gram(t.constant(x))), 1.1)
         np.testing.assert_allclose(node.value, kernel(x, 1.1), atol=1e-12)
 
     def test_laplacian_on_tape_matches_array(self):
         x = RNG.normal(size=(8, 3))
         t = Tape()
-        node = t.sym_normalize(kernel_on_tape(t, t.sq_dists(t.constant(x)), 0.9))
+        node = t.sym_normalize(kernel_on_tape(t, t.sq_dists(t.gram(t.constant(x))), 0.9))
         np.testing.assert_allclose(node.value, normalized_laplacian(kernel(x, 0.9)), atol=1e-12)
 
     def test_gradient_reaches_gates(self):
@@ -176,6 +176,8 @@ class TestOnTape:
         assert gp.bandwidth_y == pytest.approx(0.5 * median_bandwidth(pairwise_sq_dists(y)))
         np.testing.assert_allclose(gp.l_x.value, data_laplacian(x, 0.5), atol=1e-12)
         np.testing.assert_allclose(gp.l_y.value, data_laplacian(y, 0.5), atol=1e-12)
+        np.testing.assert_allclose(gp.gram_x.value, x @ x.T, atol=1e-12)
+        np.testing.assert_allclose(gp.gram_y.value, y @ y.T, atol=1e-12)
 
     def test_build_graph_pair_frozen_bandwidth(self):
         x, y = RNG.normal(size=(8, 3)), RNG.normal(size=(8, 2))

@@ -100,7 +100,7 @@ class TestForwardValues:
     def test_sq_dists(self):
         x = RNG.normal(size=(6, 3))
         t = Tape()
-        out = t.sq_dists(t.constant(x))
+        out = t.sq_dists(t.gram(t.constant(x)))
         brute = np.array([[np.sum((xi - xj) ** 2) for xj in x] for xi in x])
         np.testing.assert_allclose(out.value, brute, atol=1e-12)
         assert np.all(np.diag(out.value) == 0.0)
@@ -183,10 +183,29 @@ class TestGradients:
     def test_sq_dists(self):
         w = RNG.normal(size=(5, 5))
         check_grad(
-            lambda t, x: t.trace(t.matmul(t.sq_dists(x), t.constant(w))),
+            lambda t, x: t.trace(t.matmul(t.sq_dists(t.gram(x)), t.constant(w))),
             RNG.normal(size=(5, 3)),
             rtol=1e-4,
         )
+
+    def test_sq_dists_wrt_gram(self):
+        """The Gram-matrix rule on its own, at a G that is not symmetric."""
+        w = RNG.normal(size=(5, 5))
+        check_grad(
+            lambda t, g: t.trace(t.matmul(t.sq_dists(g), t.constant(w))),
+            RNG.normal(size=(5, 5)) + 10.0 * np.eye(5),
+        )
+
+    def test_gram(self):
+        w = RNG.normal(size=(5, 5))  # not symmetric: the rule needs g + g^T
+        check_grad(
+            lambda t, x: t.trace(t.matmul(t.gram(x), t.constant(w))), RNG.normal(size=(5, 3))
+        )
+
+    def test_inner(self):
+        a0, b0 = RNG.normal(size=(4, 3)), RNG.normal(size=(4, 3))
+        check_grad(lambda t, a: t.scale(t.inner(a, t.constant(b0)), -0.7), a0)
+        check_grad(lambda t, b: t.scale(t.inner(t.constant(a0), b), -0.7), b0)
 
     def test_open_gate_expectation(self):
         check_grad(
@@ -200,7 +219,7 @@ class TestGradients:
 
         def build(t, z):
             gated = t.col_gate(t.constant(x0), z)
-            k = t.exp(t.scale(t.sq_dists(gated), -0.5))
+            k = t.exp(t.scale(t.sq_dists(t.gram(gated)), -0.5))
             l = t.sym_normalize(k)
             return t.trace(t.matmul(l, l))
 
@@ -250,14 +269,19 @@ class TestGradients:
 
 
 def quad_trace_chain(t, a, x):
-    """Tr[x^T a x] as the transpose -> matmul -> matmul -> trace chain quad_trace fuses."""
+    """Tr[x^T a x] as the transpose -> matmul -> matmul -> trace chain."""
     return t.trace(t.matmul(t.transpose(x), t.matmul(a, x)))
 
 
+def quad_trace_gram(t, a, x):
+    """Tr[x^T a x] in Gram form: <a, x x^T>."""
+    return t.inner(a, t.gram(x))
+
+
 def fused_and_chain(a0, x0):
-    """[(value, grad a, grad x)] of Tr[x^T a x] from quad_trace, then from the chain."""
+    """[(value, grad a, grad x)] of Tr[x^T a x] in Gram form, then from the chain."""
     out = []
-    for build in (lambda t, a, x: t.quad_trace(a, x), quad_trace_chain):
+    for build in (quad_trace_gram, quad_trace_chain):
         t = Tape()
         a, x = t.leaf(a0, trainable=True), t.leaf(x0, trainable=True)
         score = build(t, a, x)
@@ -267,23 +291,28 @@ def fused_and_chain(a0, x0):
 
 
 class TestQuadTrace:
+    """Tr[x^T a x] = <a, gram(x)>, for any square a."""
+
     def test_value(self):
         a, x = RNG.normal(size=(5, 5)), RNG.normal(size=(5, 3))
         t = Tape()
-        out = t.quad_trace(t.constant(a), t.constant(x))
+        out = quad_trace_gram(t, t.constant(a), t.constant(x))
         assert float(out.value) == pytest.approx(np.trace(x.T @ a @ x), rel=1e-12)
-        assert "quad_trace" in PRIMITIVES
+        assert {"gram", "inner"} <= set(PRIMITIVES)
+        assert "quad_trace" not in PRIMITIVES
 
     def test_fd_wrt_nonsymmetric_operator(self):
         x0 = RNG.normal(size=(4, 3))
         check_grad(
-            lambda t, a: t.scale(t.quad_trace(a, t.constant(x0)), -0.7), RNG.normal(size=(4, 4))
+            lambda t, a: t.scale(quad_trace_gram(t, a, t.constant(x0)), -0.7),
+            RNG.normal(size=(4, 4)),
         )
 
     def test_fd_wrt_data(self):
         a0 = RNG.normal(size=(4, 4))  # not symmetric: the rule needs both a x and a^T x
         check_grad(
-            lambda t, x: t.scale(t.quad_trace(t.constant(a0), x), -0.7), RNG.normal(size=(4, 6))
+            lambda t, x: t.scale(quad_trace_gram(t, t.constant(a0), x), -0.7),
+            RNG.normal(size=(4, 6)),
         )
 
     @settings(max_examples=40, deadline=None)
@@ -301,11 +330,42 @@ class TestQuadTrace:
     def test_dimension_errors(self):
         t = Tape()
         with pytest.raises(DimensionError):
-            t.quad_trace(t.constant(np.ones((3, 3))), t.constant(np.ones((4, 2))))
+            quad_trace_gram(t, t.constant(np.ones((3, 3))), t.constant(np.ones((4, 2))))
         with pytest.raises(DimensionError):
-            t.quad_trace(t.constant(np.ones((4, 3))), t.constant(np.ones((4, 2))))
+            quad_trace_gram(t, t.constant(np.ones((4, 3))), t.constant(np.ones((4, 2))))
         with pytest.raises(DimensionError):
-            t.quad_trace(t.constant(np.ones((4, 4))), t.constant(np.ones(4)))
+            quad_trace_gram(t, t.constant(np.ones((4, 4))), t.constant(np.ones(4)))
+        with pytest.raises(DimensionError):
+            t.sq_dists(t.constant(np.ones((4, 3))))
+
+
+class TestSqDistsFromGram:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 7),
+        d=st.integers(1, 9),
+        dup=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2, d=1, dup=False, seed=0)
+    @example(n=3, d=8, dup=False, seed=1)
+    @example(n=5, d=2, dup=True, seed=2)
+    def test_x_gradient_matches_closed_form(self, n, d, dup, seed):
+        """d/dx of sq_dists(gram(x)) equals 2(rowsum(h) x - h x) with h = g + g^T,
+        the rule sq_dists had when it took x itself."""
+        rng = np.random.default_rng(seed)
+        x0, w = rng.normal(size=(n, d)), rng.normal(size=(n, n))
+        if dup:
+            x0[-1] = x0[0]
+        t = Tape()
+        x = t.leaf(x0, trainable=True)
+        d2 = t.sq_dists(t.gram(x))
+        grad = t.grad(t.trace(t.matmul(d2, t.constant(w))), x)
+        g = w.T  # d Tr(D W) / dD
+        h = g + g.T
+        np.testing.assert_allclose(
+            grad, 2.0 * (h.sum(axis=1)[:, None] * x0 - h @ x0), rtol=1e-10, atol=1e-12
+        )
 
 
 class TestErrors:

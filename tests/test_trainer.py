@@ -1,5 +1,6 @@
 """Training loop: losses, gradients, determinism, config contracts, warm-up tuning."""
 
+import json
 import os
 import subprocess
 import sys
@@ -46,17 +47,19 @@ def gated_graphs(pair, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y):
 
 def loss_for_mu(pair, mu_x_val, mu_y_val, mode, noise_x, noise_y, bw_x, bw_y):
     """Deterministic loss as a function of gate parameters (frozen noise/bandwidth)."""
-    tape, mu_x, mu_y, gated_x, gated_y, graphs = gated_graphs(
+    tape, mu_x, mu_y, _, _, graphs = gated_graphs(
         pair, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y
     )
     if mode == "shared":
         p = shared_operator(tape, graphs.l_x, graphs.l_y)
-        loss, _, _ = shared_loss(tape, gated_x, gated_y, p, mu_x, mu_y, 1e-2, 1e-2, 0.5)
+        loss, _, _ = shared_loss(
+            tape, graphs.gram_x, graphs.gram_y, p, mu_x, mu_y, 1e-2, 1e-2, 0.5
+        )
     else:
         q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=0.1)
         q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=0.1)
-        lx, _ = differential_loss(tape, gated_x, q_x, mu_x, 0.4, 0.5)
-        ly, _ = differential_loss(tape, gated_y, q_y, mu_y, 0.4, 0.5)
+        lx, _ = differential_loss(tape, graphs.gram_x, q_x, mu_x, 0.4, 0.5)
+        ly, _ = differential_loss(tape, graphs.gram_y, q_y, mu_y, 0.4, 0.5)
         loss = tape.add(lx, ly)
     return tape, loss, mu_x, mu_y
 
@@ -96,7 +99,7 @@ class TestLosses:
         mu = tape.leaf(np.zeros(5), trainable=True)
         gated = tape.col_gate(tape.constant(unit_norm_columns(pair.x)), tape.hard_sigmoid(mu))
         q = tape.constant(np.eye(n))
-        loss, score = differential_loss(tape, gated, q, mu, 0.0, 0.5)
+        loss, score = differential_loss(tape, tape.gram(gated), q, mu, 0.0, 0.5)
         frob2 = np.sum((unit_norm_columns(pair.x) * 0.5) ** 2)
         assert float(score.value) == pytest.approx(frob2, rel=1e-10)
         assert float(loss.value) == pytest.approx(-frob2 / n, rel=1e-10)
@@ -136,13 +139,13 @@ class TestGradientCheck:
 
 def coupled_differential(pair, cfg, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y):
     """Both differential losses on one tape, each Q built from both Laplacian nodes."""
-    tape, mu_x, mu_y, gated_x, gated_y, graphs = gated_graphs(
+    tape, mu_x, mu_y, _, _, graphs = gated_graphs(
         pair, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y
     )
     q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=cfg.c, b=cfg.b)
     q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=cfg.c, b=cfg.b)
-    lx, _ = differential_loss(tape, gated_x, q_x, mu_x, cfg.lambda_x, cfg.sigma_gate)
-    ly, _ = differential_loss(tape, gated_y, q_y, mu_y, cfg.lambda_y, cfg.sigma_gate)
+    lx, _ = differential_loss(tape, graphs.gram_x, q_x, mu_x, cfg.lambda_x, cfg.sigma_gate)
+    ly, _ = differential_loss(tape, graphs.gram_y, q_y, mu_y, cfg.lambda_y, cfg.sigma_gate)
     return tape, lx, ly, mu_x, mu_y
 
 
@@ -294,10 +297,13 @@ class TestRunConfig:
             RunConfig(bandwidth_scale=0.0)
         with pytest.raises(ContractError):
             RunConfig(optimizer="rmsprop")
+        for seed in ("7", 7.0, True):
+            with pytest.raises(ContractError, match="seed"):
+                RunConfig(seed=seed)
 
     def test_json_round_trip(self):
         cfg = RunConfig(mode="differential", lambda_x=0.4, epochs=7, seed=11)
-        back = RunConfig.from_json(cfg.to_json())
+        back = RunConfig(**json.loads(cfg.to_json()))  # as `train --config` reads it
         assert back == cfg
 
 
@@ -326,6 +332,21 @@ class TestTrain:
         pair = tiny_pair(n=8)
         with pytest.raises(ContractError):
             train(pair, RunConfig(epochs=1, batch_size=9))
+
+    @pytest.mark.parametrize("mode", ["shared", "differential"])
+    def test_constant_modality_rejected(self, mode):
+        """A modality whose every column is constant fails before the first epoch."""
+        pair = tiny_pair(seed=2)
+        const = ModalPair(x=pair.x, y=np.full_like(pair.y, 0.1))
+        with pytest.raises(ContractError, match="modality y"):
+            train(const, RunConfig(mode=mode, epochs=1))
+        const = ModalPair(x=np.tile(pair.x[:1], (pair.n_samples, 1)), y=pair.y)
+        with pytest.raises(ContractError, match="modality x"):
+            train(const, RunConfig(mode=mode, epochs=1))
+        # one constant column among varying ones still trains
+        x = pair.x.copy()
+        x[:, 0] = 3.0
+        assert len(train(ModalPair(x=x, y=pair.y), RunConfig(mode=mode, epochs=1)).log.rows) == 1
 
     def test_f1_logged_with_ground_truth(self):
         pair = tiny_pair()
