@@ -49,9 +49,21 @@ class SelectionResult:
     wall_time: float = 0.0
     extra: dict = field(default_factory=dict)
 
+    def score_against(self, truth: tuple) -> "SelectionResult":
+        """Set f1_x and f1_y against (truth_x, truth_y); None where a set is absent."""
+        self.f1_x, self.f1_y = (
+            None if t is None else f1(sel, t)
+            for sel, t in zip((self.selected_x, self.selected_y), truth)
+        )
+        return self
+
 
 def baseline_select(pair: ModalPair, method: str, k_x: int, k_y: int) -> SelectionResult:
-    """Top-k features per modality under a kernel-fusion baseline operator."""
+    """Top-k features per modality under a kernel-fusion baseline operator.
+
+    F1 is against the shared truth; run_experiment rescores each row against
+    the truth of its mode.
+    """
     if method not in BASELINES:
         raise ContractError(f"unknown baseline '{method}'")
     start = time.perf_counter()
@@ -61,19 +73,12 @@ def baseline_select(pair: ModalPair, method: str, k_x: int, k_y: int) -> Selecti
         l_x = data_laplacian(pair.x, BASELINE_BANDWIDTH_FACTOR)
         l_y = data_laplacian(pair.y, BASELINE_BANDWIDTH_FACTOR)
         op = l_x + l_y if method == "mmKS" else l_x @ l_y
-    sel_x = top_k(score_all_features(pair.x, op, zscore=True), k_x)
-    sel_y = top_k(score_all_features(pair.y, op, zscore=True), k_y)
-    result = SelectionResult(
+    return SelectionResult(
         method=method,
-        selected_x=sel_x,
-        selected_y=sel_y,
+        selected_x=top_k(score_all_features(pair.x, op, zscore=True), k_x),
+        selected_y=top_k(score_all_features(pair.y, op, zscore=True), k_y),
         wall_time=time.perf_counter() - start,
-    )
-    if pair.truth_shared_x is not None:
-        result.f1_x = f1(sel_x, pair.truth_shared_x)
-    if pair.truth_shared_y is not None:
-        result.f1_y = f1(sel_y, pair.truth_shared_y)
-    return result
+    ).score_against(pair.truth("shared"))
 
 
 DATASET_PRESETS = {
@@ -105,25 +110,14 @@ DIFFERENTIAL_HYPERPARAMS = {
 
 def _mmdufs_select(pair: ModalPair, cfg: RunConfig, k_x: int, k_y: int) -> SelectionResult:
     start = time.perf_counter()
-    if cfg.mode == "shared":
-        truth = {"x": pair.truth_shared_x, "y": pair.truth_shared_y}
-    else:
-        truth = {"x": pair.truth_diff_x, "y": pair.truth_diff_y}
-    result = train(pair, cfg, ground_truth={k: v for k, v in truth.items() if v is not None})
-    sel_x = select_features(result.gates_x, "top-k", k=k_x)
-    sel_y = select_features(result.gates_y, "top-k", k=k_y)
-    out = SelectionResult(
+    result = train(pair, cfg, ground_truth=dict(zip("xy", pair.truth(cfg.mode))))
+    return SelectionResult(
         method="mmDUFS",
-        selected_x=sel_x,
-        selected_y=sel_y,
+        selected_x=select_features(result.gates_x, "top-k", k=k_x),
+        selected_y=select_features(result.gates_y, "top-k", k=k_y),
         wall_time=time.perf_counter() - start,
         extra={"final_log": result.log.last},
     )
-    if truth["x"] is not None:
-        out.f1_x = f1(sel_x, truth["x"])
-    if truth["y"] is not None:
-        out.f1_y = f1(sel_y, truth["y"])
-    return out
 
 
 def run_experiment(spec: dict) -> list[dict]:
@@ -133,7 +127,8 @@ def run_experiment(spec: dict) -> list[dict]:
       dataset: preset name, or a ModalPair factory keyed by seed via "pair"
       methods: subset of {MC, mmKS, mmKP, mmDUFS}
       seeds:   list of seeds
-      mode:    "shared" (default) or "differential" (mmDUFS only)
+      mode:    "shared" (default) or "differential": the truth set that sets
+               every row's k and F1, and the operator mmDUFS trains against
       epochs / batch_size / learning_rate / lambda_x / lambda_y / b / c:
                optional overrides of the preset hyperparameters
     Numerical and contract failures (ArithmeticError, ValueError,
@@ -156,12 +151,9 @@ def run_experiment(spec: dict) -> list[dict]:
                 raise ContractError(f"unknown dataset preset '{dataset}'")
             pair, name = DATASET_PRESETS[dataset](seed), dataset
 
-        if mode == "shared":
-            truth_x, truth_y = pair.truth_shared_x, pair.truth_shared_y
-        else:
-            truth_x, truth_y = pair.truth_diff_x, pair.truth_diff_y
-        k_x = spec.get("k_x", len(truth_x) if truth_x is not None else pair.x.shape[1])
-        k_y = spec.get("k_y", len(truth_y) if truth_y is not None else pair.y.shape[1])
+        truth = pair.truth(mode)
+        k_x, k_y = pair.selection_sizes(mode)
+        k_x, k_y = spec.get("k_x", k_x), spec.get("k_y", k_y)
 
         for method in methods:
             row = {"dataset": name, "method": method, "seed": seed}
@@ -180,6 +172,7 @@ def run_experiment(spec: dict) -> list[dict]:
                     res = _mmdufs_select(pair, cfg, k_x, k_y)
                 else:
                     res = baseline_select(pair, method, k_x, k_y)
+                res.score_against(truth)
                 row.update(f1_x=res.f1_x, f1_y=res.f1_y, wall_time=res.wall_time)
             except (ArithmeticError, ValueError, ContractError) as exc:
                 # Numerical and contract failures of one cell are recorded and

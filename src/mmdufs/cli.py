@@ -65,6 +65,23 @@ def _guard_overwrite(paths: list[Path], force: bool) -> None:
         )
 
 
+def _emit(text: str, out_path: Path | None, force: bool) -> None:
+    """Echo text, or write it to out_path (guarded against overwriting)."""
+    if out_path is None:
+        click.echo(text)
+    else:
+        _guard_overwrite([out_path], force)
+        Path(out_path).write_text(text)
+
+
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """rows as CSV under a header of the first row's keys."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def _load_config(config_path, seed: int | None, overrides: dict) -> RunConfig:
     """RunConfig from the file or defaults; seed: --seed, the file's, MMDUFS_SEED, else 0."""
     cfg = RunConfig()
@@ -143,21 +160,15 @@ def train_cmd(datadir, config_path, outdir, seed, epochs, mode, force) -> None:
                      ("gates_x.csv", "gates_y.csv", "train_log.csv", "selection.json")]
         _guard_overwrite(artifacts, force)
 
-        if cfg.mode == "shared":
-            truth = {"x": pair.truth_shared_x, "y": pair.truth_shared_y}
-        else:
-            truth = {"x": pair.truth_diff_x, "y": pair.truth_diff_y}
-        truth = {k: v for k, v in truth.items() if v is not None}
-        result = train(pair, cfg, ground_truth=truth or None)
+        result = train(pair, cfg, ground_truth=dict(zip("xy", pair.truth(cfg.mode))))
 
         save_gates_csv(result.gates_x, outdir / "gates_x.csv")
         save_gates_csv(result.gates_y, outdir / "gates_y.csv")
         result.log.to_csv(outdir / "train_log.csv")
+        k_x, k_y = pair.selection_sizes(cfg.mode)
         selection = {
-            "x": select_features(result.gates_x, "top-k",
-                                 k=len(truth["x"]) if "x" in truth else pair.x.shape[1]),
-            "y": select_features(result.gates_y, "top-k",
-                                 k=len(truth["y"]) if "y" in truth else pair.y.shape[1]),
+            "x": select_features(result.gates_x, "top-k", k=k_x),
+            "y": select_features(result.gates_y, "top-k", k=k_y),
             "converged_x": select_features(result.gates_x, "converged"),
             "converged_y": select_features(result.gates_y, "converged"),
         }
@@ -192,10 +203,7 @@ def tune(datadir, config_path, outdir, grid, warmup_epochs, seed, force) -> None
         _guard_overwrite([outdir / "lambda_grid.csv", outdir / "chosen_lambda.json"], force)
 
         lam_x, lam_y, records = warmup_tune(pair, cfg, values, warmup_epochs=warmup_epochs)
-        with open(outdir / "lambda_grid.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(records[0].keys()))
-            writer.writeheader()
-            writer.writerows(records)
+        _write_csv(outdir / "lambda_grid.csv", records)
         (outdir / "chosen_lambda.json").write_text(
             json.dumps({"lambda_x": lam_x, "lambda_y": lam_y}, indent=2)
         )
@@ -219,12 +227,7 @@ def select(gates_path, policy, k, out_path, force) -> None:
             raise click.UsageError(f"no gates file at {gates_path}")
         state = load_gates_csv(gates_path)
         chosen = select_features(state, policy, k=k)
-        payload = json.dumps({"policy": policy, "k": k, "selected": chosen}, indent=2)
-        if out_path is None:
-            click.echo(payload)
-        else:
-            _guard_overwrite([out_path], force)
-            Path(out_path).write_text(payload)
+        _emit(json.dumps({"policy": policy, "k": k, "selected": chosen}, indent=2), out_path, force)
 
     _run(body)
 
@@ -241,13 +244,8 @@ def baseline(datadir, method, k_x, k_y, out_path, force) -> None:
 
     def body():
         pair = _load_data(datadir)
-        kx = k_x if k_x is not None else (
-            len(pair.truth_shared_x) if pair.truth_shared_x is not None else pair.x.shape[1]
-        )
-        ky = k_y if k_y is not None else (
-            len(pair.truth_shared_y) if pair.truth_shared_y is not None else pair.y.shape[1]
-        )
-        res = baseline_select(pair, method, kx, ky)
+        kx, ky = pair.selection_sizes("shared")
+        res = baseline_select(pair, method, kx if k_x is None else k_x, ky if k_y is None else k_y)
         payload = {
             "method": res.method,
             "selected_x": res.selected_x,
@@ -255,12 +253,7 @@ def baseline(datadir, method, k_x, k_y, out_path, force) -> None:
             "f1_x": res.f1_x,
             "f1_y": res.f1_y,
         }
-        text = json.dumps(payload, indent=2)
-        if out_path is None:
-            click.echo(text)
-        else:
-            _guard_overwrite([out_path], force)
-            Path(out_path).write_text(text)
+        _emit(json.dumps(payload, indent=2), out_path, force)
 
     _run(body)
 
@@ -280,24 +273,15 @@ def evaluate(selection_path, datadir, mode, out_path, force) -> None:
             raise click.UsageError(f"no selection file at {selection_path}")
         sel = json.loads(Path(selection_path).read_text())
         pair = _load_data(datadir)
-        if mode == "shared":
-            truth = {"x": pair.truth_shared_x, "y": pair.truth_shared_y}
-        else:
-            truth = {"x": pair.truth_diff_x, "y": pair.truth_diff_y}
-        rows = []
-        for mod in ("x", "y"):
-            if truth[mod] is None or mod not in sel:
-                continue
-            rows.append({"modality": mod, "f1": f1(sel[mod], truth[mod]),
-                         "selected": len(sel[mod]), "truth": len(truth[mod])})
+        rows = [
+            {"modality": mod, "f1": f1(sel[mod], truth), "selected": len(sel[mod]),
+             "truth": len(truth)}
+            for mod, truth in zip("xy", pair.truth(mode))
+            if truth is not None and mod in sel
+        ]
         if not rows:
             raise click.UsageError("nothing to evaluate: no matching truth/selection entries")
-        text = json.dumps(rows, indent=2)
-        if out_path is None:
-            click.echo(text)
-        else:
-            _guard_overwrite([out_path], force)
-            Path(out_path).write_text(text)
+        _emit(json.dumps(rows, indent=2), out_path, force)
 
     _run(body)
 
@@ -320,28 +304,22 @@ def _run_cells(spec: dict, jobs: int) -> list[dict]:
     return rows
 
 
-def _reproduce_gaussian_table(outdir: Path, seed: int, jobs: int, epochs: int | None) -> None:
-    datasets = ["gaussian", "gaussian+10", "gaussian+30", "gaussian+50"]
-    all_rows = []
-    for ds in datasets:
+_TABLE_DATASETS = {
+    "gaussian_table": ["gaussian", "gaussian+10", "gaussian+30", "gaussian+50"],
+    "tree_table": ["tree"],
+}
+
+
+def _reproduce_table(outdir: Path, stem: str, seed: int, jobs: int, epochs: int | None) -> None:
+    rows = []
+    for ds in _TABLE_DATASETS[stem]:
         spec = {"dataset": ds, "seeds": [seed, seed + 1, seed + 2]}
         if epochs is not None:
             spec["epochs"] = epochs
-        all_rows.extend(_run_cells(spec, jobs))
-    write_rows_csv(all_rows, outdir / "gaussian_table.csv")
-    report = format_report(all_rows)
-    (outdir / "gaussian_table.txt").write_text(report + "\n")
-    click.echo(report)
-
-
-def _reproduce_tree_table(outdir: Path, seed: int, jobs: int, epochs: int | None) -> None:
-    spec = {"dataset": "tree", "seeds": [seed, seed + 1, seed + 2]}
-    if epochs is not None:
-        spec["epochs"] = epochs
-    rows = _run_cells(spec, jobs)
-    write_rows_csv(rows, outdir / "tree_table.csv")
+        rows.extend(_run_cells(spec, jobs))
+    write_rows_csv(rows, outdir / f"{stem}.csv")
     report = format_report(rows)
-    (outdir / "tree_table.txt").write_text(report + "\n")
+    (outdir / f"{stem}.txt").write_text(report + "\n")
     click.echo(report)
 
 
@@ -361,10 +339,7 @@ def _reproduce_cube_figure(outdir: Path, seed: int) -> None:
             row[f"l_x_vec{j}"] = vecs_x[i, j]
             row[f"cos{j}"] = np.cos(np.pi * j * theta_s[i] / l_s)
         rows.append(row)
-    with open(outdir / "cube_figure.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(outdir / "cube_figure.csv", rows)
     # R^2 of each operator eigenvector against the matching shared-mode cosine
     summary = []
     for j in range(1, 4):
@@ -376,10 +351,7 @@ def _reproduce_cube_figure(outdir: Path, seed: int) -> None:
             resid = v - a @ coef
             r2 = 1.0 - resid.var() / v.var()
             summary.append({"operator": name, "mode": j, "r_squared": float(r2)})
-    with open(outdir / "cube_r2.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["operator", "mode", "r_squared"])
-        writer.writeheader()
-        writer.writerows(summary)
+    _write_csv(outdir / "cube_r2.csv", summary)
     click.echo(json.dumps(summary, indent=2))
 
 
@@ -407,10 +379,7 @@ def _reproduce_lambda_grid(outdir: Path, seed: int, epochs: int | None) -> None:
             "f1_y": f1(sel_y, pair.truth_shared_y),
             "chosen": lam == lam_x,
         })
-    with open(outdir / "lambda_grid.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(outdir / "lambda_grid.csv", rows)
     click.echo(f"chosen lambda={lam_x}; wrote {outdir / 'lambda_grid.csv'}")
 
 
@@ -427,19 +396,12 @@ def reproduce(target, outdir, seed, jobs, epochs, force) -> None:
 
     def body():
         outdir.mkdir(parents=True, exist_ok=True)
-        sentinel = {
-            "gaussian-table": "gaussian_table.csv",
-            "tree-table": "tree_table.csv",
-            "cube-figure": "cube_figure.csv",
-            "lambda-grid": "lambda_grid.csv",
-        }[target]
-        _guard_overwrite([outdir / sentinel], force)
+        stem = target.replace("-", "_")  # each target's main artifact is <stem>.csv
+        _guard_overwrite([outdir / f"{stem}.csv"], force)
         s = _resolve_seed(seed)
         n_jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-        if target == "gaussian-table":
-            _reproduce_gaussian_table(outdir, s, n_jobs, epochs)
-        elif target == "tree-table":
-            _reproduce_tree_table(outdir, s, n_jobs, epochs)
+        if stem in _TABLE_DATASETS:
+            _reproduce_table(outdir, stem, s, n_jobs, epochs)
         elif target == "cube-figure":
             _reproduce_cube_figure(outdir, s)
         else:

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .tape import ContractError
+
 __all__ = [
     "ModalPair",
     "IngestionError",
@@ -29,6 +31,9 @@ __all__ = [
 
 class IngestionError(ValueError):
     """Raised for malformed input files."""
+
+
+_TRUTH_FIELDS = ("truth_shared_x", "truth_shared_y", "truth_diff_x", "truth_diff_y")
 
 
 @dataclass
@@ -52,7 +57,7 @@ class ModalPair:
             raise IngestionError(
                 f"modalities disagree on sample count: {self.x.shape[0]} vs {self.y.shape[0]}"
             )
-        for name in ("truth_shared_x", "truth_shared_y", "truth_diff_x", "truth_diff_y"):
+        for name in _TRUTH_FIELDS:
             v = getattr(self, name)
             if v is None:
                 continue
@@ -71,6 +76,21 @@ class ModalPair:
     @property
     def n_samples(self) -> int:
         return self.x.shape[0]
+
+    def truth(self, mode: str) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(x, y) truth indices of mode "shared" or "differential"; None where absent."""
+        if mode == "shared":
+            return self.truth_shared_x, self.truth_shared_y
+        if mode == "differential":
+            return self.truth_diff_x, self.truth_diff_y
+        raise ContractError(f"unknown mode '{mode}'")
+
+    def selection_sizes(self, mode: str) -> tuple[int, int]:
+        """(k_x, k_y): each modality's truth size in mode, else its feature count."""
+        return tuple(
+            len(t) if t is not None else data.shape[1]
+            for t, data in zip(self.truth(mode), (self.x, self.y))
+        )
 
 
 def gen_gaussian_mixture(seed: int = 0, extra_noise_features: int = 0) -> ModalPair:
@@ -280,10 +300,7 @@ def inject_noise(
     return ModalPair(
         x=x,
         y=y,
-        truth_shared_x=pair.truth_shared_x,
-        truth_shared_y=pair.truth_shared_y,
-        truth_diff_x=pair.truth_diff_x,
-        truth_diff_y=pair.truth_diff_y,
+        **{name: getattr(pair, name) for name in _TRUTH_FIELDS},
         labels=pair.labels,
         latent=pair.latent,
         meta={**pair.meta, "noise_sigma": sigma_noise, "noise_target": target},
@@ -355,14 +372,9 @@ def ingest(
 
         x = zscore_columns(x)
         y = zscore_columns(y)
+    paths = (truth_shared_x, truth_shared_y, truth_diff_x, truth_diff_y)
     truths = {
-        name: _read_indices(p) if p is not None else None
-        for name, p in (
-            ("truth_shared_x", truth_shared_x),
-            ("truth_shared_y", truth_shared_y),
-            ("truth_diff_x", truth_diff_x),
-            ("truth_diff_y", truth_diff_y),
-        )
+        name: _read_indices(p) if p is not None else None for name, p in zip(_TRUTH_FIELDS, paths)
     }
     return ModalPair(x=x, y=y, meta={"source_x": str(path_x), "source_y": str(path_y)}, **truths)
 
@@ -376,7 +388,7 @@ def save_pair(pair: ModalPair, outdir) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     np.savetxt(outdir / "X.csv", pair.x, delimiter=",", fmt=_FMT)
     np.savetxt(outdir / "Y.csv", pair.y, delimiter=",", fmt=_FMT)
-    for name in ("truth_shared_x", "truth_shared_y", "truth_diff_x", "truth_diff_y"):
+    for name in _TRUTH_FIELDS:
         idx = getattr(pair, name)
         if idx is not None:
             np.savetxt(outdir / f"{name}.csv", idx, fmt="%d")
@@ -396,7 +408,7 @@ def save_pair(pair: ModalPair, outdir) -> Path:
 def load_pair(indir) -> ModalPair:
     indir = Path(indir)
     kwargs = {}
-    for name in ("truth_shared_x", "truth_shared_y", "truth_diff_x", "truth_diff_y"):
+    for name in _TRUTH_FIELDS:
         p = indir / f"{name}.csv"
         if p.exists():
             kwargs[name] = _read_indices(p)

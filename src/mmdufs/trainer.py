@@ -44,18 +44,13 @@ class RunConfig:
     learning_rate: float = 1.0
     epochs: int = 1000
     batch_size: int | None = None  # None = full batch
-    optimizer: str = "sgd"  # "sgd" | "adam"
     seed: int = 0
     bandwidth_scale: float = 0.5
     sigma_gate: float = 0.5
-    recompute_bandwidth: bool = True
-    log_every: int = 1
 
     def __post_init__(self):
         if self.mode not in ("shared", "differential"):
             raise ContractError(f"unknown mode '{self.mode}'")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ContractError(f"unknown optimizer '{self.optimizer}'")
         if self.epochs < 1:
             raise ContractError("epochs must be >= 1")
         if self.lambda_x < 0 or self.lambda_y < 0:
@@ -166,30 +161,6 @@ def differential_loss(
     return loss, score
 
 
-class _Optimizer:
-    def __init__(self, kind: str, lr: float, sizes: list[int]):
-        self.kind = kind
-        self.lr = lr
-        self.t = 0
-        if kind == "adam":
-            self.m = [np.zeros(s) for s in sizes]
-            self.v = [np.zeros(s) for s in sizes]
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]):
-        self.t += 1
-        if self.kind == "sgd":
-            for p, g in zip(params, grads):
-                p -= self.lr * g
-            return
-        b1, b2, eps = 0.9, 0.999, 1e-8
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            mhat = self.m[i] / (1 - b1**self.t)
-            vhat = self.v[i] / (1 - b2**self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + eps)
-
-
 def unit_norm_columns(data: np.ndarray) -> np.ndarray:
     """Z-score columns, then rescale so every column has unit Euclidean norm.
 
@@ -223,10 +194,11 @@ def train(
     cfg: RunConfig,
     ground_truth: dict | None = None,
 ) -> TrainResult:
-    """Optimize both gate vectors; deterministic for a fixed config and seed.
+    """Optimize both gate vectors by SGD; deterministic for a fixed config and seed.
 
-    ground_truth maps "x"/"y" to index arrays; when given, top-k selection F1
-    (k = truth size) is logged per epoch.
+    Each epoch takes its kernel bandwidths from that epoch's gated data and
+    appends one row to the log. ground_truth maps "x"/"y" to index arrays (or
+    None); for each array given, top-k selection F1 (k = truth size) is logged.
 
     In differential mode each modality's gates follow only their own loss:
     the other modality's Laplacian enters Q_x (and Q_y) as a constant, so one
@@ -244,9 +216,6 @@ def train(
     gates_x = GateState.zeros(pair.x.shape[1], sigma=cfg.sigma_gate, seed=cfg.seed)
     gates_y = GateState.zeros(pair.y.shape[1], sigma=cfg.sigma_gate, seed=cfg.seed + 1)
     batch_rng = np.random.default_rng(cfg.seed + 2)
-    opt = _Optimizer(cfg.optimizer, cfg.learning_rate, [gates_x.n_features, gates_y.n_features])
-
-    frozen_bw: tuple[float, float] | None = None
     log = TrainLog()
 
     for epoch in range(cfg.epochs):
@@ -264,16 +233,7 @@ def train(
         gated_x = tape.col_gate(tape.constant(xb), z_x)
         gated_y = tape.col_gate(tape.constant(yb), z_y)
 
-        graphs = build_graph_pair(
-            tape,
-            gated_x,
-            gated_y,
-            cfg.bandwidth_scale,
-            bandwidth_x=None if cfg.recompute_bandwidth else (frozen_bw[0] if frozen_bw else None),
-            bandwidth_y=None if cfg.recompute_bandwidth else (frozen_bw[1] if frozen_bw else None),
-        )
-        frozen_bw = (graphs.bandwidth_x, graphs.bandwidth_y)
-
+        graphs = build_graph_pair(tape, gated_x, gated_y, cfg.bandwidth_scale)
         op_x, op_y = _operators(tape, graphs, cfg)
         gram_x, gram_y = graphs.gram_x, graphs.gram_y
         if cfg.mode == "shared":
@@ -292,33 +252,33 @@ def train(
         if not np.isfinite(loss_val):
             raise TrainingDiverged(epoch, log.last)
 
-        opt.step([gates_x.mu, gates_y.mu], [gx, gy])
+        gates_x.mu -= cfg.learning_rate * gx
+        gates_y.mu -= cfg.learning_rate * gy
 
-        if epoch % cfg.log_every == 0 or epoch == cfg.epochs - 1:
-            record = {
-                "epoch": epoch,
-                "loss": loss_val,
-                "score_x": score_x,
-                "score_y": score_y,
-                "reg_x": expected_l0(gates_x),
-                "reg_y": expected_l0(gates_y),
-                "open_x": int(np.count_nonzero(gates_x.eval_gates() > 0)),
-                "open_y": int(np.count_nonzero(gates_y.eval_gates() > 0)),
-            }
-            if ground_truth:
-                for key, gates in (("x", gates_x), ("y", gates_y)):
-                    truth = ground_truth.get(key)
-                    if truth is not None:
-                        sel = select_features(gates, "top-k", k=len(truth))
-                        record[f"f1_{key}"] = f1(sel, truth)
-            log.append(**record)
+        record = {
+            "epoch": epoch,
+            "loss": loss_val,
+            "score_x": score_x,
+            "score_y": score_y,
+            "reg_x": expected_l0(gates_x),
+            "reg_y": expected_l0(gates_y),
+            "open_x": int(np.count_nonzero(gates_x.eval_gates() > 0)),
+            "open_y": int(np.count_nonzero(gates_y.eval_gates() > 0)),
+        }
+        if ground_truth:
+            for key, gates in (("x", gates_x), ("y", gates_y)):
+                truth = ground_truth.get(key)
+                if truth is not None:
+                    sel = select_features(gates, "top-k", k=len(truth))
+                    record[f"f1_{key}"] = f1(sel, truth)
+        log.append(**record)
 
     return TrainResult(
         gates_x=gates_x,
         gates_y=gates_y,
         log=log,
-        bandwidth_x=frozen_bw[0],
-        bandwidth_y=frozen_bw[1],
+        bandwidth_x=graphs.bandwidth_x,
+        bandwidth_y=graphs.bandwidth_y,
     )
 
 
@@ -363,12 +323,8 @@ def warmup_tune(
     if not grid:
         raise ContractError("lambda grid must be nonempty")
     n = pair.n_samples
-    if cfg_template.mode == "shared":
-        truth_x, truth_y = pair.truth_shared_x, pair.truth_shared_y
-    else:
-        truth_x, truth_y = pair.truth_diff_x, pair.truth_diff_y
-    d_x = n_selected_x or (len(truth_x) if truth_x is not None else pair.x.shape[1])
-    d_y = n_selected_y or (len(truth_y) if truth_y is not None else pair.y.shape[1])
+    d_x, d_y = pair.selection_sizes(cfg_template.mode)
+    d_x, d_y = n_selected_x or d_x, n_selected_y or d_y
 
     records = []
     for lam in grid:

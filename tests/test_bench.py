@@ -128,6 +128,17 @@ class TestRunExperiment:
         means = mean_f1(rows)
         assert ("gaussian", "mmKP", "x") in means
 
+    def test_differential_rows_score_against_differential_truth(self):
+        """Baseline rows of a differential run take k and F1 from the differential truth."""
+        rows = run_experiment(
+            {"dataset": "gaussian", "methods": ["MC", "mmKP"], "mode": "differential", "seeds": [0]}
+        )
+        pair = gen_gaussian_mixture(0)
+        for row in rows:
+            res = baseline_select(pair, row["method"], 40, 40)
+            assert row["f1_x"] == f1(res.selected_x, pair.truth_diff_x)
+            assert row["f1_y"] == f1(res.selected_y, pair.truth_diff_y)
+
     def test_mmdufs_cell_with_overrides(self):
         rows = run_experiment(
             {"dataset": "gaussian", "methods": ["mmDUFS"], "seeds": [0], "epochs": 3}

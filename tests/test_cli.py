@@ -99,13 +99,16 @@ class TestTrain:
         assert res.exit_code == 2
         assert "epochs" in res.output
 
-    def test_removed_config_field_is_usage_error(self, runner, dataset, tmp_path):
+    @pytest.mark.parametrize(
+        "field", ["normalize_laplacian", "optimizer", "recompute_bandwidth", "log_every"]
+    )
+    def test_removed_config_field_is_usage_error(self, runner, dataset, tmp_path, field):
         cfg = tmp_path / "old.json"
-        cfg.write_text(json.dumps({"mode": "shared", "epochs": 1, "normalize_laplacian": True}))
+        cfg.write_text(json.dumps({"mode": "shared", "epochs": 1, field: True}))
         res = runner.invoke(main, ["train", "--data", str(dataset), "--config", str(cfg),
                                    "--out", str(tmp_path / "run")])
         assert res.exit_code == 2
-        assert "normalize_laplacian" in res.output
+        assert field in res.output
 
     def test_converged_gates_reach_selection_json(self, runner, dataset, tmp_path):
         """A large step saturates gates within three epochs; their indices are JSON ints."""

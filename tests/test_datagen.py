@@ -14,6 +14,7 @@ from mmdufs.datagen import (
     load_pair,
     save_pair,
 )
+from mmdufs.tape import ContractError
 
 
 class TestModalPair:
@@ -38,6 +39,26 @@ class TestModalPair:
     def test_bad_truth_indices(self, name, truth):
         with pytest.raises(IngestionError, match=name):
             ModalPair(x=np.zeros((3, 3)), y=np.zeros((3, 2)), **{name: truth})
+
+    @pytest.mark.parametrize(
+        "truths, mode, expect, sizes",
+        [
+            ({"truth_shared_x": [0, 2], "truth_shared_y": [1]}, "shared", ([0, 2], [1]), (2, 1)),
+            ({"truth_diff_x": [1], "truth_diff_y": [0, 1]}, "differential", ([1], [0, 1]), (1, 2)),
+            # the other mode's truth is not used; a missing set falls back to the width
+            ({"truth_shared_x": [0]}, "differential", (None, None), (4, 3)),
+            ({"truth_diff_y": [2]}, "differential", (None, [2]), (4, 1)),
+        ],
+    )
+    def test_truth_and_selection_sizes(self, truths, mode, expect, sizes):
+        p = ModalPair(x=np.zeros((3, 4)), y=np.zeros((3, 3)), **truths)
+        got = p.truth(mode)
+        assert [None if t is None else list(t) for t in got] == list(expect)
+        assert p.selection_sizes(mode) == sizes
+
+    def test_unknown_truth_mode(self):
+        with pytest.raises(ContractError, match="both"):
+            ModalPair(x=np.zeros((3, 2)), y=np.zeros((3, 2))).truth("both")
 
 
 class TestGaussianMixture:
