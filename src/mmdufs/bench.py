@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class SelectionResult:
     f1_x: float | None = None
     f1_y: float | None = None
     wall_time: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     def score_against(self, truth: tuple) -> "SelectionResult":
         """Set f1_x and f1_y against (truth_x, truth_y); None where a set is absent."""
@@ -110,13 +109,12 @@ DIFFERENTIAL_HYPERPARAMS = {
 
 def _mmdufs_select(pair: ModalPair, cfg: RunConfig, k_x: int, k_y: int) -> SelectionResult:
     start = time.perf_counter()
-    result = train(pair, cfg, ground_truth=dict(zip("xy", pair.truth(cfg.mode))))
+    result = train(pair, cfg)
     return SelectionResult(
         method="mmDUFS",
         selected_x=select_features(result.gates_x, "top-k", k=k_x),
         selected_y=select_features(result.gates_y, "top-k", k=k_y),
         wall_time=time.perf_counter() - start,
-        extra={"final_log": result.log.last},
     )
 
 

@@ -21,11 +21,9 @@ import numpy as np
 from .bench import (
     BASELINES,
     DATASET_PRESETS,
-    DIFFERENTIAL_HYPERPARAMS,
     SHARED_HYPERPARAMS,
     baseline_select,
     format_report,
-    mean_f1,
     run_experiment,
     write_rows_csv,
 )

@@ -7,12 +7,15 @@ modalities; the differential operator b*(L_other + cI)^{-1} L_target
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .tape import ContractError, DimensionError, Node, Tape, eigh_descending
 
 __all__ = [
     "shared_operator",
+    "DifferentialOperator",
     "differential_operator",
     "shared_operator_array",
     "differential_operator_array",
@@ -36,11 +39,30 @@ def shared_operator(tape: Tape, l_x: Node, l_y: Node, b: float = 1.0) -> Node:
     return tape.scale(p, b) if b != 1.0 else p
 
 
+class DifferentialOperator(NamedTuple):
+    """Q = b * A^{-1} L_target A^{-1} with A = L_other + cI, kept in factors.
+
+    Q itself is never formed: scoring needs only products with the n x d data.
+    """
+
+    inv: Node  # A^{-1}, symmetric
+    l_target: Node
+    b: float
+
+    def score(self, tape: Tape, gated: Node) -> Node:
+        """Tr[X~^T Q X~] = b * <L_target W, W> with W = A^{-1} X~."""
+        w = tape.matmul(self.inv, gated)
+        s = tape.inner(tape.matmul(self.l_target, w), w)
+        return tape.scale(s, self.b) if self.b != 1.0 else s
+
+
 def differential_operator(
     tape: Tape, l_target: Node, l_other: Node, c: float = DEFAULT_C, b: float = 1.0
-) -> Node:
-    """b * (L_other + cI)^{-1} L_target (L_other + cI)^{-1}, on tape.
+) -> DifferentialOperator:
+    """b * (L_other + cI)^{-1} L_target (L_other + cI)^{-1}, on tape, in factored form.
 
+    L_other + cI is symmetric positive definite (the normalized Gaussian
+    kernel is PSD and c > 0), so one Cholesky inverse is all the n^3 work.
     Gradients flow into both Laplacian nodes; pass l_other as a tape constant
     to differentiate with respect to the target modality only.
     """
@@ -48,11 +70,7 @@ def differential_operator(
         raise DimensionError("Laplacians must share shape")
     if c <= 0:
         raise ContractError("regularization constant c must be positive")
-    n = l_other.value.shape[0]
-    reg = tape.add(l_other, tape.constant(c * np.eye(n)))
-    inv = tape.inverse(reg)
-    q = tape.matmul(inv, tape.matmul(l_target, inv))
-    return tape.scale(q, b) if b != 1.0 else q
+    return DifferentialOperator(tape.inverse(l_other, shift=c), l_target, float(b))
 
 
 def shared_operator_array(l_x: np.ndarray, l_y: np.ndarray, b: float = 1.0) -> np.ndarray:

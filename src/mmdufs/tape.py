@@ -60,6 +60,13 @@ def _dists_from_gram(sq: np.ndarray, g: np.ndarray) -> np.ndarray:
     return d
 
 
+def _check_symmetric(a: np.ndarray, sym_tol: float = 1e-8) -> None:
+    """ContractError unless max|a - a^T| <= sym_tol * max(max|a|, 1)."""
+    asym = np.abs(a - a.T).max() if a.size else 0.0
+    if asym > sym_tol * max(np.abs(a).max(), 1.0):
+        raise ContractError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+
+
 def _as_array(value) -> np.ndarray:
     out = np.asarray(value, dtype=np.float64)
     if not np.isfinite(out).all():
@@ -155,23 +162,33 @@ class Tape:
         out = kv * r[:, None] * r[None, :]
         return self._record(out, "sym_normalize", (k,), cache=(d, r))
 
-    def inverse(self, a: Node) -> Node:
+    def inverse(self, a: Node, shift: float = 0.0) -> Node:
+        """(a + shift*I)^{-1} for a symmetric positive-definite a + shift*I.
+
+        Cholesky factorization (potrf) and inversion from the factor (potri).
+        shift moves the diagonal of a working copy, so no identity matrix is
+        recorded; the gradient with respect to a is the one without it.
+        """
         av = a.value
         if av.ndim != 2 or av.shape[0] != av.shape[1]:
             raise DimensionError("inverse needs a square matrix")
-        # LU factorization plus getri with its optimal workspace: about half
-        # the cost of solving against the identity, as np.linalg.inv does.
-        getrf, getri, getri_lwork = scipy.linalg.lapack.get_lapack_funcs(
-            ("getrf", "getri", "getri_lwork"), (av,)
-        )
-        lu, piv, info = getrf(av)
+        _check_symmetric(av)
+        n = av.shape[0]
+        work = np.array(av, order="F")
+        work.flat[:: n + 1] += shift
+        anorm = np.abs(work).sum(axis=0).max()
+        potrf, potri = scipy.linalg.lapack.get_lapack_funcs(("potrf", "potri"), (work,))
+        factor, info = potrf(work, lower=False, clean=True, overwrite_a=True)
         if info == 0:
-            lwork, _ = getri_lwork(av.shape[0])
-            inv, info = getri(lu, piv, lwork=int(lwork))
+            inv, info = potri(factor, lower=False, overwrite_c=True)
         if info != 0:
-            raise SingularMatrixError(f"inverse: LAPACK getrf/getri info {info}")
+            raise SingularMatrixError(f"inverse: not positive definite (potrf/potri info {info})")
+        # potri fills the upper triangle; clean=True left zeros below it.
+        diag = inv.diagonal().copy()
+        inv = inv + inv.T
+        np.fill_diagonal(inv, diag)
         # 1-norm condition estimate; cheap relative to the factorization.
-        cond = np.linalg.norm(av, 1) * np.linalg.norm(inv, 1)
+        cond = anorm * np.abs(inv).sum(axis=0).max()
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularMatrixError(f"condition estimate {cond:.3e} exceeds {_COND_LIMIT:.0e}")
         return self._record(inv, "inverse", (a,), cache=inv)
@@ -299,9 +316,9 @@ class Tape:
             # Both degree corrections attach to the row index of K: d_i is a
             # row sum, so dK_pq perturbs only d_p, hence r_p, for every q.
             yield a, gk + (u + v)[:, None]
-        elif op == "inverse":
+        elif op == "inverse":  # inv is symmetric
             inv = node.cache
-            yield a, -inv.T @ g @ inv.T
+            yield a, -inv @ g @ inv
         elif op == "trace":
             n = a.value.shape[0]
             yield a, float(g) * np.eye(n)
@@ -358,10 +375,7 @@ def eigh_descending(a: np.ndarray, sym_tol: float = 1e-8):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError("eigendecomposition needs a square matrix")
-    asym = np.abs(a - a.T).max() if a.size else 0.0
-    scale = max(np.abs(a).max(), 1.0)
-    if asym > sym_tol * scale:
-        raise ContractError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+    _check_symmetric(a, sym_tol)
     sym = 0.5 * (a + a.T)
     w, v = np.linalg.eigh(sym)
     order = np.argsort(w)[::-1]

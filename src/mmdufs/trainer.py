@@ -16,7 +16,7 @@ import numpy as np
 
 from .gates import GateState, expected_l0, f1, select_features
 from .graph import GraphPair, build_graph_pair
-from .operators import differential_operator, shared_operator, zscore_columns
+from .operators import DifferentialOperator, differential_operator, shared_operator, zscore_columns
 from .tape import ContractError, Node, Tape
 from .datagen import ModalPair
 
@@ -137,13 +137,13 @@ def shared_loss(
 
 def differential_loss(
     tape: Tape,
-    gram: Node,
-    q_op: Node,
+    gated: Node,
+    q_op: DifferentialOperator,
     mu: Node,
     lam: float,
     sigma_gate: float,
 ) -> tuple[Node, Node]:
-    """(1/n)(-Tr[D~T Q D~] + lam E|z|_0), the trace as <Q, gram>. Returns (loss, score).
+    """(1/n)(-Tr[D~T Q D~] + lam E|z|_0), the trace by q_op.score. Returns (loss, score).
 
     Unlike the shared objective, the whole differential objective — including
     the regularizer — is normalized per sample. The published regularization
@@ -152,8 +152,8 @@ def differential_loss(
     scale preserves that balance for any n and yields gradual gate dynamics
     instead of a first-step collapse.
     """
-    n = gram.value.shape[0]
-    score = tape.inner(q_op, gram)
+    n = gated.value.shape[0]
+    score = q_op.score(tape, gated)
     loss = tape.add(
         tape.scale(score, -1.0 / n),
         tape.scale(tape.open_gate_expectation(mu, sigma_gate), lam / n),
@@ -172,8 +172,8 @@ def unit_norm_columns(data: np.ndarray) -> np.ndarray:
     return z / np.sqrt(data.shape[0])
 
 
-def _operators(tape: Tape, graphs: GraphPair, cfg: RunConfig) -> tuple[Node, Node]:
-    """(op_x, op_y): the shared P for both, or the differential Q_x and Q_y.
+def _operators(tape: Tape, graphs: GraphPair, cfg: RunConfig) -> tuple:
+    """(op_x, op_y): the shared P node for both, or the factored Q_x and Q_y.
 
     Each Q takes the other modality's Laplacian as a constant: loss_x then
     reaches only mu_x and loss_y only mu_y, so one sweep of their sum skips
@@ -241,8 +241,8 @@ def train(
                 tape, gram_x, gram_y, op_x, mu_x, mu_y, cfg.lambda_x, cfg.lambda_y, cfg.sigma_gate
             )
         else:
-            loss_x, s_x = differential_loss(tape, gram_x, op_x, mu_x, cfg.lambda_x, cfg.sigma_gate)
-            loss_y, s_y = differential_loss(tape, gram_y, op_y, mu_y, cfg.lambda_y, cfg.sigma_gate)
+            loss_x, s_x = differential_loss(tape, gated_x, op_x, mu_x, cfg.lambda_x, cfg.sigma_gate)
+            loss_y, s_y = differential_loss(tape, gated_y, op_y, mu_y, cfg.lambda_y, cfg.sigma_gate)
             loss = tape.add(loss_x, loss_y)
         grads = tape.backward(loss)
         gx, gy = grads[mu_x.idx], grads[mu_y.idx]
@@ -297,7 +297,10 @@ def _eval_scores(pair: ModalPair, cfg: RunConfig, result: TrainResult) -> tuple[
         bandwidth_y=result.bandwidth_y,
     )
     op_x, op_y = _operators(tape, graphs, cfg)
-    score_x, score_y = tape.inner(op_x, graphs.gram_x), tape.inner(op_y, graphs.gram_y)
+    if cfg.mode == "shared":
+        score_x, score_y = tape.inner(op_x, graphs.gram_x), tape.inner(op_y, graphs.gram_y)
+    else:
+        score_x, score_y = op_x.score(tape, gated_x), op_y.score(tape, gated_y)
     return float(score_x.value), float(score_y.value)
 
 

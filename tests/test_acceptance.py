@@ -140,11 +140,15 @@ class TestCriterion4DifferentialSpectrum:
         assert principal_angle_degrees(top, v_x) < 5.0
 
     def test_tape_operator_matches_array(self):
+        """The factored tape score Tr[W^T L_x W], W = (L_y + cI)^{-1} X~, is the
+        quadratic form of the formed array operator, <Q, X~X~^T>."""
         l_x, l_y, _, _ = ideal_cluster_pair()
+        x = np.random.default_rng(7).normal(size=(l_x.shape[0], 4))
         t = Tape()
-        node = differential_operator(t, t.constant(l_x), t.constant(l_y), c=0.1)
-        sym = 0.5 * (node.value + node.value.T)
-        np.testing.assert_allclose(sym, differential_operator_array(l_x, l_y, c=0.1), atol=1e-10)
+        op = differential_operator(t, t.constant(l_x), t.constant(l_y), c=0.1)
+        score = op.score(t, t.constant(x))
+        q = differential_operator_array(l_x, l_y, c=0.1)
+        np.testing.assert_allclose(float(score.value), np.vdot(q, x @ x.T), atol=1e-10)
 
 
 class TestCriterion5SharedSpectrum:
@@ -205,8 +209,8 @@ class TestCriterion7GradientCheck:
         else:
             q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=0.1)
             q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=0.1)
-            lx, _ = differential_loss(tape, graphs.gram_x, q_x, mu_x, 0.4, 0.5)
-            ly, _ = differential_loss(tape, graphs.gram_y, q_y, mu_y, 0.4, 0.5)
+            lx, _ = differential_loss(tape, gated_x, q_x, mu_x, 0.4, 0.5)
+            ly, _ = differential_loss(tape, gated_y, q_y, mu_y, 0.4, 0.5)
             loss = tape.add(lx, ly)
         return tape, loss, mu_x, mu_y
 

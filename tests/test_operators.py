@@ -112,16 +112,16 @@ class TestSharedOperator:
 
 class TestDifferentialOperator:
     def test_array_matches_tape(self):
+        """b Tr[W^T A W], W = (B + cI)^{-1} X~, is <Q, X~X~^T> for the formed array Q."""
         a = RNG.normal(size=(5, 5))
         b = RNG.normal(size=(5, 5))
-        a, b = a + a.T, 0.1 * (b + b.T)
+        a, b = a + a.T, 0.1 * (b @ b.T)  # B + cI must be positive definite
+        x = RNG.normal(size=(5, 3))
         t = Tape()
-        node = differential_operator(t, t.constant(a), t.constant(b), c=0.3, b=1.5)
-        np.testing.assert_allclose(
-            0.5 * (node.value + node.value.T),
-            differential_operator_array(a, b, c=0.3, b=1.5),
-            atol=1e-10,
-        )
+        op = differential_operator(t, t.constant(a), t.constant(b), c=0.3, b=1.5)
+        score = op.score(t, t.constant(x))
+        q = differential_operator_array(a, b, c=0.3, b=1.5)
+        np.testing.assert_allclose(float(score.value), np.vdot(q, x @ x.T), atol=1e-10)
 
     def test_symmetry(self):
         l_x, l_y, _, _ = nested_block_pair()

@@ -18,6 +18,12 @@ from mmdufs.tape import (
 RNG = np.random.default_rng(1234)
 
 
+def spd(n, rng=RNG):
+    """A random symmetric positive-definite n x n matrix, well conditioned."""
+    m = rng.normal(size=(n, n))
+    return m @ m.T / n + np.eye(n)
+
+
 def fd_grad(fn, x, h=1e-6):
     """Central finite-difference gradient of scalar fn at array x."""
     x = np.asarray(x, dtype=np.float64)
@@ -81,9 +87,18 @@ class TestForwardValues:
         np.testing.assert_allclose(out.value, expect)
 
     def test_inverse(self):
-        a = RNG.normal(size=(4, 4)) + 4 * np.eye(4)
+        a = spd(4)
+        orig = a.copy()
         t = Tape()
-        np.testing.assert_allclose(t.inverse(t.constant(a)).value, np.linalg.inv(a))
+        node = t.constant(a)
+        inv = t.inverse(node).value
+        np.testing.assert_allclose(inv, np.linalg.inv(orig))
+        assert np.array_equal(inv, inv.T)
+        # shift adds to the diagonal of a working copy: the input value is
+        # unchanged and no identity matrix is recorded
+        shifted = t.inverse(node, shift=0.3).value
+        np.testing.assert_allclose(shifted, np.linalg.inv(orig + 0.3 * np.eye(4)))
+        assert np.array_equal(node.value, orig) and len(t.nodes) == 3
 
     def test_hard_sigmoid(self):
         x = np.array([-2.0, -0.4, 0.0, 0.3, 0.6, 5.0])
@@ -154,9 +169,22 @@ class TestGradients:
         )
 
     def test_inverse(self):
-        a0 = RNG.normal(size=(4, 4)) + 5 * np.eye(4)
+        a0 = spd(4)
         w = RNG.normal(size=(4, 4))
-        check_grad(lambda t, x: t.trace(t.matmul(t.inverse(x), t.constant(w))), a0, rtol=1e-4)
+
+        def build(t, x, shift=0.0):
+            return t.trace(t.matmul(t.inverse(x, shift=shift), t.constant(w)))
+
+        # Tape.inverse accepts symmetric input only, so finite differences go
+        # through a symmetric parametrization, A = x + x^T ...
+        check_grad(lambda t, x: build(t, t.add(x, t.transpose(x)), 0.2), 0.5 * a0, rtol=1e-4)
+        # ... and the full rule, in every direction, is checked against
+        # central differences of NumPy's general inverse.
+        t = Tape()
+        leaf = t.leaf(a0, trainable=True)
+        g = t.grad(build(t, leaf, shift=0.2), leaf)
+        fd = fd_grad(lambda a: np.trace(np.linalg.inv(a + 0.2 * np.eye(4)) @ w), a0)
+        np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
 
     def test_hard_sigmoid_subgradient(self):
         # strictly inside the clamp: derivative 1; outside: 0
@@ -237,7 +265,7 @@ class TestGradients:
     def test_backward_skips_constant_subgraphs(self):
         """No VJP runs for, and no contribution flows into, a node without a
         trainable ancestor, such as the inverse of a constant."""
-        a0 = RNG.normal(size=(4, 4)) + 5 * np.eye(4)
+        a0 = spd(4)
         t = Tape()
         x = t.leaf(RNG.normal(size=(4, 4)), trainable=True)
         inv = t.inverse(t.add(t.constant(a0), t.constant(np.eye(4))))
@@ -398,6 +426,38 @@ class TestErrors:
         a = np.diag([1.0, 1e-14])
         with pytest.raises(SingularMatrixError):
             t.inverse(t.constant(a))
+
+    def test_inverse_rejects_non_symmetric(self):
+        """A general matrix never gets the inverse of its upper triangle."""
+        a = spd(4)
+        a[0, 3] += 0.5
+        t = Tape()
+        with pytest.raises(ContractError, match="not symmetric"):
+            t.inverse(t.constant(a))
+        with pytest.raises(DimensionError):
+            t.inverse(t.constant(np.ones((2, 3))))
+
+    def test_inverse_rejects_indefinite(self):
+        """Symmetric and invertible, but not positive definite: no Cholesky factor."""
+        t = Tape()
+        with pytest.raises(SingularMatrixError, match="not positive definite"):
+            t.inverse(t.constant(np.diag([2.0, -1.0, 3.0])))
+        # a shift that leaves an eigenvalue negative
+        with pytest.raises(SingularMatrixError, match="not positive definite"):
+            t.inverse(t.constant(np.diag([2.0, -1.0, 3.0])), shift=0.5)
+
+    def test_inverse_rejects_ill_conditioned_spd(self):
+        """Positive definite and factorizable, but past the condition limit."""
+        q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(5, 5)))
+        a = (q * np.array([1.0, 0.5, 0.1, 1e-3, 1e-14])) @ q.T
+        a = 0.5 * (a + a.T)
+        t = Tape()
+        with pytest.raises(SingularMatrixError, match="condition estimate"):
+            t.inverse(t.constant(a))
+        # the same matrix shifted well away from singular is fine
+        np.testing.assert_allclose(
+            t.inverse(t.constant(a), shift=0.1).value, np.linalg.inv(a + 0.1 * np.eye(5))
+        )
 
     def test_backward_contract(self):
         t = Tape()

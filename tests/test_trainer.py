@@ -10,11 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmdufs.datagen import ModalPair, gen_gaussian_mixture
 from mmdufs.gates import GateState
 from mmdufs.graph import build_graph_pair, median_bandwidth
-from mmdufs.operators import differential_operator, shared_operator
+from mmdufs.operators import DifferentialOperator, differential_operator, shared_operator
 from mmdufs.tape import ContractError, Tape, pairwise_sq_dists
 from mmdufs.trainer import (
     RunConfig,
@@ -49,7 +51,7 @@ def gated_graphs(pair, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y):
 
 def loss_for_mu(pair, mu_x_val, mu_y_val, mode, noise_x, noise_y, bw_x, bw_y, lam=1e-2):
     """Deterministic loss as a function of gate parameters (frozen noise/bandwidth)."""
-    tape, mu_x, mu_y, _, _, graphs = gated_graphs(
+    tape, mu_x, mu_y, gated_x, gated_y, graphs = gated_graphs(
         pair, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y
     )
     if mode == "shared":
@@ -58,8 +60,8 @@ def loss_for_mu(pair, mu_x_val, mu_y_val, mode, noise_x, noise_y, bw_x, bw_y, la
     else:
         q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=0.1)
         q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=0.1)
-        lx, _ = differential_loss(tape, graphs.gram_x, q_x, mu_x, 0.4, 0.5)
-        ly, _ = differential_loss(tape, graphs.gram_y, q_y, mu_y, 0.4, 0.5)
+        lx, _ = differential_loss(tape, gated_x, q_x, mu_x, 0.4, 0.5)
+        ly, _ = differential_loss(tape, gated_y, q_y, mu_y, 0.4, 0.5)
         loss = tape.add(lx, ly)
     return tape, loss, mu_x, mu_y
 
@@ -123,8 +125,9 @@ class TestLosses:
         tape = Tape()
         mu = tape.leaf(np.zeros(5), trainable=True)
         gated = tape.col_gate(tape.constant(unit_norm_columns(pair.x)), tape.hard_sigmoid(mu))
-        q = tape.constant(np.eye(n))
-        loss, score = differential_loss(tape, tape.gram(gated), q, mu, 0.0, 0.5)
+        eye = tape.constant(np.eye(n))
+        q = DifferentialOperator(inv=eye, l_target=eye, b=1.0)
+        loss, score = differential_loss(tape, gated, q, mu, 0.0, 0.5)
         frob2 = np.sum((unit_norm_columns(pair.x) * 0.5) ** 2)
         assert float(score.value) == pytest.approx(frob2, rel=1e-10)
         assert float(loss.value) == pytest.approx(-frob2 / n, rel=1e-10)
@@ -164,13 +167,13 @@ class TestGradientCheck:
 
 def coupled_differential(pair, cfg, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y):
     """Both differential losses on one tape, each Q built from both Laplacian nodes."""
-    tape, mu_x, mu_y, _, _, graphs = gated_graphs(
+    tape, mu_x, mu_y, gated_x, gated_y, graphs = gated_graphs(
         pair, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y
     )
     q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=cfg.c, b=cfg.b)
     q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=cfg.c, b=cfg.b)
-    lx, _ = differential_loss(tape, graphs.gram_x, q_x, mu_x, cfg.lambda_x, cfg.sigma_gate)
-    ly, _ = differential_loss(tape, graphs.gram_y, q_y, mu_y, cfg.lambda_y, cfg.sigma_gate)
+    lx, _ = differential_loss(tape, gated_x, q_x, mu_x, cfg.lambda_x, cfg.sigma_gate)
+    ly, _ = differential_loss(tape, gated_y, q_y, mu_y, cfg.lambda_y, cfg.sigma_gate)
     return tape, lx, ly, mu_x, mu_y
 
 
@@ -223,6 +226,70 @@ class TestDifferentialSingleSweep:
             step[i] = h
             fd[i] = (loss_x(step) - loss_x(-step)) / (2 * h)
         np.testing.assert_allclose(gx, fd, rtol=1e-6, atol=1e-9)
+
+
+def dense_q_score(tape, l_target, l_other, gram, c, b):
+    """The differential score through the formed operator: <b A^-1 L A^-1, X~X~^T>.
+
+    A = L_other + cI. This chain builds the n x n Q; the factored score never does.
+    """
+    n = l_other.value.shape[0]
+    inv = tape.inverse(tape.add(l_other, tape.constant(c * np.eye(n))))
+    q = tape.scale(tape.matmul(inv, tape.matmul(l_target, inv)), b)
+    return tape.inner(q, gram)
+
+
+class TestFactoredDifferentialScore:
+    """b Tr[W^T L W], W = (L_other + cI)^{-1} X~, against the dense-Q chain."""
+
+    @pytest.mark.parametrize("coupled", [False, True], ids=["constant", "coupled"])
+    @pytest.mark.parametrize("b", [1.0, 0.37])
+    def test_matches_dense_q_oracle(self, coupled, b):
+        pair = tiny_pair(seed=8, n=11, dx=6, dy=13)  # dy > n
+        rng = np.random.default_rng(3)
+        mu_x0, mu_y0 = rng.uniform(-0.3, 0.3, 6), rng.uniform(-0.3, 0.3, 13)
+        noise_x, noise_y = rng.normal(0, 0.5, 6), rng.normal(0, 0.5, 13)
+        tape, mu_x, mu_y, gated_x, gated_y, graphs = gated_graphs(
+            pair, mu_x0, mu_y0, noise_x, noise_y, 0.8, 1.3
+        )
+        c = 0.2
+        for l_t, l_o, gated, gram in (
+            (graphs.l_x, graphs.l_y, gated_x, graphs.gram_x),
+            (graphs.l_y, graphs.l_x, gated_y, graphs.gram_y),
+        ):
+            if not coupled:
+                l_o = tape.constant(l_o.value)
+            score = differential_operator(tape, l_t, l_o, c=c, b=b).score(tape, gated)
+            oracle = dense_q_score(tape, l_t, l_o, gram, c, b)
+            assert float(score.value) == pytest.approx(float(oracle.value), rel=1e-10)
+            got, want = tape.backward(score), tape.backward(oracle)
+            for leaf in (mu_x, mu_y):
+                np.testing.assert_allclose(got[leaf.idx], want[leaf.idx], rtol=1e-10, atol=0)
+            # the other modality's gates are reached only through a coupled L_other
+            other = mu_y if l_t is graphs.l_x else mu_x
+            assert np.any(got[other.idx] != 0) == coupled
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(3, 9),
+        dx=st.integers(1, 6),
+        dy=st.integers(1, 12),
+        b=st.sampled_from([1.0, 0.3]),
+    )
+    def test_invariant_under_sample_permutation(self, seed, n, dx, dy, b):
+        """train's first differential epoch: same scores, loss and gradients
+        (mu after one unit step from 0) when the samples are reordered."""
+        rng = np.random.default_rng(seed)
+        pair = ModalPair(x=rng.normal(size=(n, dx)), y=rng.normal(size=(n, dy)))
+        perm = rng.permutation(n)
+        permuted = ModalPair(x=pair.x[perm], y=pair.y[perm])
+        cfg = RunConfig(mode="differential", epochs=1, lambda_x=0.3, lambda_y=0.1, b=b, seed=seed)
+        ref, got = train(pair, cfg), train(permuted, cfg)
+        for key in ("loss", "score_x", "score_y"):
+            assert got.log.rows[0][key] == pytest.approx(ref.log.rows[0][key], rel=1e-10)
+        for g_ref, g_got in ((ref.gates_x.mu, got.gates_x.mu), (ref.gates_y.mu, got.gates_y.mu)):
+            np.testing.assert_allclose(g_got, g_ref, rtol=1e-9, atol=1e-12 * np.abs(g_ref).max())
 
 
 class TestSharedFusedEpoch:
