@@ -16,11 +16,10 @@ from .datagen import (
     load_pair,
     save_pair,
 )
-from .gates import GateState, expected_l0, f1, sample_gates, select_features
+from .gates import GateState, expected_l0, f1, select_features
 from .graph import gaussian_kernel, median_bandwidth, normalized_laplacian
 from .operators import (
     differential_operator_array,
-    generalized_laplacian_score,
     score_all_features,
     shared_operator_array,
 )
@@ -38,10 +37,8 @@ __all__ = [
     "normalized_laplacian",
     "shared_operator_array",
     "differential_operator_array",
-    "generalized_laplacian_score",
     "score_all_features",
     "GateState",
-    "sample_gates",
     "expected_l0",
     "select_features",
     "RunConfig",

@@ -17,7 +17,7 @@ import numpy as np
 from .datagen import ModalPair, gen_gaussian_mixture, gen_tree
 from .gates import f1, select_features, top_k
 from .graph import data_laplacian
-from .operators import score_all_features
+from .operators import score_all_features, zscore_columns
 from .tape import ContractError
 from .trainer import RunConfig, train
 
@@ -74,8 +74,8 @@ def baseline_select(pair: ModalPair, method: str, k_x: int, k_y: int) -> Selecti
         op = l_x + l_y if method == "mmKS" else l_x @ l_y
     return SelectionResult(
         method=method,
-        selected_x=top_k(score_all_features(pair.x, op, zscore=True), k_x),
-        selected_y=top_k(score_all_features(pair.y, op, zscore=True), k_y),
+        selected_x=top_k(score_all_features(zscore_columns(pair.x), op), k_x),
+        selected_y=top_k(score_all_features(zscore_columns(pair.y), op), k_y),
         wall_time=time.perf_counter() - start,
     ).score_against(pair.truth("shared"))
 

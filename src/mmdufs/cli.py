@@ -162,7 +162,7 @@ def train_cmd(datadir, config_path, outdir, seed, epochs, mode, force) -> None:
 
         save_gates_csv(result.gates_x, outdir / "gates_x.csv")
         save_gates_csv(result.gates_y, outdir / "gates_y.csv")
-        result.log.to_csv(outdir / "train_log.csv")
+        _write_csv(outdir / "train_log.csv", result.log.rows)
         k_x, k_y = pair.selection_sizes(cfg.mode)
         selection = {
             "x": select_features(result.gates_x, "top-k", k=k_x),

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .operators import zscore_columns
 from .tape import ContractError
 
 __all__ = [
@@ -221,11 +222,7 @@ def gen_tree(
         counts = np.hstack([shared_block, diff])
         lib = counts.sum(axis=1, keepdims=True)
         lib[lib == 0] = 1.0
-        norm = np.log1p(counts / lib * 1e4)
-        mu = norm.mean(axis=0)
-        sd = norm.std(axis=0)
-        sd[sd == 0] = 1.0
-        z = (norm - mu) / sd
+        z = zscore_columns(np.log1p(counts / lib * 1e4))
         return np.hstack([z, rng.standard_normal((n, noise_features))])
 
     x = modality(shared_counts[:, :shared_features], low_group=0)  # G1 bifurcates in X
@@ -358,7 +355,6 @@ def ingest(
     truth_shared_y=None,
     truth_diff_x=None,
     truth_diff_y=None,
-    zscore: bool = False,
 ) -> ModalPair:
     """Load two CSV matrices (and optional truth index files) as a ModalPair."""
     x = _read_matrix(path_x)
@@ -367,11 +363,6 @@ def ingest(
         raise IngestionError(
             f"row-count mismatch: {path_x} has {x.shape[0]}, {path_y} has {y.shape[0]}"
         )
-    if zscore:
-        from .operators import zscore_columns
-
-        x = zscore_columns(x)
-        y = zscore_columns(y)
     paths = (truth_shared_x, truth_shared_y, truth_diff_x, truth_diff_y)
     truths = {
         name: _read_indices(p) if p is not None else None for name, p in zip(_TRUTH_FIELDS, paths)

@@ -1,7 +1,8 @@
 """Stochastic feature gates.
 
 A gate for feature i is z_i = clamp01(0.5 + mu_i + eps_i) with
-eps_i ~ N(0, sigma^2) during training and eps_i = 0 at evaluation time.
+eps_i ~ N(0, sigma^2) during training and eps_i = 0 at evaluation time;
+sigma is fixed at SIGMA = 0.5, as in the stochastic-gate relaxation.
 The expected number of open gates, sum_i Phi((0.5 + mu_i)/sigma), serves as
 a differentiable sparsity regularizer. Selections made from the gates are
 scored against ground-truth index sets by F1.
@@ -18,8 +19,8 @@ from scipy.special import ndtr
 from .tape import ContractError
 
 __all__ = [
+    "SIGMA",
     "GateState",
-    "sample_gates",
     "expected_l0",
     "select_features",
     "top_k",
@@ -29,6 +30,7 @@ __all__ = [
 ]
 
 CONVERGED_TOL = 1e-6
+SIGMA = 0.5
 
 
 @dataclass
@@ -36,7 +38,7 @@ class GateState:
     """Per-feature gate parameters; sigma stays fixed for the whole run."""
 
     mu: np.ndarray
-    sigma: float = 0.5
+    sigma: float = SIGMA
     seed: int = 0
     _rng: np.random.Generator = field(init=False, repr=False)
 
@@ -47,7 +49,7 @@ class GateState:
         self._rng = np.random.default_rng(self.seed)
 
     @classmethod
-    def zeros(cls, n_features: int, sigma: float = 0.5, seed: int = 0) -> "GateState":
+    def zeros(cls, n_features: int, sigma: float = SIGMA, seed: int = 0) -> "GateState":
         return cls(mu=np.zeros(n_features), sigma=sigma, seed=seed)
 
     @property
@@ -59,12 +61,6 @@ class GateState:
 
     def eval_gates(self) -> np.ndarray:
         return np.clip(0.5 + self.mu, 0.0, 1.0)
-
-
-def sample_gates(state: GateState, train_mode: bool) -> np.ndarray:
-    """Gate values; fresh Gaussian noise per call in train mode."""
-    eps = state.draw_noise() if train_mode else 0.0
-    return np.clip(0.5 + state.mu + eps, 0.0, 1.0)
 
 
 def expected_l0(state: GateState) -> float:
@@ -114,7 +110,7 @@ def save_gates_csv(state: GateState, path) -> None:
             writer.writerow([i, repr(float(m)), repr(float(z))])
 
 
-def load_gates_csv(path, sigma: float = 0.5) -> GateState:
+def load_gates_csv(path, sigma: float = SIGMA) -> GateState:
     mus = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

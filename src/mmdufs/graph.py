@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tape import ContractError, DimensionError, Node, NumericalError, Tape, pairwise_sq_dists
+from .tape import ContractError, DimensionError, Node, NumericalError, Tape
+from .tape import _sym_normalize, pairwise_sq_dists
 
 __all__ = [
     "GraphPair",
@@ -79,15 +80,8 @@ def gaussian_kernel(d2: np.ndarray, bandwidth: float) -> np.ndarray:
 
 
 def normalized_laplacian(k: np.ndarray) -> np.ndarray:
-    """L = D^{-1/2} K D^{-1/2}. Plain-array version."""
-    k = np.asarray(k, dtype=np.float64)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise DimensionError("normalized_laplacian needs a square kernel")
-    d = k.sum(axis=1)
-    if np.any(d <= 0):
-        raise ContractError("kernel has a nonpositive row sum")
-    r = 1.0 / np.sqrt(d)
-    return k * r[:, None] * r[None, :]
+    """L = D^{-1/2} K D^{-1/2}. Plain-array version of Tape.sym_normalize."""
+    return _sym_normalize(np.asarray(k, dtype=np.float64))[0]
 
 
 def data_laplacian(data: np.ndarray, scale: float) -> np.ndarray:

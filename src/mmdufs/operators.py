@@ -1,4 +1,4 @@
-"""Shared and differential graph operators, and generalized Laplacian scores.
+"""Shared and differential graph operators, and per-feature operator scores.
 
 The shared operator b*(L_x L_y + L_y L_x) amplifies structure present in both
 modalities; the differential operator b*(L_other + cI)^{-1} L_target
@@ -19,7 +19,6 @@ __all__ = [
     "differential_operator",
     "shared_operator_array",
     "differential_operator_array",
-    "generalized_laplacian_score",
     "score_all_features",
     "zscore_columns",
     "principal_angle_degrees",
@@ -88,15 +87,6 @@ def differential_operator_array(
     return 0.5 * (q + q.T)
 
 
-def generalized_laplacian_score(f: np.ndarray, op: np.ndarray) -> float:
-    """f^T Op f for a single feature vector."""
-    f = np.asarray(f, dtype=np.float64).ravel()
-    op = np.asarray(op, dtype=np.float64)
-    if op.shape != (f.size, f.size):
-        raise DimensionError(f"operator {op.shape} does not match feature length {f.size}")
-    return float(f @ op @ f)
-
-
 def zscore_columns(data: np.ndarray) -> np.ndarray:
     """Zero-mean unit-variance columns; constant columns map to zero."""
     data = np.asarray(data, dtype=np.float64)
@@ -106,11 +96,9 @@ def zscore_columns(data: np.ndarray) -> np.ndarray:
     return (data - mu) / sd
 
 
-def score_all_features(data: np.ndarray, op: np.ndarray, zscore: bool = False) -> np.ndarray:
-    """Per-column generalized scores, diag(X^T Op X)."""
+def score_all_features(data: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Per-column generalized Laplacian scores f_j^T Op f_j, i.e. diag(X^T Op X)."""
     data = np.asarray(data, dtype=np.float64)
-    if zscore:
-        data = zscore_columns(data)
     if op.shape[0] != data.shape[0]:
         raise DimensionError("operator size does not match sample count")
     return np.einsum("ij,ij->j", data, op @ data)

@@ -60,6 +60,17 @@ def _dists_from_gram(sq: np.ndarray, g: np.ndarray) -> np.ndarray:
     return d
 
 
+def _sym_normalize(k: np.ndarray):
+    """(D^{-1/2} K D^{-1/2}, d, d^{-1/2}) for a square k with row sums d > 0."""
+    if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        raise DimensionError("sym_normalize needs a square matrix")
+    d = k.sum(axis=1)
+    if np.any(d <= 0):
+        raise ContractError("sym_normalize: nonpositive row sum")
+    r = 1.0 / np.sqrt(d)
+    return k * r[:, None] * r[None, :], d, r
+
+
 def _check_symmetric(a: np.ndarray, sym_tol: float = 1e-8) -> None:
     """ContractError unless max|a - a^T| <= sym_tol * max(max|a|, 1)."""
     asym = np.abs(a - a.T).max() if a.size else 0.0
@@ -152,14 +163,7 @@ class Tape:
 
     def sym_normalize(self, k: Node) -> Node:
         """D^{-1/2} K D^{-1/2} with D = diag of row sums of K."""
-        kv = k.value
-        if kv.ndim != 2 or kv.shape[0] != kv.shape[1]:
-            raise DimensionError("sym_normalize needs a square matrix")
-        d = kv.sum(axis=1)
-        if np.any(d <= 0):
-            raise ContractError("sym_normalize: nonpositive row sum")
-        r = 1.0 / np.sqrt(d)
-        out = kv * r[:, None] * r[None, :]
+        out, d, r = _sym_normalize(k.value)
         return self._record(out, "sym_normalize", (k,), cache=(d, r))
 
     def inverse(self, a: Node, shift: float = 0.0) -> Node:

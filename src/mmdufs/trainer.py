@@ -1,21 +1,20 @@
 """Training loop for gate optimization with the shared and differential losses.
 
-Each epoch samples stochastic gates, rebuilds the kernels, Laplacians and
-graph operators from the gated data on a fresh tape, evaluates the mode's
-loss, and backpropagates to the gate parameters. A warm-up grid search over
-the sparsity weight lambda is provided for tuning.
+Each epoch samples stochastic gates, evaluates the mode's objective on a fresh
+tape (kernels, Laplacians and graph operators rebuilt from the gated data),
+and backpropagates to the gate parameters. A warm-up grid search over the
+sparsity weight lambda scores the same objective at deterministic gates.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .gates import GateState, expected_l0, f1, select_features
-from .graph import GraphPair, build_graph_pair
+from .gates import SIGMA, GateState, expected_l0, f1, select_features
+from .graph import build_graph_pair
 from .operators import DifferentialOperator, differential_operator, shared_operator, zscore_columns
 from .tape import ContractError, Node, Tape
 from .datagen import ModalPair
@@ -46,7 +45,6 @@ class RunConfig:
     batch_size: int | None = None  # None = full batch
     seed: int = 0
     bandwidth_scale: float = 0.5
-    sigma_gate: float = 0.5
 
     def __post_init__(self):
         if self.mode not in ("shared", "differential"):
@@ -83,15 +81,6 @@ class TrainLog:
     def last(self) -> dict | None:
         return self.rows[-1] if self.rows else None
 
-    def to_csv(self, path):
-        if not self.rows:
-            return
-        fields = list(self.rows[0].keys())
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            writer.writerows(self.rows)
-
 
 @dataclass
 class TrainResult:
@@ -103,12 +92,12 @@ class TrainResult:
 
 
 class TrainingDiverged(ArithmeticError):
-    """Loss became non-finite; carries the epoch and last finite record."""
+    """An SGD step made the gate parameters non-finite; carries the epoch and last record."""
 
     def __init__(self, epoch: int, last_record: dict | None):
         self.epoch = epoch
         self.last_record = last_record
-        super().__init__(f"non-finite loss at epoch {epoch}; last record: {last_record}")
+        super().__init__(f"non-finite gates after epoch {epoch}; last record: {last_record}")
 
 
 def shared_loss(
@@ -120,7 +109,6 @@ def shared_loss(
     mu_y: Node,
     lambda_x: float,
     lambda_y: float,
-    sigma_gate: float,
 ) -> tuple[Node, Node, Node]:
     """-(1/n)Tr[X~T P X~] - (1/n)Tr[Y~T P Y~] + lam_x E|z_x|_0 + lam_y E|z_y|_0.
 
@@ -130,8 +118,8 @@ def shared_loss(
     score_x = tape.inner(p_shared, gram_x)
     score_y = tape.inner(p_shared, gram_y)
     loss = tape.add(tape.scale(score_x, -1.0 / n), tape.scale(score_y, -1.0 / n))
-    loss = tape.add(loss, tape.scale(tape.open_gate_expectation(mu_x, sigma_gate), lambda_x))
-    loss = tape.add(loss, tape.scale(tape.open_gate_expectation(mu_y, sigma_gate), lambda_y))
+    loss = tape.add(loss, tape.scale(tape.open_gate_expectation(mu_x, SIGMA), lambda_x))
+    loss = tape.add(loss, tape.scale(tape.open_gate_expectation(mu_y, SIGMA), lambda_y))
     return loss, score_x, score_y
 
 
@@ -141,7 +129,6 @@ def differential_loss(
     q_op: DifferentialOperator,
     mu: Node,
     lam: float,
-    sigma_gate: float,
 ) -> tuple[Node, Node]:
     """(1/n)(-Tr[D~T Q D~] + lam E|z|_0), the trace by q_op.score. Returns (loss, score).
 
@@ -156,7 +143,7 @@ def differential_loss(
     score = q_op.score(tape, gated)
     loss = tape.add(
         tape.scale(score, -1.0 / n),
-        tape.scale(tape.open_gate_expectation(mu, sigma_gate), lam / n),
+        tape.scale(tape.open_gate_expectation(mu, SIGMA), lam / n),
     )
     return loss, score
 
@@ -172,21 +159,31 @@ def unit_norm_columns(data: np.ndarray) -> np.ndarray:
     return z / np.sqrt(data.shape[0])
 
 
-def _operators(tape: Tape, graphs: GraphPair, cfg: RunConfig) -> tuple:
-    """(op_x, op_y): the shared P node for both, or the factored Q_x and Q_y.
+def _objective(tape, xb, yb, z_x, z_y, mu_x, mu_y, cfg, bandwidths=(None, None)):
+    """(loss, score_x, score_y, graphs) of cfg's mode on arrays xb, yb gated by nodes z_x, z_y.
 
-    Each Q takes the other modality's Laplacian as a constant: loss_x then
-    reaches only mu_x and loss_y only mu_y, so one sweep of their sum skips
-    the inverses and the other modality's kernel chain.
+    mu_x, mu_y are the gate-parameter nodes of the regularizer. bandwidths
+    freezes the kernel bandwidths; None takes each from the gated data, as
+    build_graph_pair does. In differential mode each Q takes the other modality's Laplacian as
+    a constant: loss_x then reaches only mu_x and loss_y only mu_y, so one
+    sweep of their sum skips the inverses and the other modality's kernel chain.
     """
+    gated_x = tape.col_gate(tape.constant(xb), z_x)
+    gated_y = tape.col_gate(tape.constant(yb), z_y)
+    graphs = build_graph_pair(tape, gated_x, gated_y, cfg.bandwidth_scale, *bandwidths)
     if cfg.mode == "shared":
         p = shared_operator(tape, graphs.l_x, graphs.l_y, b=cfg.b)
-        return p, p
+        loss, s_x, s_y = shared_loss(
+            tape, graphs.gram_x, graphs.gram_y, p, mu_x, mu_y, cfg.lambda_x, cfg.lambda_y
+        )
+        return loss, s_x, s_y, graphs
     const_l_x = tape.constant(graphs.l_x.value)
     const_l_y = tape.constant(graphs.l_y.value)
     q_x = differential_operator(tape, graphs.l_x, const_l_y, c=cfg.c, b=cfg.b)
     q_y = differential_operator(tape, graphs.l_y, const_l_x, c=cfg.c, b=cfg.b)
-    return q_x, q_y
+    loss_x, s_x = differential_loss(tape, gated_x, q_x, mu_x, cfg.lambda_x)
+    loss_y, s_y = differential_loss(tape, gated_y, q_y, mu_y, cfg.lambda_y)
+    return tape.add(loss_x, loss_y), s_x, s_y, graphs
 
 
 def train(
@@ -202,7 +199,8 @@ def train(
 
     In differential mode each modality's gates follow only their own loss:
     the other modality's Laplacian enters Q_x (and Q_y) as a constant, so one
-    reverse sweep of loss_x + loss_y gives both gradients.
+    reverse sweep of loss_x + loss_y gives both gradients. A step that makes
+    the gate parameters non-finite raises TrainingDiverged.
     """
     n = pair.n_samples
     if cfg.batch_size is not None and cfg.batch_size > n:
@@ -213,8 +211,8 @@ def train(
 
     data_x, data_y = unit_norm_columns(pair.x), unit_norm_columns(pair.y)
 
-    gates_x = GateState.zeros(pair.x.shape[1], sigma=cfg.sigma_gate, seed=cfg.seed)
-    gates_y = GateState.zeros(pair.y.shape[1], sigma=cfg.sigma_gate, seed=cfg.seed + 1)
+    gates_x = GateState.zeros(pair.x.shape[1], seed=cfg.seed)
+    gates_y = GateState.zeros(pair.y.shape[1], seed=cfg.seed + 1)
     batch_rng = np.random.default_rng(cfg.seed + 2)
     log = TrainLog()
 
@@ -230,36 +228,18 @@ def train(
         mu_y = tape.leaf(gates_y.mu, trainable=True)
         z_x = tape.hard_sigmoid(tape.add(mu_x, tape.constant(gates_x.draw_noise())))
         z_y = tape.hard_sigmoid(tape.add(mu_y, tape.constant(gates_y.draw_noise())))
-        gated_x = tape.col_gate(tape.constant(xb), z_x)
-        gated_y = tape.col_gate(tape.constant(yb), z_y)
-
-        graphs = build_graph_pair(tape, gated_x, gated_y, cfg.bandwidth_scale)
-        op_x, op_y = _operators(tape, graphs, cfg)
-        gram_x, gram_y = graphs.gram_x, graphs.gram_y
-        if cfg.mode == "shared":
-            loss, s_x, s_y = shared_loss(
-                tape, gram_x, gram_y, op_x, mu_x, mu_y, cfg.lambda_x, cfg.lambda_y, cfg.sigma_gate
-            )
-        else:
-            loss_x, s_x = differential_loss(tape, gated_x, op_x, mu_x, cfg.lambda_x, cfg.sigma_gate)
-            loss_y, s_y = differential_loss(tape, gated_y, op_y, mu_y, cfg.lambda_y, cfg.sigma_gate)
-            loss = tape.add(loss_x, loss_y)
+        loss, s_x, s_y, graphs = _objective(tape, xb, yb, z_x, z_y, mu_x, mu_y, cfg)
         grads = tape.backward(loss)
-        gx, gy = grads[mu_x.idx], grads[mu_y.idx]
-        loss_val = float(loss.value)
-        score_x, score_y = float(s_x.value), float(s_y.value)
-
-        if not np.isfinite(loss_val):
+        gates_x.mu -= cfg.learning_rate * grads[mu_x.idx]
+        gates_y.mu -= cfg.learning_rate * grads[mu_y.idx]
+        if not (np.isfinite(gates_x.mu).all() and np.isfinite(gates_y.mu).all()):
             raise TrainingDiverged(epoch, log.last)
-
-        gates_x.mu -= cfg.learning_rate * gx
-        gates_y.mu -= cfg.learning_rate * gy
 
         record = {
             "epoch": epoch,
-            "loss": loss_val,
-            "score_x": score_x,
-            "score_y": score_y,
+            "loss": float(loss.value),
+            "score_x": float(s_x.value),
+            "score_y": float(s_y.value),
             "reg_x": expected_l0(gates_x),
             "reg_y": expected_l0(gates_y),
             "open_x": int(np.count_nonzero(gates_x.eval_gates() > 0)),
@@ -283,25 +263,18 @@ def train(
 
 
 def _eval_scores(pair: ModalPair, cfg: RunConfig, result: TrainResult) -> tuple[float, float]:
-    """Raw trace scores Tr[X~T Op X~], Tr[Y~T Op Y~] at deterministic gates."""
-    data_x, data_y = unit_norm_columns(pair.x), unit_norm_columns(pair.y)
+    """Raw trace scores Tr[X~T Op X~], Tr[Y~T Op Y~] of the full data.
+
+    The run's objective, at its deterministic gates and final bandwidths.
+    """
     tape = Tape()
-    gated_x = tape.col_gate(tape.constant(data_x), tape.constant(result.gates_x.eval_gates()))
-    gated_y = tape.col_gate(tape.constant(data_y), tape.constant(result.gates_y.eval_gates()))
-    graphs = build_graph_pair(
-        tape,
-        gated_x,
-        gated_y,
-        cfg.bandwidth_scale,
-        bandwidth_x=result.bandwidth_x,
-        bandwidth_y=result.bandwidth_y,
-    )
-    op_x, op_y = _operators(tape, graphs, cfg)
-    if cfg.mode == "shared":
-        score_x, score_y = tape.inner(op_x, graphs.gram_x), tape.inner(op_y, graphs.gram_y)
-    else:
-        score_x, score_y = op_x.score(tape, gated_x), op_y.score(tape, gated_y)
-    return float(score_x.value), float(score_y.value)
+    gates = (result.gates_x, result.gates_y)
+    z_x, z_y = (tape.constant(g.eval_gates()) for g in gates)
+    mu_x, mu_y = (tape.constant(g.mu) for g in gates)
+    data_x, data_y = unit_norm_columns(pair.x), unit_norm_columns(pair.y)
+    bandwidths = (result.bandwidth_x, result.bandwidth_y)
+    _, s_x, s_y, _ = _objective(tape, data_x, data_y, z_x, z_y, mu_x, mu_y, cfg, bandwidths)
+    return float(s_x.value), float(s_y.value)
 
 
 def warmup_tune(

@@ -25,7 +25,7 @@ from mmdufs.bench import (
 )
 from mmdufs.cli import main
 from mmdufs.datagen import ModalPair, gen_gaussian_mixture
-from mmdufs.gates import GateState, sample_gates, select_features
+from mmdufs.gates import GateState, select_features
 from mmdufs.graph import build_graph_pair, median_bandwidth
 from mmdufs.tape import pairwise_sq_dists
 from mmdufs.operators import (
@@ -203,14 +203,12 @@ class TestCriterion7GradientCheck:
         graphs = build_graph_pair(tape, gated_x, gated_y, 1.0, bandwidth_x=bw_x, bandwidth_y=bw_y)
         if mode == "shared":
             p = shared_operator(tape, graphs.l_x, graphs.l_y)
-            loss, _, _ = shared_loss(
-                tape, graphs.gram_x, graphs.gram_y, p, mu_x, mu_y, 1e-2, 1e-2, 0.5
-            )
+            loss, _, _ = shared_loss(tape, graphs.gram_x, graphs.gram_y, p, mu_x, mu_y, 1e-2, 1e-2)
         else:
             q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=0.1)
             q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=0.1)
-            lx, _ = differential_loss(tape, gated_x, q_x, mu_x, 0.4, 0.5)
-            ly, _ = differential_loss(tape, gated_y, q_y, mu_y, 0.4, 0.5)
+            lx, _ = differential_loss(tape, gated_x, q_x, mu_x, 0.4)
+            ly, _ = differential_loss(tape, gated_y, q_y, mu_y, 0.4)
             loss = tape.add(lx, ly)
         return tape, loss, mu_x, mu_y
 
@@ -255,7 +253,9 @@ class TestCriterion8GateStatistics:
         n_samples = 100_000
         sigma = 0.5
         state = GateState(mu=np.full(n_samples, mu), sigma=sigma, seed=123)
-        z = sample_gates(state, train_mode=True)
+        # the sampler training uses: hard_sigmoid(mu + eps) on a tape
+        tape = Tape()
+        z = tape.hard_sigmoid(tape.add(tape.leaf(state.mu), tape.constant(state.draw_noise()))).value
         p_hat = float(np.mean(z > 0))
         p = float(ndtr((0.5 + mu) / sigma))
         se = np.sqrt(p * (1 - p) / n_samples)

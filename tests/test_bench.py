@@ -79,7 +79,7 @@ class TestBaselineSelect:
         """With Y = X, mmKS ~ 2L and mmKP ~ L^2 rank like the plain score."""
         from mmdufs.graph import gaussian_kernel, median_bandwidth, normalized_laplacian
         from mmdufs.bench import BASELINE_BANDWIDTH_FACTOR
-        from mmdufs.operators import score_all_features
+        from mmdufs.operators import score_all_features, zscore_columns
         from mmdufs.tape import pairwise_sq_dists
 
         rng = np.random.default_rng(5)
@@ -89,8 +89,9 @@ class TestBaselineSelect:
         d2 = pairwise_sq_dists(x)
         bw = BASELINE_BANDWIDTH_FACTOR * median_bandwidth(d2)
         l = normalized_laplacian(gaussian_kernel(d2, bw))
-        base = np.argsort(-score_all_features(x, l, zscore=True), kind="stable")[:4]
-        base_sq = np.argsort(-score_all_features(x, l @ l, zscore=True), kind="stable")[:4]
+        z = zscore_columns(x)
+        base = np.argsort(-score_all_features(z, l), kind="stable")[:4]
+        base_sq = np.argsort(-score_all_features(z, l @ l), kind="stable")[:4]
         ks = baseline_select(pair, "mmKS", 4, 4)
         kp = baseline_select(pair, "mmKP", 4, 4)
         assert set(ks.selected_x) == set(int(i) for i in base)

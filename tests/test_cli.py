@@ -100,7 +100,8 @@ class TestTrain:
         assert "epochs" in res.output
 
     @pytest.mark.parametrize(
-        "field", ["normalize_laplacian", "optimizer", "recompute_bandwidth", "log_every"]
+        "field",
+        ["normalize_laplacian", "optimizer", "recompute_bandwidth", "log_every", "sigma_gate"],
     )
     def test_removed_config_field_is_usage_error(self, runner, dataset, tmp_path, field):
         cfg = tmp_path / "old.json"
@@ -109,6 +110,20 @@ class TestTrain:
                                    "--out", str(tmp_path / "run")])
         assert res.exit_code == 2
         assert field in res.output
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_diverged_run_exits_1_without_gates(self, runner, tmp_path):
+        """A step to infinite gates fails with exit 1 and leaves no gates file."""
+        rng = np.random.default_rng(0)
+        data = tmp_path / "tiny"
+        save_pair(ModalPair(x=rng.normal(size=(14, 5)), y=rng.normal(size=(14, 4))), data)
+        cfg = write_config(tmp_path, mode="differential", epochs=1, learning_rate=1e308)
+        out = tmp_path / "run"
+        res = runner.invoke(main, ["train", "--data", str(data), "--config", str(cfg),
+                                   "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert "non-finite gates" in res.output
+        assert not (out / "gates_x.csv").exists() and not (out / "gates_y.csv").exists()
 
     def test_converged_gates_reach_selection_json(self, runner, dataset, tmp_path):
         """A large step saturates gates within three epochs; their indices are JSON ints."""

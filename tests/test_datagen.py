@@ -14,6 +14,7 @@ from mmdufs.datagen import (
     load_pair,
     save_pair,
 )
+from mmdufs.operators import zscore_columns
 from mmdufs.tape import ContractError
 
 
@@ -238,9 +239,10 @@ class TestIngest:
         px.write_text("1,2\n3,4\n5,0\n")
         py.write_text("1\n2\n3\n")
         pt.write_text("0\n1\n")
-        p = ingest(px, py, truth_shared_x=pt, zscore=True)
+        p = ingest(px, py, truth_shared_x=pt)
         assert list(p.truth_shared_x) == [0, 1]
-        np.testing.assert_allclose(p.x.mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_array_equal(p.x, [[1, 2], [3, 4], [5, 0]])  # raw values
+        np.testing.assert_allclose(zscore_columns(p.x).mean(axis=0), 0.0, atol=1e-12)
 
     def test_bad_truth_file(self, tmp_path):
         px, py, pt = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "t.csv"

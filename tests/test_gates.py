@@ -9,10 +9,10 @@ from scipy.stats import norm
 
 from mmdufs.gates import (
     CONVERGED_TOL,
+    SIGMA,
     GateState,
     expected_l0,
     load_gates_csv,
-    sample_gates,
     save_gates_csv,
     select_features,
 )
@@ -42,14 +42,26 @@ class TestGateState:
         assert not np.array_equal(a, c)
 
 
+def sample_gates(state: GateState) -> np.ndarray:
+    """Gates as training samples them: hard_sigmoid(mu + eps) on a tape, fresh noise per call."""
+    tape = Tape()
+    return tape.hard_sigmoid(tape.add(tape.leaf(state.mu), tape.constant(state.draw_noise()))).value
+
+
 class TestSampling:
     def test_eval_mode_is_deterministic(self):
-        g = GateState(mu=np.array([0.1, -0.3]))
-        np.testing.assert_array_equal(sample_gates(g, train_mode=False), g.eval_gates())
+        """Without noise the training sampler gives the evaluation gates."""
+        g = GateState(mu=np.array([-0.7, 0.1, -0.3, 0.6]))
+        tape = Tape()
+        np.testing.assert_array_equal(tape.hard_sigmoid(tape.leaf(g.mu)).value, g.eval_gates())
+
+    def test_sigma_is_fixed_default(self):
+        assert SIGMA == 0.5
+        assert GateState.zeros(3).sigma == GateState(mu=np.zeros(3)).sigma == SIGMA
 
     def test_train_mode_within_bounds(self):
         g = GateState.zeros(1000, seed=0)
-        z = sample_gates(g, train_mode=True)
+        z = sample_gates(g)
         assert z.min() >= 0.0 and z.max() <= 1.0
         assert 0 < np.count_nonzero(z == 0.0) and 0 < np.count_nonzero(z == 1.0)
 
@@ -58,7 +70,7 @@ class TestSampling:
         n = 200_000
         for mu in (-0.5, 0.0, 0.5):
             g = GateState(mu=np.full(n, mu), sigma=0.5, seed=17)
-            z = sample_gates(g, train_mode=True)
+            z = sample_gates(g)
             m, s = 0.5 + mu, 0.5
             alpha, beta = -m / s, (1 - m) / s
             mean = (
@@ -73,7 +85,7 @@ class TestSampling:
         n = 100_000
         for mu in (-0.5, 0.0, 0.5):
             g = GateState(mu=np.full(n, mu), sigma=0.5, seed=23)
-            z = sample_gates(g, train_mode=True)
+            z = sample_gates(g)
             p = float(ndtr((0.5 + mu) / 0.5))
             phat = np.mean(z > 0)
             se = np.sqrt(p * (1 - p) / n)

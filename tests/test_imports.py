@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and every
+name a module exports resolves."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,15 @@ def test_scanner_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_resolve(path):
+    """Each __all__ entry exists: tools that wrap exports by name read them with getattr."""
+    module = importlib.import_module(f"mmdufs.{path.stem}")
+    exported = getattr(module, "__all__", ())  # cli exports nothing
+    assert [name for name in exported if not hasattr(module, name)] == []
+
+
+def test_package_all_names_resolve():
+    assert [name for name in mmdufs.__all__ if not hasattr(mmdufs, name)] == []

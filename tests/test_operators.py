@@ -6,7 +6,6 @@ import pytest
 from mmdufs.operators import (
     differential_operator,
     differential_operator_array,
-    generalized_laplacian_score,
     principal_angle_degrees,
     score_all_features,
     shared_operator,
@@ -153,27 +152,33 @@ class TestDifferentialOperator:
 
 class TestScores:
     def test_generalized_score_quadratic_form(self):
+        """One feature's score is f^T Op f; an operator of the wrong size is rejected."""
         op = RNG.normal(size=(7, 7))
         op = op + op.T
         f = RNG.normal(size=7)
-        assert generalized_laplacian_score(f, op) == pytest.approx(f @ op @ f)
+        assert score_all_features(f[:, None], op)[0] == pytest.approx(f @ op @ f)
         with pytest.raises(DimensionError):
-            generalized_laplacian_score(np.ones(3), op)
+            score_all_features(np.ones((3, 1)), op)
 
     def test_score_all_features_matches_loop(self):
         data = RNG.normal(size=(10, 5))
         op = RNG.normal(size=(10, 10))
         op = op + op.T
         scores = score_all_features(data, op)
-        expect = [generalized_laplacian_score(data[:, j], op) for j in range(5)]
+        expect = []
+        for j in range(5):  # brute force f^T Op f
+            f = data[:, j]
+            expect.append(sum(f[a] * op[a, b] * f[b] for a in range(10) for b in range(10)))
         np.testing.assert_allclose(scores, expect, atol=1e-10)
 
     def test_zscore_option(self):
+        """Scores of z-scored columns, as the baselines take them: with Op = I, n each."""
         data = RNG.normal(size=(10, 4)) * 7 + 3
         op = np.eye(10)
-        scores = score_all_features(data, op, zscore=True)
         z = zscore_columns(data)
+        scores = score_all_features(z, op)
         np.testing.assert_allclose(scores, (z**2).sum(axis=0), atol=1e-10)
+        np.testing.assert_allclose(scores, 10.0, rtol=1e-12)
 
     def test_zscore_columns(self):
         data = RNG.normal(size=(50, 3)) * [2.0, 0.5, 1.0] + [1.0, -3.0, 0.0]

@@ -14,13 +14,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmdufs.datagen import ModalPair, gen_gaussian_mixture
-from mmdufs.gates import GateState
-from mmdufs.graph import build_graph_pair, median_bandwidth
-from mmdufs.operators import DifferentialOperator, differential_operator, shared_operator
+from mmdufs.gates import SIGMA, GateState
+from mmdufs.graph import (
+    build_graph_pair,
+    gaussian_kernel,
+    median_bandwidth,
+    normalized_laplacian,
+)
+from mmdufs.operators import (
+    DifferentialOperator,
+    differential_operator,
+    differential_operator_array,
+    shared_operator,
+    shared_operator_array,
+)
 from mmdufs.tape import ContractError, Tape, pairwise_sq_dists
 from mmdufs.trainer import (
     RunConfig,
     TrainingDiverged,
+    _eval_scores,
     differential_loss,
     shared_loss,
     train,
@@ -56,12 +68,12 @@ def loss_for_mu(pair, mu_x_val, mu_y_val, mode, noise_x, noise_y, bw_x, bw_y, la
     )
     if mode == "shared":
         p = shared_operator(tape, graphs.l_x, graphs.l_y)
-        loss, _, _ = shared_loss(tape, graphs.gram_x, graphs.gram_y, p, mu_x, mu_y, lam, lam, 0.5)
+        loss, _, _ = shared_loss(tape, graphs.gram_x, graphs.gram_y, p, mu_x, mu_y, lam, lam)
     else:
         q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=0.1)
         q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=0.1)
-        lx, _ = differential_loss(tape, gated_x, q_x, mu_x, 0.4, 0.5)
-        ly, _ = differential_loss(tape, gated_y, q_y, mu_y, 0.4, 0.5)
+        lx, _ = differential_loss(tape, gated_x, q_x, mu_x, 0.4)
+        ly, _ = differential_loss(tape, gated_y, q_y, mu_y, 0.4)
         loss = tape.add(lx, ly)
     return tape, loss, mu_x, mu_y
 
@@ -127,7 +139,7 @@ class TestLosses:
         gated = tape.col_gate(tape.constant(unit_norm_columns(pair.x)), tape.hard_sigmoid(mu))
         eye = tape.constant(np.eye(n))
         q = DifferentialOperator(inv=eye, l_target=eye, b=1.0)
-        loss, score = differential_loss(tape, gated, q, mu, 0.0, 0.5)
+        loss, score = differential_loss(tape, gated, q, mu, 0.0)
         frob2 = np.sum((unit_norm_columns(pair.x) * 0.5) ** 2)
         assert float(score.value) == pytest.approx(frob2, rel=1e-10)
         assert float(loss.value) == pytest.approx(-frob2 / n, rel=1e-10)
@@ -172,8 +184,8 @@ def coupled_differential(pair, cfg, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, 
     )
     q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=cfg.c, b=cfg.b)
     q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=cfg.c, b=cfg.b)
-    lx, _ = differential_loss(tape, gated_x, q_x, mu_x, cfg.lambda_x, cfg.sigma_gate)
-    ly, _ = differential_loss(tape, gated_y, q_y, mu_y, cfg.lambda_y, cfg.sigma_gate)
+    lx, _ = differential_loss(tape, gated_x, q_x, mu_x, cfg.lambda_x)
+    ly, _ = differential_loss(tape, gated_y, q_y, mu_y, cfg.lambda_y)
     return tape, lx, ly, mu_x, mu_y
 
 
@@ -192,8 +204,8 @@ class TestDifferentialSingleSweep:
         # one SGD step from mu = 0 at learning rate 1 leaves exactly mu = -grad
         grads = (-res.gates_x.mu, -res.gates_y.mu)
         # train seeds the gate states with seed and seed + 1
-        noise_x = GateState.zeros(pair.x.shape[1], cfg.sigma_gate, cfg.seed).draw_noise()
-        noise_y = GateState.zeros(pair.y.shape[1], cfg.sigma_gate, cfg.seed + 1).draw_noise()
+        noise_x = GateState.zeros(pair.x.shape[1], SIGMA, cfg.seed).draw_noise()
+        noise_y = GateState.zeros(pair.y.shape[1], SIGMA, cfg.seed + 1).draw_noise()
         return grads, (noise_x, noise_y), (res.bandwidth_x, res.bandwidth_y)
 
     def test_matches_per_modality_oracle(self):
@@ -305,8 +317,8 @@ class TestSharedFusedEpoch:
         res = train(pair, cfg)
         # one SGD step from mu = 0 at learning rate 1 leaves exactly mu = -grad
         gx, gy = -res.gates_x.mu, -res.gates_y.mu
-        noise_x = GateState.zeros(pair.x.shape[1], cfg.sigma_gate, cfg.seed).draw_noise()
-        noise_y = GateState.zeros(pair.y.shape[1], cfg.sigma_gate, cfg.seed + 1).draw_noise()
+        noise_x = GateState.zeros(pair.x.shape[1], SIGMA, cfg.seed).draw_noise()
+        noise_y = GateState.zeros(pair.y.shape[1], SIGMA, cfg.seed + 1).draw_noise()
         tape, mu_x, mu_y, gated_x, gated_y, graphs = gated_graphs(
             pair, np.zeros(7), np.zeros(15), noise_x, noise_y, res.bandwidth_x, res.bandwidth_y
         )
@@ -317,7 +329,7 @@ class TestSharedFusedEpoch:
             return tape.trace(tape.matmul(tape.transpose(gated), tape.matmul(p, gated)))
 
         def reg(mu, lam):
-            return tape.scale(tape.open_gate_expectation(mu, cfg.sigma_gate), lam)
+            return tape.scale(tape.open_gate_expectation(mu, SIGMA), lam)
 
         n = pair.n_samples
         loss = tape.add(tape.scale(score(gated_x), -1 / n), tape.scale(score(gated_y), -1 / n))
@@ -478,6 +490,14 @@ class TestTrain:
         with pytest.raises((TrainingDiverged, OverflowError, FloatingPointError)):
             train(pair, cfg)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_nonfinite_step_raises_diverged(self):
+        """A step to infinite gates on the last epoch is an error, not a returned result."""
+        cfg = RunConfig(mode="differential", epochs=1, learning_rate=1e308)
+        with pytest.raises(TrainingDiverged) as info:
+            train(tiny_pair(seed=0), cfg)
+        assert info.value.epoch == 0 and info.value.last_record is None
+
 
 class TestWarmupTune:
     def test_returns_grid_member_and_records(self):
@@ -520,6 +540,32 @@ class TestWarmupTune:
         lx, ly, records = warmup_tune(pair, cfg, [1e-3, 1e-1], warmup_epochs=2,
                                       n_selected_x=3, n_selected_y=2)
         assert all("score_x" in r and "score_y" in r for r in records)
+
+
+class TestEvalScores:
+    """Warm-up scores against a plain-array oracle at the run's deterministic gates."""
+
+    @pytest.mark.parametrize("mode", ["shared", "differential"])
+    def test_match_plain_array_oracle(self, mode):
+        pair = tiny_pair(seed=7, n=16, dx=6, dy=5)
+        cfg = RunConfig(
+            mode=mode, epochs=4, learning_rate=1.0, lambda_x=0.1, lambda_y=0.05,
+            c=0.2, b=0.7, seed=3,
+        )
+        res = train(pair, cfg)
+        z_x, z_y = res.gates_x.eval_gates(), res.gates_y.eval_gates()
+        assert np.any((z_x > 0) & (z_x < 1) & (z_x != 0.5))  # the gates moved, not saturated
+        x, y = unit_norm_columns(pair.x) * z_x, unit_norm_columns(pair.y) * z_y
+        l_x = normalized_laplacian(gaussian_kernel(pairwise_sq_dists(x), res.bandwidth_x))
+        l_y = normalized_laplacian(gaussian_kernel(pairwise_sq_dists(y), res.bandwidth_y))
+        if mode == "shared":
+            op_x = op_y = shared_operator_array(l_x, l_y, b=cfg.b)
+        else:
+            op_x = differential_operator_array(l_x, l_y, c=cfg.c, b=cfg.b)
+            op_y = differential_operator_array(l_y, l_x, c=cfg.c, b=cfg.b)
+        want = (np.trace(x.T @ op_x @ x), np.trace(y.T @ op_y @ y))
+        got = _eval_scores(pair, cfg, res)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
 class TestUnitNormColumns:
