@@ -12,7 +12,6 @@ from .datagen import (
     gen_gaussian_mixture,
     gen_tree,
     ingest,
-    inject_noise,
     load_pair,
     save_pair,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "gen_gaussian_mixture",
     "gen_tree",
     "gen_cube",
-    "inject_noise",
     "ingest",
     "save_pair",
     "load_pair",

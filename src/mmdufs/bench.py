@@ -122,51 +122,42 @@ def run_experiment(spec: dict) -> list[dict]:
     """Run every (method x seed) cell of an experiment and collect F1 rows.
 
     spec keys:
-      dataset: preset name, or a ModalPair factory keyed by seed via "pair"
+      dataset: preset name, or a ModalPair used for every seed
+      name:    the rows' dataset label for a ModalPair (default "custom")
       methods: subset of {MC, mmKS, mmKP, mmDUFS}
       seeds:   list of seeds
       mode:    "shared" (default) or "differential": the truth set that sets
                every row's k and F1, and the operator mmDUFS trains against
-      epochs / batch_size / learning_rate / lambda_x / lambda_y / b / c:
-               optional overrides of the preset hyperparameters
-    Numerical and contract failures (ArithmeticError, ValueError,
-    ContractError) are recorded per cell and the experiment continues; any
-    other exception propagates.
+      epochs:  optional override of the preset epoch count
+    mmDUFS trains with the mode's preset (RunConfig() if none; a ModalPair
+    takes "gaussian"). Numerical and contract failures (ArithmeticError,
+    ValueError, ContractError) are recorded per cell and the experiment
+    continues; any other exception propagates.
     """
     dataset = spec["dataset"]
     methods = spec.get("methods", list(BASELINES) + ["mmDUFS"])
     seeds = spec.get("seeds", [0])
     mode = spec.get("mode", "shared")
+    if isinstance(dataset, ModalPair):
+        name = spec.get("name", "custom")
+    elif dataset in DATASET_PRESETS:
+        name = dataset
+    else:
+        raise ContractError(f"unknown dataset preset '{dataset}'")
+    table = SHARED_HYPERPARAMS if mode == "shared" else DIFFERENTIAL_HYPERPARAMS
+    preset = table.get(dataset if isinstance(dataset, str) else "gaussian", RunConfig())
+    overrides = {"epochs": spec["epochs"]} if "epochs" in spec else {}
 
     rows = []
     for seed in seeds:
-        if callable(dataset):
-            pair, name = dataset(seed), spec.get("name", "custom")
-        elif isinstance(dataset, ModalPair):
-            pair, name = dataset, spec.get("name", "custom")
-        else:
-            if dataset not in DATASET_PRESETS:
-                raise ContractError(f"unknown dataset preset '{dataset}'")
-            pair, name = DATASET_PRESETS[dataset](seed), dataset
-
+        pair = dataset if isinstance(dataset, ModalPair) else DATASET_PRESETS[dataset](seed)
         truth = pair.truth(mode)
         k_x, k_y = pair.selection_sizes(mode)
-        k_x, k_y = spec.get("k_x", k_x), spec.get("k_y", k_y)
-
         for method in methods:
             row = {"dataset": name, "method": method, "seed": seed}
             try:
                 if method == "mmDUFS":
-                    table = SHARED_HYPERPARAMS if mode == "shared" else DIFFERENTIAL_HYPERPARAMS
-                    cfg = table.get(name if isinstance(dataset, str) else "gaussian")
-                    if cfg is None:
-                        cfg = RunConfig(mode=mode)
-                    overrides = {
-                        k: spec[k]
-                        for k in ("epochs", "batch_size", "learning_rate", "lambda_x", "lambda_y", "b", "c")
-                        if k in spec
-                    }
-                    cfg = replace(cfg, mode=mode, seed=seed, **overrides)
+                    cfg = replace(preset, mode=mode, seed=seed, **overrides)
                     res = _mmdufs_select(pair, cfg, k_x, k_y)
                 else:
                     res = baseline_select(pair, method, k_x, k_y)

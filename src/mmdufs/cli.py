@@ -154,8 +154,8 @@ def train_cmd(datadir, config_path, outdir, seed, epochs, mode, force) -> None:
         cfg = _load_config(config_path, seed, {"epochs": epochs, "mode": mode})
         pair = _load_data(datadir)
         outdir.mkdir(parents=True, exist_ok=True)
-        artifacts = [outdir / n for n in
-                     ("gates_x.csv", "gates_y.csv", "train_log.csv", "selection.json")]
+        artifacts = [outdir / n for n in ("gates_x.csv", "gates_y.csv", "train_log.csv",
+                                          "selection.json", "run_manifest.json")]
         _guard_overwrite(artifacts, force)
 
         result = train(pair, cfg, ground_truth=dict(zip("xy", pair.truth(cfg.mode))))

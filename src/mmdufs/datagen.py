@@ -23,7 +23,6 @@ __all__ = [
     "gen_gaussian_mixture",
     "gen_tree",
     "gen_cube",
-    "inject_noise",
     "ingest",
     "save_pair",
     "load_pair",
@@ -165,13 +164,7 @@ def _nb_counts(rng, mean, dispersion, size):
     return rng.negative_binomial(r, p, size=size).astype(np.float64)
 
 
-def gen_tree(
-    seed: int = 0,
-    n: int = 1000,
-    shared_features: int = 50,
-    diff_features: int = 50,
-    noise_features: int = 200,
-) -> ModalPair:
+def gen_tree(seed: int = 0) -> ModalPair:
     """Bifurcating developmental trajectory with six branch groups.
 
     The latent tree has a trunk (groups G5, G6 along its length) that splits
@@ -181,7 +174,11 @@ def gen_tree(
     differential count features separates G1 from G2 only in X and G3 from G4
     only in Y. Counts are library-normalized to 1e4, log1p-transformed and
     z-scored, then pure N(0,1) noise features are appended.
+
+    1000 samples; each modality has 50 shared, 50 differential and 200 noise
+    features, in that column order.
     """
+    n, shared_features, diff_features, noise_features = 1000, 50, 50, 200
     rng = np.random.default_rng(seed)
 
     # Latent positions: trunk [0, 1], branches [1, 2]; branch id in {0, 1, 2}.
@@ -268,39 +265,6 @@ def gen_cube(
         y=theta[:, [0, 1]].copy(),
         latent=theta,
         meta={"generator": "cube", "seed": seed, "n": n, "l_s": l_s, "l_a": l_a, "l_b": l_b},
-    )
-
-
-def inject_noise(
-    pair: ModalPair, sigma_noise: float, target: str = "all", seed: int = 0
-) -> ModalPair:
-    """Add i.i.d. N(0, sigma^2) to all entries or only non-informative columns."""
-    if sigma_noise < 0:
-        raise ValueError("noise scale must be nonnegative")
-    if target not in ("all", "non-informative"):
-        raise ValueError(f"unknown noise target '{target}'")
-    rng = np.random.default_rng(seed)
-    x = pair.x.copy()
-    y = pair.y.copy()
-    if sigma_noise > 0:
-        if target == "all":
-            x += rng.normal(0.0, sigma_noise, x.shape)
-            y += rng.normal(0.0, sigma_noise, y.shape)
-        else:
-            for data, *truths in (
-                (x, pair.truth_shared_x, pair.truth_diff_x),
-                (y, pair.truth_shared_y, pair.truth_diff_y),
-            ):
-                informative = np.concatenate([t for t in truths if t is not None] or [[]])
-                cols = np.setdiff1d(np.arange(data.shape[1]), informative)
-                data[:, cols] += rng.normal(0.0, sigma_noise, (data.shape[0], cols.size))
-    return ModalPair(
-        x=x,
-        y=y,
-        **{name: getattr(pair, name) for name in _TRUTH_FIELDS},
-        labels=pair.labels,
-        latent=pair.latent,
-        meta={**pair.meta, "noise_sigma": sigma_noise, "noise_target": target},
     )
 
 

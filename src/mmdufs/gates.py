@@ -35,29 +35,26 @@ SIGMA = 0.5
 
 @dataclass
 class GateState:
-    """Per-feature gate parameters; sigma stays fixed for the whole run."""
+    """Per-feature gate parameters; the noise scale is the constant SIGMA."""
 
     mu: np.ndarray
-    sigma: float = SIGMA
     seed: int = 0
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=np.float64).copy()
-        if self.sigma <= 0:
-            raise ContractError("gate noise scale must be positive")
         self._rng = np.random.default_rng(self.seed)
 
     @classmethod
-    def zeros(cls, n_features: int, sigma: float = SIGMA, seed: int = 0) -> "GateState":
-        return cls(mu=np.zeros(n_features), sigma=sigma, seed=seed)
+    def zeros(cls, n_features: int, seed: int = 0) -> "GateState":
+        return cls(mu=np.zeros(n_features), seed=seed)
 
     @property
     def n_features(self) -> int:
         return self.mu.size
 
     def draw_noise(self) -> np.ndarray:
-        return self._rng.normal(0.0, self.sigma, size=self.mu.size)
+        return self._rng.normal(0.0, SIGMA, size=self.mu.size)
 
     def eval_gates(self) -> np.ndarray:
         return np.clip(0.5 + self.mu, 0.0, 1.0)
@@ -65,7 +62,7 @@ class GateState:
 
 def expected_l0(state: GateState) -> float:
     """Exact expectation of the number of gates with z > 0."""
-    return float(ndtr((0.5 + state.mu) / state.sigma).sum())
+    return float(ndtr((0.5 + state.mu) / SIGMA).sum())
 
 
 def select_features(state: GateState, policy: str = "top-k", k: int | None = None) -> list[int]:
@@ -110,11 +107,11 @@ def save_gates_csv(state: GateState, path) -> None:
             writer.writerow([i, repr(float(m)), repr(float(z))])
 
 
-def load_gates_csv(path, sigma: float = SIGMA) -> GateState:
+def load_gates_csv(path) -> GateState:
     mus = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)  # header
         for row in reader:
             mus.append(float(row[1]))
-    return GateState(mu=np.array(mus), sigma=sigma)
+    return GateState(mu=np.array(mus))

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tape import ContractError, DimensionError, Node, Tape, eigh_descending
+from .tape import ContractError, DimensionError, Node, Tape
 
 __all__ = [
     "shared_operator",
@@ -21,10 +21,7 @@ __all__ = [
     "differential_operator_array",
     "score_all_features",
     "zscore_columns",
-    "principal_angle_degrees",
 ]
-
-DEFAULT_C = 0.1
 
 
 def shared_operator(tape: Tape, l_x: Node, l_y: Node, b: float = 1.0) -> Node:
@@ -56,7 +53,7 @@ class DifferentialOperator(NamedTuple):
 
 
 def differential_operator(
-    tape: Tape, l_target: Node, l_other: Node, c: float = DEFAULT_C, b: float = 1.0
+    tape: Tape, l_target: Node, l_other: Node, c: float, b: float = 1.0
 ) -> DifferentialOperator:
     """b * (L_other + cI)^{-1} L_target (L_other + cI)^{-1}, on tape, in factored form.
 
@@ -78,7 +75,7 @@ def shared_operator_array(l_x: np.ndarray, l_y: np.ndarray, b: float = 1.0) -> n
 
 
 def differential_operator_array(
-    l_target: np.ndarray, l_other: np.ndarray, c: float = DEFAULT_C, b: float = 1.0
+    l_target: np.ndarray, l_other: np.ndarray, c: float, b: float = 1.0
 ) -> np.ndarray:
     if c <= 0:
         raise ContractError("regularization constant c must be positive")
@@ -102,18 +99,3 @@ def score_all_features(data: np.ndarray, op: np.ndarray) -> np.ndarray:
     if op.shape[0] != data.shape[0]:
         raise DimensionError("operator size does not match sample count")
     return np.einsum("ij,ij->j", data, op @ data)
-
-
-def principal_angle_degrees(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
-    """Largest principal angle between the column spans, in degrees."""
-    qa, _ = np.linalg.qr(np.asarray(basis_a, dtype=np.float64))
-    qb, _ = np.linalg.qr(np.asarray(basis_b, dtype=np.float64))
-    sv = np.linalg.svd(qa.T @ qb, compute_uv=False)
-    sv = np.clip(sv, -1.0, 1.0)
-    return float(np.degrees(np.arccos(sv.min())))
-
-
-def top_eigenspace(op: np.ndarray, k: int) -> np.ndarray:
-    """Orthonormal basis of the eigenspace of the k largest eigenvalues."""
-    _, vecs = eigh_descending(op)
-    return vecs[:, :k]

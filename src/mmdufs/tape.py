@@ -71,10 +71,10 @@ def _sym_normalize(k: np.ndarray):
     return k * r[:, None] * r[None, :], d, r
 
 
-def _check_symmetric(a: np.ndarray, sym_tol: float = 1e-8) -> None:
-    """ContractError unless max|a - a^T| <= sym_tol * max(max|a|, 1)."""
+def _check_symmetric(a: np.ndarray) -> None:
+    """ContractError unless max|a - a^T| <= 1e-8 * max(max|a|, 1)."""
     asym = np.abs(a - a.T).max() if a.size else 0.0
-    if asym > sym_tol * max(np.abs(a).max(), 1.0):
+    if asym > 1e-8 * max(np.abs(a).max(), 1.0):
         raise ContractError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
 
 
@@ -370,7 +370,7 @@ PRIMITIVES = (
 )
 
 
-def eigh_descending(a: np.ndarray, sym_tol: float = 1e-8):
+def eigh_descending(a: np.ndarray):
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
     The input is symmetrized as (A + A^T)/2 before decomposition. This is an
@@ -379,7 +379,7 @@ def eigh_descending(a: np.ndarray, sym_tol: float = 1e-8):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError("eigendecomposition needs a square matrix")
-    _check_symmetric(a, sym_tol)
+    _check_symmetric(a)
     sym = 0.5 * (a + a.T)
     w, v = np.linalg.eigh(sym)
     order = np.argsort(w)[::-1]

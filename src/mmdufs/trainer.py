@@ -216,42 +216,44 @@ def train(
     batch_rng = np.random.default_rng(cfg.seed + 2)
     log = TrainLog()
 
-    for epoch in range(cfg.epochs):
-        if cfg.batch_size is None or cfg.batch_size >= n:
-            xb, yb = data_x, data_y
-        else:
-            idx = batch_rng.choice(n, size=cfg.batch_size, replace=False)
-            xb, yb = data_x[idx], data_y[idx]
+    # inf/nan end in a typed error (NumericalError, TrainingDiverged), not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            if cfg.batch_size is None or cfg.batch_size >= n:
+                xb, yb = data_x, data_y
+            else:
+                idx = batch_rng.choice(n, size=cfg.batch_size, replace=False)
+                xb, yb = data_x[idx], data_y[idx]
 
-        tape = Tape()
-        mu_x = tape.leaf(gates_x.mu, trainable=True)
-        mu_y = tape.leaf(gates_y.mu, trainable=True)
-        z_x = tape.hard_sigmoid(tape.add(mu_x, tape.constant(gates_x.draw_noise())))
-        z_y = tape.hard_sigmoid(tape.add(mu_y, tape.constant(gates_y.draw_noise())))
-        loss, s_x, s_y, graphs = _objective(tape, xb, yb, z_x, z_y, mu_x, mu_y, cfg)
-        grads = tape.backward(loss)
-        gates_x.mu -= cfg.learning_rate * grads[mu_x.idx]
-        gates_y.mu -= cfg.learning_rate * grads[mu_y.idx]
-        if not (np.isfinite(gates_x.mu).all() and np.isfinite(gates_y.mu).all()):
-            raise TrainingDiverged(epoch, log.last)
+            tape = Tape()
+            mu_x = tape.leaf(gates_x.mu, trainable=True)
+            mu_y = tape.leaf(gates_y.mu, trainable=True)
+            z_x = tape.hard_sigmoid(tape.add(mu_x, tape.constant(gates_x.draw_noise())))
+            z_y = tape.hard_sigmoid(tape.add(mu_y, tape.constant(gates_y.draw_noise())))
+            loss, s_x, s_y, graphs = _objective(tape, xb, yb, z_x, z_y, mu_x, mu_y, cfg)
+            grads = tape.backward(loss)
+            gates_x.mu -= cfg.learning_rate * grads[mu_x.idx]
+            gates_y.mu -= cfg.learning_rate * grads[mu_y.idx]
+            if not (np.isfinite(gates_x.mu).all() and np.isfinite(gates_y.mu).all()):
+                raise TrainingDiverged(epoch, log.last)
 
-        record = {
-            "epoch": epoch,
-            "loss": float(loss.value),
-            "score_x": float(s_x.value),
-            "score_y": float(s_y.value),
-            "reg_x": expected_l0(gates_x),
-            "reg_y": expected_l0(gates_y),
-            "open_x": int(np.count_nonzero(gates_x.eval_gates() > 0)),
-            "open_y": int(np.count_nonzero(gates_y.eval_gates() > 0)),
-        }
-        if ground_truth:
-            for key, gates in (("x", gates_x), ("y", gates_y)):
-                truth = ground_truth.get(key)
-                if truth is not None:
-                    sel = select_features(gates, "top-k", k=len(truth))
-                    record[f"f1_{key}"] = f1(sel, truth)
-        log.append(**record)
+            record = {
+                "epoch": epoch,
+                "loss": float(loss.value),
+                "score_x": float(s_x.value),
+                "score_y": float(s_y.value),
+                "reg_x": expected_l0(gates_x),
+                "reg_y": expected_l0(gates_y),
+                "open_x": int(np.count_nonzero(gates_x.eval_gates() > 0)),
+                "open_y": int(np.count_nonzero(gates_y.eval_gates() > 0)),
+            }
+            if ground_truth:
+                for key, gates in (("x", gates_x), ("y", gates_y)):
+                    truth = ground_truth.get(key)
+                    if truth is not None:
+                        sel = select_features(gates, "top-k", k=len(truth))
+                        record[f"f1_{key}"] = f1(sel, truth)
+            log.append(**record)
 
     return TrainResult(
         gates_x=gates_x,
@@ -282,8 +284,6 @@ def warmup_tune(
     cfg_template: RunConfig,
     lambda_grid,
     warmup_epochs: int = 1000,
-    n_selected_x: int | None = None,
-    n_selected_y: int | None = None,
 ) -> tuple[float, float, list[dict]]:
     """Short-run grid search over lambda maximizing the mean operator scores.
 
@@ -300,7 +300,6 @@ def warmup_tune(
         raise ContractError("lambda grid must be nonempty")
     n = pair.n_samples
     d_x, d_y = pair.selection_sizes(cfg_template.mode)
-    d_x, d_y = n_selected_x or d_x, n_selected_y or d_y
 
     records = []
     for lam in grid:

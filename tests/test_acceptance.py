@@ -23,6 +23,7 @@ from mmdufs.bench import (
     mean_f1,
     run_experiment,
 )
+from mmdufs import trainer
 from mmdufs.cli import main
 from mmdufs.datagen import ModalPair, gen_gaussian_mixture
 from mmdufs.gates import GateState, select_features
@@ -31,12 +32,11 @@ from mmdufs.tape import pairwise_sq_dists
 from mmdufs.operators import (
     differential_operator,
     differential_operator_array,
-    principal_angle_degrees,
     shared_operator,
     shared_operator_array,
-    top_eigenspace,
 )
 from mmdufs.tape import Tape, eigh_descending
+from subspace import principal_angle_degrees, top_eigenspace
 from mmdufs.trainer import (
     RunConfig,
     differential_loss,
@@ -252,7 +252,7 @@ class TestCriterion8GateStatistics:
     def test_open_probability_matches_gaussian_cdf(self, mu):
         n_samples = 100_000
         sigma = 0.5
-        state = GateState(mu=np.full(n_samples, mu), sigma=sigma, seed=123)
+        state = GateState(mu=np.full(n_samples, mu), seed=123)
         # the sampler training uses: hard_sigmoid(mu + eps) on a tape
         tape = Tape()
         z = tape.hard_sigmoid(tape.add(tape.leaf(state.mu), tape.constant(state.draw_noise()))).value
@@ -263,16 +263,30 @@ class TestCriterion8GateStatistics:
 
 
 class TestCriterion9WarmupTuning:
-    def test_chosen_lambda_is_near_grid_optimal(self):
+    def test_chosen_lambda_is_near_grid_optimal(self, monkeypatch):
         pair = gen_gaussian_mixture(seed=0)
         cfg = replace(SHARED_HYPERPARAMS["gaussian"], seed=0)
         grid = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0]
+        # oracle: full preset training at every grid value. The warm-up trains
+        # exactly those runs (its 1000 epochs are the preset's), and training is
+        # deterministic, so the oracle reads the warm-up's own results.
+        runs = []
+
+        def recording_train(run_pair, run_cfg):
+            assert run_pair is pair
+            result = train(run_pair, run_cfg)
+            runs.append((run_cfg, result))
+            return result
+
+        monkeypatch.setattr(trainer, "train", recording_train)
         lam_x, lam_y, records = warmup_tune(pair, cfg, grid, warmup_epochs=1000)
         assert lam_x == lam_y and lam_x in grid
-        # oracle: full preset training at every grid value
+        assert [run_cfg for run_cfg, _ in runs] == [
+            replace(cfg, lambda_x=lam, lambda_y=lam) for lam in grid
+        ]
         full = {}
-        for lam in grid:
-            result = train(pair, replace(cfg, lambda_x=lam, lambda_y=lam))
+        for run_cfg, result in runs:
+            lam = run_cfg.lambda_x
             fx = f1(select_features(result.gates_x, "top-k", k=30), pair.truth_shared_x)
             fy = f1(select_features(result.gates_y, "top-k", k=20), pair.truth_shared_y)
             full[lam] = 0.5 * (fx + fy)

@@ -154,7 +154,7 @@ class TestRunExperiment:
         x = RNG.normal(size=(5, 2))
         x[2, 1] = np.nan  # gaussian_kernel rejects non-finite input with NumericalError
         bad = ModalPair(x=x, y=RNG.normal(size=(5, 2)))
-        rows = run_experiment({"dataset": bad, "methods": ["MC"], "seeds": [0], "k_x": 1, "k_y": 1})
+        rows = run_experiment({"dataset": bad, "methods": ["MC"], "seeds": [0]})
         assert len(rows) == 1
         assert "non-finite" in rows[0]["error"]
         assert rows[0]["f1_x"] is None and rows[0]["f1_y"] is None
@@ -168,7 +168,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(bench, "baseline_select", failing)
         pair = ModalPair(x=RNG.normal(size=(10, 3)), y=RNG.normal(size=(10, 2)))
-        rows = run_experiment({"dataset": pair, "methods": ["MC", "mmKS"], "k_x": 1, "k_y": 1})
+        rows = run_experiment({"dataset": pair, "methods": ["MC", "mmKS"]})
         assert [r["error"] for r in rows] == [str(exc)] * 2
         assert all(r["f1_x"] is None and r["wall_time"] is None for r in rows)
 
@@ -177,16 +177,14 @@ class TestRunExperiment:
         with pytest.raises(TypeError):
             run_experiment({"dataset": "gaussian", "methods": ["mmDUFS"], "epochs": "3"})
 
-    def test_callable_dataset(self):
-        rows = run_experiment(
-            {
-                "dataset": lambda seed: gen_gaussian_mixture(seed),
-                "name": "gm",
-                "methods": ["mmKS"],
-                "seeds": [0],
-            }
-        )
-        assert rows[0]["dataset"] == "gm"
+    def test_modal_pair_dataset_takes_name(self):
+        """A ModalPair is used as given for every seed; its rows carry spec["name"]."""
+        spec = {"dataset": gen_gaussian_mixture(0), "methods": ["mmKS"], "seeds": [0, 1]}
+        rows = run_experiment({**spec, "name": "gm"})
+        assert [r["dataset"] for r in rows] == ["gm", "gm"]
+        assert rows[0]["f1_x"] == rows[1]["f1_x"] == run_experiment(
+            {"dataset": "gaussian", "methods": ["mmKS"], "seeds": [0]})[0]["f1_x"]
+        assert run_experiment(spec)[0]["dataset"] == "custom"
 
 
 class TestReports:

@@ -111,7 +111,7 @@ class TestTrain:
         assert res.exit_code == 2
         assert field in res.output
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_run_exits_1_without_gates(self, runner, tmp_path):
         """A step to infinite gates fails with exit 1 and leaves no gates file."""
         rng = np.random.default_rng(0)
@@ -206,6 +206,19 @@ class TestTrain:
         assert runner.invoke(main, args).exit_code == 0
         assert runner.invoke(main, args).exit_code == 2
         assert runner.invoke(main, args + ["--force"]).exit_code == 0
+
+    def test_overwrite_guard_covers_manifest(self, runner, dataset, tmp_path):
+        """An old run_manifest.json alone still needs --force."""
+        cfg = write_config(tmp_path, epochs=1)
+        out = tmp_path / "run"
+        out.mkdir()
+        manifest = out / "run_manifest.json"
+        manifest.write_bytes(b'{"old": true}')
+        res = runner.invoke(main, ["train", "--data", str(dataset), "--config", str(cfg),
+                                   "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "run_manifest.json" in res.output
+        assert manifest.read_bytes() == b'{"old": true}'
 
     def test_determinism_bit_identical(self, runner, dataset, tmp_path):
         cfg = write_config(tmp_path, epochs=3)

@@ -1,4 +1,4 @@
-"""Synthetic generators, noise injection, ingestion, and persistence."""
+"""Synthetic generators, ingestion, and persistence."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from mmdufs.datagen import (
     gen_gaussian_mixture,
     gen_tree,
     ingest,
-    inject_noise,
     load_pair,
     save_pair,
 )
@@ -170,32 +169,6 @@ class TestCube:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             gen_cube(n=5)
-
-
-class TestInjectNoise:
-    def test_all_columns(self):
-        p = gen_gaussian_mixture(seed=0)
-        noisy = inject_noise(p, 1.0, target="all", seed=1)
-        assert not np.array_equal(noisy.x, p.x)
-        assert noisy.meta["noise_sigma"] == 1.0
-
-    def test_non_informative_only(self):
-        p = gen_gaussian_mixture(seed=0)
-        noisy = inject_noise(p, 2.0, target="non-informative", seed=1)
-        np.testing.assert_array_equal(noisy.x[:, :70], p.x[:, :70])
-        assert not np.array_equal(noisy.x[:, 70:], p.x[:, 70:])
-
-    def test_zero_sigma_identity(self):
-        p = gen_gaussian_mixture(seed=0)
-        same = inject_noise(p, 0.0)
-        np.testing.assert_array_equal(same.x, p.x)
-
-    def test_validation(self):
-        p = gen_gaussian_mixture(seed=0)
-        with pytest.raises(ValueError):
-            inject_noise(p, -1.0)
-        with pytest.raises(ValueError):
-            inject_noise(p, 1.0, target="everything")
 
 
 class TestIngest:

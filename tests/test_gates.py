@@ -21,7 +21,7 @@ from mmdufs.tape import ContractError, Tape
 
 class TestGateState:
     def test_zeros_factory(self):
-        g = GateState.zeros(5, sigma=0.5, seed=3)
+        g = GateState.zeros(5, seed=3)
         assert g.n_features == 5
         np.testing.assert_array_equal(g.mu, 0.0)
         np.testing.assert_array_equal(g.eval_gates(), 0.5)
@@ -29,10 +29,6 @@ class TestGateState:
     def test_eval_gates_clamped(self):
         g = GateState(mu=np.array([-2.0, -0.2, 0.0, 0.3, 3.0]))
         np.testing.assert_allclose(g.eval_gates(), [0.0, 0.3, 0.5, 0.8, 1.0])
-
-    def test_sigma_validation(self):
-        with pytest.raises(ContractError):
-            GateState(mu=np.zeros(2), sigma=0.0)
 
     def test_noise_deterministic_per_seed(self):
         a = GateState.zeros(4, seed=9).draw_noise()
@@ -57,7 +53,8 @@ class TestSampling:
 
     def test_sigma_is_fixed_default(self):
         assert SIGMA == 0.5
-        assert GateState.zeros(3).sigma == GateState(mu=np.zeros(3)).sigma == SIGMA
+        want = np.random.default_rng(4).normal(0.0, SIGMA, size=3)
+        np.testing.assert_array_equal(GateState.zeros(3, seed=4).draw_noise(), want)
 
     def test_train_mode_within_bounds(self):
         g = GateState.zeros(1000, seed=0)
@@ -69,7 +66,7 @@ class TestSampling:
         """Empirical mean/variance of z match the censored-Gaussian formulas."""
         n = 200_000
         for mu in (-0.5, 0.0, 0.5):
-            g = GateState(mu=np.full(n, mu), sigma=0.5, seed=17)
+            g = GateState(mu=np.full(n, mu), seed=17)
             z = sample_gates(g)
             m, s = 0.5 + mu, 0.5
             alpha, beta = -m / s, (1 - m) / s
@@ -84,7 +81,7 @@ class TestSampling:
     def test_open_probability(self):
         n = 100_000
         for mu in (-0.5, 0.0, 0.5):
-            g = GateState(mu=np.full(n, mu), sigma=0.5, seed=23)
+            g = GateState(mu=np.full(n, mu), seed=23)
             z = sample_gates(g)
             p = float(ndtr((0.5 + mu) / 0.5))
             phat = np.mean(z > 0)
@@ -95,11 +92,11 @@ class TestSampling:
 class TestExpectedL0:
     def test_matches_formula(self):
         mu = np.array([-1.0, -0.2, 0.0, 0.4, 2.0])
-        g = GateState(mu=mu, sigma=0.5)
+        g = GateState(mu=mu)
         assert expected_l0(g) == pytest.approx(float(ndtr((0.5 + mu) / 0.5).sum()))
 
     def test_matches_monte_carlo(self):
-        g = GateState(mu=np.array([0.0]), sigma=0.5, seed=5)
+        g = GateState(mu=np.array([0.0]), seed=5)
         draws = np.clip(0.5 + np.random.default_rng(1).normal(0, 0.5, 200_000), 0, 1)
         assert expected_l0(g) == pytest.approx(np.mean(draws > 0), abs=3e-3)
 
@@ -154,7 +151,7 @@ class TestSelection:
 
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
-        g = GateState(mu=np.array([0.123456789012345678, -1.5, 0.0, 2.0]), sigma=0.5)
+        g = GateState(mu=np.array([0.123456789012345678, -1.5, 0.0, 2.0]))
         path = tmp_path / "gates.csv"
         save_gates_csv(g, path)
         back = load_gates_csv(path)

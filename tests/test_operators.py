@@ -6,15 +6,14 @@ import pytest
 from mmdufs.operators import (
     differential_operator,
     differential_operator_array,
-    principal_angle_degrees,
     score_all_features,
     shared_operator,
     shared_operator_array,
-    top_eigenspace,
     zscore_columns,
 )
 from mmdufs.graph import gaussian_kernel, normalized_laplacian
 from mmdufs.tape import ContractError, DimensionError, Tape, eigh_descending, pairwise_sq_dists
+from subspace import principal_angle_degrees, top_eigenspace
 
 RNG = np.random.default_rng(42)
 

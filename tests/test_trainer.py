@@ -28,7 +28,7 @@ from mmdufs.operators import (
     shared_operator,
     shared_operator_array,
 )
-from mmdufs.tape import ContractError, Tape, pairwise_sq_dists
+from mmdufs.tape import ContractError, NumericalError, Tape, pairwise_sq_dists
 from mmdufs.trainer import (
     RunConfig,
     TrainingDiverged,
@@ -204,8 +204,8 @@ class TestDifferentialSingleSweep:
         # one SGD step from mu = 0 at learning rate 1 leaves exactly mu = -grad
         grads = (-res.gates_x.mu, -res.gates_y.mu)
         # train seeds the gate states with seed and seed + 1
-        noise_x = GateState.zeros(pair.x.shape[1], SIGMA, cfg.seed).draw_noise()
-        noise_y = GateState.zeros(pair.y.shape[1], SIGMA, cfg.seed + 1).draw_noise()
+        noise_x = GateState.zeros(pair.x.shape[1], seed=cfg.seed).draw_noise()
+        noise_y = GateState.zeros(pair.y.shape[1], seed=cfg.seed + 1).draw_noise()
         return grads, (noise_x, noise_y), (res.bandwidth_x, res.bandwidth_y)
 
     def test_matches_per_modality_oracle(self):
@@ -317,8 +317,8 @@ class TestSharedFusedEpoch:
         res = train(pair, cfg)
         # one SGD step from mu = 0 at learning rate 1 leaves exactly mu = -grad
         gx, gy = -res.gates_x.mu, -res.gates_y.mu
-        noise_x = GateState.zeros(pair.x.shape[1], SIGMA, cfg.seed).draw_noise()
-        noise_y = GateState.zeros(pair.y.shape[1], SIGMA, cfg.seed + 1).draw_noise()
+        noise_x = GateState.zeros(pair.x.shape[1], seed=cfg.seed).draw_noise()
+        noise_y = GateState.zeros(pair.y.shape[1], seed=cfg.seed + 1).draw_noise()
         tape, mu_x, mu_y, gated_x, gated_y, graphs = gated_graphs(
             pair, np.zeros(7), np.zeros(15), noise_x, noise_y, res.bandwidth_x, res.bandwidth_y
         )
@@ -482,15 +482,16 @@ class TestTrain:
             opens.append(res.log.last["open_x"] + res.log.last["open_y"])
         assert all(a >= b for a, b in zip(opens, opens[1:]))
 
-    def test_divergence_raises(self):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_regularizer_raises_numerical_error(self):
         pair = tiny_pair()
         # a regularizer weight near the float64 ceiling overflows the loss on
         # the first epoch; the failure must surface as a typed error, not nan
         cfg = RunConfig(epochs=200, learning_rate=1.0, lambda_x=1e308, lambda_y=1e308)
-        with pytest.raises((TrainingDiverged, OverflowError, FloatingPointError)):
+        with pytest.raises(NumericalError, match="non-finite"):
             train(pair, cfg)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_step_raises_diverged(self):
         """A step to infinite gates on the last epoch is an error, not a returned result."""
         cfg = RunConfig(mode="differential", epochs=1, learning_rate=1e308)
@@ -499,22 +500,27 @@ class TestTrain:
         assert info.value.epoch == 0 and info.value.last_record is None
 
 
+def tuning_pair(seed):
+    """tiny_pair with truth sets of 3 (X) and 2 (Y) features: the sizes warm-up scores divide by."""
+    p = tiny_pair(seed=seed)
+    x3, y2 = np.arange(3), np.arange(2)
+    return ModalPair(x=p.x, y=p.y, truth_shared_x=x3, truth_shared_y=y2,
+                     truth_diff_x=x3, truth_diff_y=y2)
+
+
 class TestWarmupTune:
     def test_returns_grid_member_and_records(self):
-        pair = tiny_pair(seed=4)
+        pair = tuning_pair(seed=4)
         cfg = RunConfig(epochs=3)
         grid = [1e-4, 1e-2, 1e0]
-        lx, ly, records = warmup_tune(pair, cfg, grid, warmup_epochs=3, n_selected_x=3, n_selected_y=2)
+        lx, ly, records = warmup_tune(pair, cfg, grid, warmup_epochs=3)
         assert lx in grid and ly in grid
         assert [r["lambda"] for r in records] == sorted(grid)
         assert all("score_shared" in r for r in records)
 
     def test_argmax_property(self):
-        pair = tiny_pair(seed=4)
-        lx, _, records = warmup_tune(
-            pair, RunConfig(epochs=3), [1e-3, 1e-1], warmup_epochs=3,
-            n_selected_x=3, n_selected_y=2,
-        )
+        pair = tuning_pair(seed=4)
+        lx, _, records = warmup_tune(pair, RunConfig(epochs=3), [1e-3, 1e-1], warmup_epochs=3)
         best = max(r["score_shared"] for r in records)
         chosen = next(r for r in records if r["lambda"] == lx)
         assert chosen["score_shared"] == best
@@ -522,11 +528,8 @@ class TestWarmupTune:
     def test_tie_prefers_smaller_lambda(self):
         # a grid with one value duplicated cannot tie after dedup; craft a tie by
         # checking the first-hit rule on identical scores (lam so small both runs agree)
-        pair = tiny_pair(seed=4)
-        lx, ly, records = warmup_tune(
-            pair, RunConfig(epochs=2), [1e-12, 1e-11], warmup_epochs=2,
-            n_selected_x=3, n_selected_y=2,
-        )
+        pair = tuning_pair(seed=4)
+        lx, ly, records = warmup_tune(pair, RunConfig(epochs=2), [1e-12, 1e-11], warmup_epochs=2)
         if records[0]["score_shared"] == records[1]["score_shared"]:
             assert lx == 1e-12
 
@@ -535,10 +538,9 @@ class TestWarmupTune:
             warmup_tune(tiny_pair(), RunConfig(epochs=1), [])
 
     def test_differential_mode_separate_lambdas(self):
-        pair = tiny_pair(seed=6)
+        pair = tuning_pair(seed=6)
         cfg = RunConfig(mode="differential", epochs=2)
-        lx, ly, records = warmup_tune(pair, cfg, [1e-3, 1e-1], warmup_epochs=2,
-                                      n_selected_x=3, n_selected_y=2)
+        lx, ly, records = warmup_tune(pair, cfg, [1e-3, 1e-1], warmup_epochs=2)
         assert all("score_x" in r and "score_y" in r for r in records)
 
 
