@@ -285,20 +285,28 @@ def evaluate(selection_path, datadir, mode, out_path, force) -> None:
 
 
 def _experiment_cell(args):
-    spec, method, seed = args
-    return run_experiment({**spec, "methods": [method], "seeds": [seed]})
+    spec, methods, seed = args
+    return run_experiment({**spec, "methods": methods, "seeds": [seed]})
 
 
 def _run_cells(spec: dict, jobs: int) -> list[dict]:
+    """run_experiment(spec)'s rows, in its (seed, method) order, from up to jobs processes.
+
+    A cell is one seed's baselines, which share that seed's Laplacians, or one other run.
+    """
     methods = spec.get("methods", list(BASELINES) + ["mmDUFS"])
     seeds = spec.get("seeds", [0])
-    cells = [(spec, m, s) for s in seeds for m in methods]
+    groups = [[m for m in methods if m in BASELINES]] + [[m] for m in methods if m not in BASELINES]
+    groups = [g for g in groups if g]
+    cells = [(spec, group, s) for s in seeds for group in groups]
     if jobs <= 1 or len(cells) <= 1:
         return run_experiment(spec)
     rows: list[dict] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for cell_rows in pool.map(_experiment_cell, cells):
-            rows.extend(cell_rows)
+        results = pool.map(_experiment_cell, cells)
+        for _ in seeds:
+            seed_rows = [row for _ in groups for row in next(results)]
+            rows.extend(sorted(seed_rows, key=lambda row: methods.index(row["method"])))
     return rows
 
 

@@ -91,6 +91,11 @@ class TrainResult:
     bandwidth_y: float
 
 
+# inf/nan end in a typed error (NumericalError, TrainingDiverged), not a numpy
+# warning: train and _eval_scores, the callers of _objective, run in this scope.
+_typed_errors_only = np.errstate(over="ignore", invalid="ignore")
+
+
 class TrainingDiverged(ArithmeticError):
     """An SGD step made the gate parameters non-finite; carries the epoch and last record."""
 
@@ -186,6 +191,7 @@ def _objective(tape, xb, yb, z_x, z_y, mu_x, mu_y, cfg, bandwidths=(None, None))
     return tape.add(loss_x, loss_y), s_x, s_y, graphs
 
 
+@_typed_errors_only
 def train(
     pair: ModalPair,
     cfg: RunConfig,
@@ -216,44 +222,42 @@ def train(
     batch_rng = np.random.default_rng(cfg.seed + 2)
     log = TrainLog()
 
-    # inf/nan end in a typed error (NumericalError, TrainingDiverged), not a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            if cfg.batch_size is None or cfg.batch_size >= n:
-                xb, yb = data_x, data_y
-            else:
-                idx = batch_rng.choice(n, size=cfg.batch_size, replace=False)
-                xb, yb = data_x[idx], data_y[idx]
+    for epoch in range(cfg.epochs):
+        if cfg.batch_size is None or cfg.batch_size >= n:
+            xb, yb = data_x, data_y
+        else:
+            idx = batch_rng.choice(n, size=cfg.batch_size, replace=False)
+            xb, yb = data_x[idx], data_y[idx]
 
-            tape = Tape()
-            mu_x = tape.leaf(gates_x.mu, trainable=True)
-            mu_y = tape.leaf(gates_y.mu, trainable=True)
-            z_x = tape.hard_sigmoid(tape.add(mu_x, tape.constant(gates_x.draw_noise())))
-            z_y = tape.hard_sigmoid(tape.add(mu_y, tape.constant(gates_y.draw_noise())))
-            loss, s_x, s_y, graphs = _objective(tape, xb, yb, z_x, z_y, mu_x, mu_y, cfg)
-            grads = tape.backward(loss)
-            gates_x.mu -= cfg.learning_rate * grads[mu_x.idx]
-            gates_y.mu -= cfg.learning_rate * grads[mu_y.idx]
-            if not (np.isfinite(gates_x.mu).all() and np.isfinite(gates_y.mu).all()):
-                raise TrainingDiverged(epoch, log.last)
+        tape = Tape()
+        mu_x = tape.leaf(gates_x.mu, trainable=True)
+        mu_y = tape.leaf(gates_y.mu, trainable=True)
+        z_x = tape.hard_sigmoid(tape.add(mu_x, tape.constant(gates_x.draw_noise())))
+        z_y = tape.hard_sigmoid(tape.add(mu_y, tape.constant(gates_y.draw_noise())))
+        loss, s_x, s_y, graphs = _objective(tape, xb, yb, z_x, z_y, mu_x, mu_y, cfg)
+        grads = tape.backward(loss)
+        gates_x.mu -= cfg.learning_rate * grads[mu_x.idx]
+        gates_y.mu -= cfg.learning_rate * grads[mu_y.idx]
+        if not (np.isfinite(gates_x.mu).all() and np.isfinite(gates_y.mu).all()):
+            raise TrainingDiverged(epoch, log.last)
 
-            record = {
-                "epoch": epoch,
-                "loss": float(loss.value),
-                "score_x": float(s_x.value),
-                "score_y": float(s_y.value),
-                "reg_x": expected_l0(gates_x),
-                "reg_y": expected_l0(gates_y),
-                "open_x": int(np.count_nonzero(gates_x.eval_gates() > 0)),
-                "open_y": int(np.count_nonzero(gates_y.eval_gates() > 0)),
-            }
-            if ground_truth:
-                for key, gates in (("x", gates_x), ("y", gates_y)):
-                    truth = ground_truth.get(key)
-                    if truth is not None:
-                        sel = select_features(gates, "top-k", k=len(truth))
-                        record[f"f1_{key}"] = f1(sel, truth)
-            log.append(**record)
+        record = {
+            "epoch": epoch,
+            "loss": float(loss.value),
+            "score_x": float(s_x.value),
+            "score_y": float(s_y.value),
+            "reg_x": expected_l0(gates_x),
+            "reg_y": expected_l0(gates_y),
+            "open_x": int(np.count_nonzero(gates_x.eval_gates() > 0)),
+            "open_y": int(np.count_nonzero(gates_y.eval_gates() > 0)),
+        }
+        if ground_truth:
+            for key, gates in (("x", gates_x), ("y", gates_y)):
+                truth = ground_truth.get(key)
+                if truth is not None:
+                    sel = select_features(gates, "top-k", k=len(truth))
+                    record[f"f1_{key}"] = f1(sel, truth)
+        log.append(**record)
 
     return TrainResult(
         gates_x=gates_x,
@@ -264,6 +268,7 @@ def train(
     )
 
 
+@_typed_errors_only
 def _eval_scores(pair: ModalPair, cfg: RunConfig, result: TrainResult) -> tuple[float, float]:
     """Raw trace scores Tr[X~T Op X~], Tr[Y~T Op Y~] of the full data.
 

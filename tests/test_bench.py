@@ -1,10 +1,13 @@
 """Baselines, F1, and the experiment harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mmdufs import bench
 from mmdufs.bench import (
+    BASELINE_BANDWIDTH_FACTOR,
     BASELINES,
     DATASET_PRESETS,
     DIFFERENTIAL_HYPERPARAMS,
@@ -15,8 +18,10 @@ from mmdufs.bench import (
     run_experiment,
     write_rows_csv,
 )
-from mmdufs.datagen import ModalPair, gen_gaussian_mixture
-from mmdufs.gates import f1
+from mmdufs.datagen import ModalPair, gen_gaussian_mixture, gen_tree
+from mmdufs.gates import f1, top_k
+from mmdufs.graph import data_laplacian
+from mmdufs.operators import score_all_features, zscore_columns
 from mmdufs.tape import ContractError, SingularMatrixError
 
 RNG = np.random.default_rng(3)
@@ -97,6 +102,31 @@ class TestBaselineSelect:
         assert set(ks.selected_x) == set(int(i) for i in base)
         assert set(kp.selected_x) == set(int(i) for i in base_sq)
 
+    @pytest.mark.parametrize("preset,seed", [("gaussian", 0), ("gaussian", 1), ("gaussian", 2),
+                                             ("tree", 0)])
+    def test_factored_scores_match_dense_operators(self, monkeypatch, preset, seed):
+        """mmKS and mmKP rank by diag(Z^T (L_x + L_y) Z) and diag(Z^T L_x L_y Z), unformed."""
+        pair = DATASET_PRESETS[preset](seed)
+        ranked = []
+
+        def capture(scores, k):
+            ranked.append(np.array(scores))
+            return top_k(scores, k)
+
+        monkeypatch.setattr(bench, "top_k", capture)
+        l_x = data_laplacian(pair.x, BASELINE_BANDWIDTH_FACTOR)
+        l_y = data_laplacian(pair.y, BASELINE_BANDWIDTH_FACTOR)
+        k_x, k_y = pair.selection_sizes("shared")
+        for method, op in (("mmKS", l_x + l_y), ("mmKP", l_x @ l_y)):
+            ranked.clear()
+            res = baseline_select(pair, method, k_x, k_y)
+            for data, got, k, selected in zip(
+                (pair.x, pair.y), ranked, (k_x, k_y), (res.selected_x, res.selected_y)
+            ):
+                dense = score_all_features(zscore_columns(data), op)
+                np.testing.assert_allclose(got, dense, rtol=1e-10)
+                assert selected == top_k(dense, k)
+
     def test_truthless_pair_has_no_f1(self):
         pair = ModalPair(x=RNG.normal(size=(20, 4)), y=RNG.normal(size=(20, 3)))
         r = baseline_select(pair, "MC", 2, 2)
@@ -158,6 +188,53 @@ class TestRunExperiment:
         assert len(rows) == 1
         assert "non-finite" in rows[0]["error"]
         assert rows[0]["f1_x"] is None and rows[0]["f1_y"] is None
+
+    def test_nonfinite_y_recorded_on_every_baseline(self):
+        """A NaN in Y fails MC, mmKS and mmKP alike; a failed shared build is not kept."""
+        y = RNG.normal(size=(6, 2))
+        y[3, 0] = np.nan
+        bad = ModalPair(x=RNG.normal(size=(6, 3)), y=y)
+        rows = run_experiment({"dataset": bad, "methods": list(BASELINES), "seeds": [0, 1]})
+        assert [(r["seed"], r["method"]) for r in rows] == [
+            (s, m) for s in (0, 1) for m in BASELINES
+        ]
+        for row in rows:
+            assert "non-finite" in row["error"]
+            assert row["f1_x"] is None and row["f1_y"] is None and row["wall_time"] is None
+
+    def test_baselines_share_one_laplacian_per_modality(self, monkeypatch):
+        """Per seed: one Laplacian for MC and one per modality for mmKS and mmKP together."""
+        calls = []
+
+        def counting(data, scale):
+            calls.append(data.shape)
+            return data_laplacian(data, scale)
+
+        monkeypatch.setattr(bench, "data_laplacian", counting)
+        run_experiment({"dataset": "gaussian", "methods": list(BASELINES), "seeds": [0, 1]})
+        assert len(calls) == 6
+
+    def test_shared_pieces_add_no_memory_peak(self):
+        """Two seeds of baselines peak no higher than one standalone mmKS call.
+
+        Nothing a seed builds outlives it, so the second seed's MC cell runs
+        beside none of the first seed's arrays. The 1% covers the harness's
+        rows and cache (a few kB); a kept Laplacian would add 8 MB (n = 1000).
+        """
+        pair = gen_tree(0)
+        k_x, k_y = pair.selection_sizes("shared")
+        spec = {"dataset": pair, "methods": list(BASELINES), "seeds": [0, 1]}
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        grid = traced_peak(lambda: run_experiment(spec))
+        assert grid <= 1.01 * traced_peak(lambda: baseline_select(pair, "mmKS", k_x, k_y))
 
     @pytest.mark.parametrize(
         "exc", [SingularMatrixError("singular"), ValueError("bad value"), ContractError("contract")]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mmdufs.cli import main
+from mmdufs.cli import _run_cells, main
 from mmdufs.datagen import ModalPair, load_pair, save_pair
 
 
@@ -333,6 +333,19 @@ class TestReproduce:
     def test_unknown_target(self, runner, tmp_path):
         res = runner.invoke(main, ["reproduce", "mnist-figure", "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
+
+    def test_parallel_cells_match_serial_rows(self):
+        """Cells grouped by seed on 2 workers give the serial rows in the serial order."""
+        spec = {"dataset": "gaussian", "seeds": [0, 1], "epochs": 2}
+
+        def strip(rows):
+            return [{k: v for k, v in r.items() if k != "wall_time"} for r in rows]
+
+        serial = _run_cells(spec, jobs=1)
+        assert [(r["seed"], r["method"]) for r in serial] == [
+            (s, m) for s in (0, 1) for m in ("MC", "mmKS", "mmKP", "mmDUFS")
+        ]
+        assert strip(_run_cells(spec, jobs=2)) == strip(serial)
 
 
 class TestImport:

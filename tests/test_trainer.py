@@ -499,6 +499,15 @@ class TestTrain:
             train(tiny_pair(seed=0), cfg)
         assert info.value.epoch == 0 and info.value.last_record is None
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_warmup_score_raises_numerical_error(self):
+        """Warm-up scoring runs under train's errstate: an overflow is the tape's typed error."""
+        pair = gen_gaussian_mixture(seed=0)
+        cfg = RunConfig(mode="differential", epochs=2)
+        result = train(pair, cfg)
+        with pytest.raises(NumericalError, match="non-finite"):
+            _eval_scores(pair, dataclasses.replace(cfg, b=1.7e308), result)
+
 
 def tuning_pair(seed):
     """tiny_pair with truth sets of 3 (X) and 2 (Y) features: the sizes warm-up scores divide by."""
