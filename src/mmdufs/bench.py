@@ -158,8 +158,9 @@ def run_experiment(spec: dict) -> list[dict]:
       epochs:  optional override of the preset epoch count
     mmDUFS trains with the mode's preset (RunConfig() if none; a ModalPair
     takes "gaussian"). Numerical and contract failures (ArithmeticError,
-    ValueError, ContractError) are recorded per cell and the experiment
-    continues; any other exception propagates.
+    ValueError, ContractError) are recorded per cell, as the message in
+    "error" and the exception's class name in "error_type", and the
+    experiment continues; any other exception propagates.
 
     mmKS and mmKP of one seed share its two Laplacians' products with the
     data (_modality_products), built by the first of them to run: in the
@@ -199,7 +200,10 @@ def run_experiment(spec: dict) -> list[dict]:
             except (ArithmeticError, ValueError, ContractError) as exc:
                 # Numerical and contract failures of one cell are recorded and
                 # the grid goes on; anything else is a bug and propagates.
-                row.update(f1_x=None, f1_y=None, wall_time=None, error=str(exc))
+                row.update(
+                    f1_x=None, f1_y=None, wall_time=None,
+                    error=str(exc), error_type=type(exc).__name__,
+                )
             rows.append(row)
     return rows
 
@@ -216,7 +220,7 @@ def mean_f1(rows: list[dict]) -> dict:
 
 
 def write_rows_csv(rows: list[dict], path) -> None:
-    fields = ["dataset", "method", "seed", "f1_x", "f1_y", "wall_time", "error"]
+    fields = ["dataset", "method", "seed", "f1_x", "f1_y", "wall_time", "error", "error_type"]
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
         writer.writeheader()

@@ -3,8 +3,10 @@
 The tape records a fixed set of coarse matrix primitives (matmul, kernels,
 normalization sandwiches, inverses, traces, gating, ...). Calling
 :meth:`Tape.backward` on a scalar node returns exact gradients with respect
-to every trainable leaf. Eigendecomposition is provided as an off-tape
-analysis utility.
+to every trainable leaf. A tape built with ``Tape(reuse=prev)`` writes its
+array results into the buffers of ``prev``, so a loop that records one tape
+per step allocates one buffer set in all. Eigendecomposition is provided as
+an off-tape analysis utility.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+
+# inf/nan from a primitive ends in NumericalError (or the primitive's own
+# typed error), not a numpy warning: every primitive and backward run in this
+# scope. The decorator form sets it afresh on each call, so it nests.
+_typed_errors_only = np.errstate(over="ignore", invalid="ignore")
 
 
 class DimensionError(ValueError):
@@ -53,28 +60,39 @@ def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     return _dists_from_gram(np.einsum("ij,ij->i", x, x), x @ x.T)
 
 
-def _dists_from_gram(sq: np.ndarray, g: np.ndarray) -> np.ndarray:
-    d = sq[:, None] + sq[None, :] - 2.0 * g
+def _dists_from_gram(sq: np.ndarray, g: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """sq_i + sq_j - 2 g_ij, clamped; out and scratch are optional arrays shaped like g."""
+    d = np.add(sq[:, None], sq[None, :], out=out)
+    d -= np.multiply(g, 2.0, out=scratch)
     np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
     return d
 
 
-def _sym_normalize(k: np.ndarray):
-    """(D^{-1/2} K D^{-1/2}, d, d^{-1/2}) for a square k with row sums d > 0."""
+def _sym_normalize(k: np.ndarray, out=None):
+    """(D^{-1/2} K D^{-1/2}, d, d^{-1/2}) for a square k with row sums d > 0.
+
+    out, if given, is an array shaped like k that receives the result.
+    """
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise DimensionError("sym_normalize needs a square matrix")
     d = k.sum(axis=1)
     if np.any(d <= 0):
         raise ContractError("sym_normalize: nonpositive row sum")
     r = 1.0 / np.sqrt(d)
-    return k * r[:, None] * r[None, :], d, r
+    out = np.multiply(k, r[:, None], out=out)
+    out *= r[None, :]
+    return out, d, r
 
 
-def _check_symmetric(a: np.ndarray) -> None:
-    """ContractError unless max|a - a^T| <= 1e-8 * max(max|a|, 1)."""
-    asym = np.abs(a - a.T).max() if a.size else 0.0
-    if asym > 1e-8 * max(np.abs(a).max(), 1.0):
+def _check_symmetric(a: np.ndarray, scratch=None) -> None:
+    """ContractError unless max|a - a^T| <= 1e-8 * max(max|a|, 1).
+
+    scratch, if given, is an array shaped like a to work in.
+    """
+    work = np.subtract(a, a.T, out=scratch)
+    asym = np.abs(work, out=work).max() if a.size else 0.0
+    if asym > 1e-8 * max(np.abs(a, out=work).max(), 1.0):
         raise ContractError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
 
 
@@ -94,10 +112,9 @@ class Node:
     with a trainable ancestor; the reverse pass visits only those.
     """
 
-    __slots__ = ("tape", "idx", "value", "op", "inputs", "cache", "trainable", "needs_grad")
+    __slots__ = ("idx", "value", "op", "inputs", "cache", "trainable", "needs_grad")
 
-    def __init__(self, tape, idx, value, op, inputs, cache=None, trainable=False):
-        self.tape = tape
+    def __init__(self, idx, value, op, inputs, cache=None, trainable=False):
         self.idx = idx
         self.value = value
         self.op = op
@@ -115,16 +132,48 @@ class Node:
 
 
 class Tape:
-    """Records primitives in topological order; replays gradients in reverse."""
+    """Records primitives in topological order; replays gradients in reverse.
 
-    def __init__(self):
+    Nodes do not point back at their tape, so a tape and its arrays are freed
+    as soon as the last reference to it goes, without the cyclic collector.
+
+    Tape(reuse=prev) takes over every array prev handed out — its nodes'
+    values and caches and the gradients of its backward — and the new tape's
+    array results, forward and backward, are written into them. prev is
+    emptied: backward on one of its nodes raises ContractError, and any array
+    read from its nodes or returned by its backward may be overwritten.
+    """
+
+    def __init__(self, reuse: Tape | None = None):
         self.nodes: list[Node] = []
+        # Pooled arrays by (shape, order): free to hand out, and handed out.
+        self._free: dict[tuple, list[np.ndarray]] = {}
+        self._taken: dict[int, tuple[tuple, np.ndarray]] = {}
+        if reuse is not None:
+            self._free = reuse._free
+            for key, arr in reuse._taken.values():
+                self._free.setdefault(key, []).append(arr)
+            reuse.nodes, reuse._free, reuse._taken = [], {}, {}
+
+    def _take(self, shape: tuple, order: str = "C") -> np.ndarray:
+        """An uninitialized array from the free list (a new one if it has none)."""
+        key = (shape, order)
+        free = self._free.get(key)
+        arr = free.pop() if free else np.empty(shape, order=order)
+        self._taken[id(arr)] = (key, arr)
+        return arr
+
+    def _give_back(self, *arrays: np.ndarray) -> None:
+        """Return scratch arrays from _take, whose contents are dead, to the free list."""
+        for arr in arrays:
+            key, _ = self._taken.pop(id(arr))
+            self._free.setdefault(key, []).append(arr)
 
     def _record(self, value, op, inputs, cache=None, trainable=False) -> Node:
         value = np.asarray(value, dtype=np.float64)
         if not np.isfinite(value).all():
             raise NumericalError(f"primitive '{op}' produced non-finite values")
-        node = Node(self, len(self.nodes), value, op, inputs, cache, trainable)
+        node = Node(len(self.nodes), value, op, inputs, cache, trainable)
         self.nodes.append(node)
         return node
 
@@ -141,18 +190,21 @@ class Tape:
     def matmul(self, a: Node, b: Node) -> Node:
         if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
             raise DimensionError(f"matmul: {a.value.shape} @ {b.value.shape}")
-        return self._record(a.value @ b.value, "matmul", (a, b))
+        out = self._take((a.value.shape[0], b.value.shape[1]))
+        return self._record(np.matmul(a.value, b.value, out=out), "matmul", (a, b))
 
     def add(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:
             raise DimensionError(f"add: {a.value.shape} vs {b.value.shape}")
-        return self._record(a.value + b.value, "add", (a, b))
+        return self._record(np.add(a.value, b.value, out=self._take(a.value.shape)), "add", (a, b))
 
     def scale(self, a: Node, alpha: float) -> Node:
-        return self._record(a.value * float(alpha), "scale", (a,), cache=float(alpha))
+        alpha = float(alpha)
+        out = np.multiply(a.value, alpha, out=self._take(a.value.shape))
+        return self._record(out, "scale", (a,), cache=alpha)
 
     def exp(self, a: Node) -> Node:
-        out = np.exp(a.value)
+        out = np.exp(a.value, out=self._take(a.value.shape))
         return self._record(out, "exp", (a,), cache=out)
 
     def transpose(self, a: Node) -> Node:
@@ -163,7 +215,7 @@ class Tape:
 
     def sym_normalize(self, k: Node) -> Node:
         """D^{-1/2} K D^{-1/2} with D = diag of row sums of K."""
-        out, d, r = _sym_normalize(k.value)
+        out, d, r = _sym_normalize(k.value, out=self._take(k.value.shape))
         return self._record(out, "sym_normalize", (k,), cache=(d, r))
 
     def inverse(self, a: Node, shift: float = 0.0) -> Node:
@@ -176,23 +228,27 @@ class Tape:
         av = a.value
         if av.ndim != 2 or av.shape[0] != av.shape[1]:
             raise DimensionError("inverse needs a square matrix")
-        _check_symmetric(av)
         n = av.shape[0]
-        work = np.array(av, order="F")
+        # Scratch space: a C-order array (its transpose is F-order) and the
+        # F-order work array that potrf and potri overwrite in place.
+        scratch, work = self._take((n, n)), self._take((n, n), "F")
+        _check_symmetric(av, scratch)
+        np.copyto(work, av)
         work.flat[:: n + 1] += shift
-        anorm = np.abs(work).sum(axis=0).max()
+        anorm = np.abs(work, out=scratch.T).sum(axis=0).max()
         potrf, potri = scipy.linalg.lapack.get_lapack_funcs(("potrf", "potri"), (work,))
         factor, info = potrf(work, lower=False, clean=True, overwrite_a=True)
         if info == 0:
-            inv, info = potri(factor, lower=False, overwrite_c=True)
+            upper, info = potri(factor, lower=False, overwrite_c=True)
         if info != 0:
             raise SingularMatrixError(f"inverse: not positive definite (potrf/potri info {info})")
         # potri fills the upper triangle; clean=True left zeros below it.
-        diag = inv.diagonal().copy()
-        inv = inv + inv.T
+        diag = upper.diagonal().copy()
+        inv = np.add(upper, upper.T, out=self._take((n, n)))
         np.fill_diagonal(inv, diag)
         # 1-norm condition estimate; cheap relative to the factorization.
-        cond = anorm * np.abs(inv).sum(axis=0).max()
+        cond = anorm * np.abs(inv, out=scratch).sum(axis=0).max()
+        self._give_back(scratch, work)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularMatrixError(f"condition estimate {cond:.3e} exceeds {_COND_LIMIT:.0e}")
         return self._record(inv, "inverse", (a,), cache=inv)
@@ -206,7 +262,8 @@ class Tape:
         """x x^T: one BLAS syrk for a contiguous x, so exactly symmetric."""
         if x.value.ndim != 2:
             raise DimensionError("gram needs a 2-D matrix")
-        return self._record(x.value @ x.value.T, "gram", (x,))
+        out = self._take((x.value.shape[0], x.value.shape[0]))
+        return self._record(np.matmul(x.value, x.value.T, out=out), "gram", (x,))
 
     def inner(self, a: Node, b: Node) -> Node:
         """<a, b> = sum(a * b); inner(a, gram(x)) is Tr[x^T a x] for any square a."""
@@ -225,13 +282,18 @@ class Tape:
         """Scale column j of x by z[j]."""
         if x.value.ndim != 2 or z.value.ndim != 1 or x.value.shape[1] != z.value.shape[0]:
             raise DimensionError(f"col_gate: {x.value.shape} with gates {z.value.shape}")
-        return self._record(x.value * z.value[None, :], "col_gate", (x, z))
+        out = np.multiply(x.value, z.value[None, :], out=self._take(x.value.shape))
+        return self._record(out, "col_gate", (x, z))
 
     def sq_dists(self, g: Node) -> Node:
         """Pairwise squared distances between the rows of x, from g = gram(x)."""
         if g.value.ndim != 2 or g.value.shape[0] != g.value.shape[1]:
             raise DimensionError("sq_dists needs a square Gram matrix")
-        return self._record(_dists_from_gram(np.diag(g.value), g.value), "sq_dists", (g,))
+        shape = g.value.shape
+        scratch = self._take(shape)
+        out = _dists_from_gram(np.diag(g.value), g.value, self._take(shape), scratch)
+        self._give_back(scratch)
+        return self._record(out, "sq_dists", (g,))
 
     def open_gate_expectation(self, mu: Node, sigma: float) -> Node:
         """Sum over i of Phi((0.5 + mu_i)/sigma): expected count of open gates."""
@@ -259,7 +321,7 @@ class Tape:
         leaves the loss never touches get zeros. Nodes without a trainable
         ancestor are skipped, so constant subgraphs cost nothing here.
         """
-        if loss.tape is not self:
+        if not (loss.idx < len(self.nodes) and self.nodes[loss.idx] is loss):
             raise ContractError("loss node belongs to a different tape")
         if loss.value.size != 1:
             raise ContractError("backward requires a scalar node")
@@ -273,7 +335,11 @@ class Tape:
                 continue
             for inp, contrib in self._vjp(node, g):
                 acc = grads.get(inp.idx)
-                grads[inp.idx] = contrib if acc is None else acc + contrib
+                if acc is not None:
+                    # Into a new buffer: acc or contrib may alias a value or
+                    # another entry (add passes g to both inputs, transpose a view).
+                    contrib = np.add(acc, contrib, out=self._take(acc.shape))
+                grads[inp.idx] = contrib
 
         out = {}
         for node in self.nodes:
@@ -288,62 +354,73 @@ class Tape:
         """(input, contribution) pairs for the inputs that need a gradient.
 
         A one-input node needs a gradient only if its input does, so only the
-        two-input rules check their operands.
+        two-input rules check their operands. Array contributions are written
+        into buffers from _take; g itself is never written to.
         """
         op = node.op
         a = node.inputs[0]
+        take = self._take
         if op == "matmul":
             b = node.inputs[1]
             if a.needs_grad:
-                yield a, g @ b.value.T
+                yield a, np.matmul(g, b.value.T, out=take(a.value.shape))
             if b.needs_grad:
-                yield b, a.value.T @ g
+                yield b, np.matmul(a.value.T, g, out=take(b.value.shape))
         elif op == "add":
             b = node.inputs[1]
             if a.needs_grad:
                 yield a, g
             if b.needs_grad:
                 yield b, g
-        elif op == "scale":
-            yield a, g * node.cache
-        elif op == "exp":
-            yield a, g * node.cache
+        elif op in ("scale", "exp"):
+            yield a, np.multiply(g, node.cache, out=take(g.shape))
         elif op == "transpose":
             yield a, g.T
         elif op == "sym_normalize":
             d, r = node.cache
             k = a.value
-            gk = g * r[:, None] * r[None, :]
+            gk = np.multiply(g, r[:, None], out=take(g.shape))
+            gk *= r[None, :]
             coef = -0.5 * d ** -1.5
             u = coef * np.einsum("ij,ij,j->i", g, k, r)
             v = coef * np.einsum("ij,ij,i->j", g, k, r)
             # Both degree corrections attach to the row index of K: d_i is a
             # row sum, so dK_pq perturbs only d_p, hence r_p, for every q.
-            yield a, gk + (u + v)[:, None]
-        elif op == "inverse":  # inv is symmetric
+            gk += (u + v)[:, None]
+            yield a, gk
+        elif op == "inverse":  # inv is symmetric; -(inv g inv), negated exactly last
             inv = node.cache
-            yield a, -inv @ g @ inv
+            half = np.matmul(inv, g, out=take(g.shape))
+            out = np.matmul(half, inv, out=take(g.shape))
+            self._give_back(half)
+            yield a, np.negative(out, out=out)
         elif op == "trace":
             n = a.value.shape[0]
             yield a, float(g) * np.eye(n)
         elif op == "gram":
-            yield a, (g + g.T) @ a.value
+            h = np.add(g, g.T, out=take(g.shape))
+            out = np.matmul(h, a.value, out=take(a.value.shape))
+            self._give_back(h)
+            yield a, out
         elif op == "inner":
             b, g = node.inputs[1], float(g)
             if a.needs_grad:
-                yield a, g * b.value
+                yield a, np.multiply(b.value, g, out=take(b.value.shape))
             if b.needs_grad:
-                yield b, g * a.value
+                yield b, np.multiply(a.value, g, out=take(a.value.shape))
         elif op == "hard_sigmoid":
             yield a, g * node.cache
         elif op == "col_gate":
             x, z = node.inputs
             if x.needs_grad:
-                yield x, g * z.value[None, :]
+                yield x, np.multiply(g, z.value[None, :], out=take(g.shape))
             if z.needs_grad:
                 yield z, np.einsum("ij,ij->j", g, x.value)
         elif op == "sq_dists":  # d_ij = G_ii + G_jj - 2 G_ij
-            yield a, np.diag(g.sum(axis=1) + g.sum(axis=0)) - 2.0 * g
+            out = np.multiply(g, 2.0, out=take(g.shape))
+            np.subtract(0.0, out, out=out)  # diag(...) - 2g: 0 - 2g off the diagonal
+            out.flat[:: g.shape[0] + 1] += g.sum(axis=1) + g.sum(axis=0)
+            yield a, out
         elif op == "open_gate_expectation":
             t, sigma = node.cache
             pdf = np.exp(-0.5 * t * t) / (np.sqrt(2.0 * np.pi) * sigma)
@@ -368,6 +445,10 @@ PRIMITIVES = (
     "sq_dists",
     "open_gate_expectation",
 )
+
+for _name in PRIMITIVES + ("backward",):
+    setattr(Tape, _name, _typed_errors_only(getattr(Tape, _name)))
+del _name
 
 
 def eigh_descending(a: np.ndarray):

@@ -1,9 +1,11 @@
 """Training loop for gate optimization with the shared and differential losses.
 
-Each epoch samples stochastic gates, evaluates the mode's objective on a fresh
+Each epoch samples stochastic gates, evaluates the mode's objective on a new
 tape (kernels, Laplacians and graph operators rebuilt from the gated data),
-and backpropagates to the gate parameters. A warm-up grid search over the
-sparsity weight lambda scores the same objective at deterministic gates.
+and backpropagates to the gate parameters. The new tape is built with
+Tape(reuse=) of the previous epoch's, so it writes into that tape's arrays
+and a run allocates one buffer set. A warm-up grid search over the sparsity
+weight lambda scores the same objective at deterministic gates.
 """
 
 from __future__ import annotations
@@ -89,11 +91,6 @@ class TrainResult:
     log: TrainLog
     bandwidth_x: float
     bandwidth_y: float
-
-
-# inf/nan end in a typed error (NumericalError, TrainingDiverged), not a numpy
-# warning: train and _eval_scores, the callers of _objective, run in this scope.
-_typed_errors_only = np.errstate(over="ignore", invalid="ignore")
 
 
 class TrainingDiverged(ArithmeticError):
@@ -191,7 +188,6 @@ def _objective(tape, xb, yb, z_x, z_y, mu_x, mu_y, cfg, bandwidths=(None, None))
     return tape.add(loss_x, loss_y), s_x, s_y, graphs
 
 
-@_typed_errors_only
 def train(
     pair: ModalPair,
     cfg: RunConfig,
@@ -222,6 +218,7 @@ def train(
     batch_rng = np.random.default_rng(cfg.seed + 2)
     log = TrainLog()
 
+    tape = None
     for epoch in range(cfg.epochs):
         if cfg.batch_size is None or cfg.batch_size >= n:
             xb, yb = data_x, data_y
@@ -229,15 +226,17 @@ def train(
             idx = batch_rng.choice(n, size=cfg.batch_size, replace=False)
             xb, yb = data_x[idx], data_y[idx]
 
-        tape = Tape()
+        tape = Tape(reuse=tape)
         mu_x = tape.leaf(gates_x.mu, trainable=True)
         mu_y = tape.leaf(gates_y.mu, trainable=True)
         z_x = tape.hard_sigmoid(tape.add(mu_x, tape.constant(gates_x.draw_noise())))
         z_y = tape.hard_sigmoid(tape.add(mu_y, tape.constant(gates_y.draw_noise())))
         loss, s_x, s_y, graphs = _objective(tape, xb, yb, z_x, z_y, mu_x, mu_y, cfg)
         grads = tape.backward(loss)
-        gates_x.mu -= cfg.learning_rate * grads[mu_x.idx]
-        gates_y.mu -= cfg.learning_rate * grads[mu_y.idx]
+        # A step to inf/nan ends in TrainingDiverged, not a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gates_x.mu -= cfg.learning_rate * grads[mu_x.idx]
+            gates_y.mu -= cfg.learning_rate * grads[mu_y.idx]
         if not (np.isfinite(gates_x.mu).all() and np.isfinite(gates_y.mu).all()):
             raise TrainingDiverged(epoch, log.last)
 
@@ -268,7 +267,6 @@ def train(
     )
 
 
-@_typed_errors_only
 def _eval_scores(pair: ModalPair, cfg: RunConfig, result: TrainResult) -> tuple[float, float]:
     """Raw trace scores Tr[X~T Op X~], Tr[Y~T Op Y~] of the full data.
 

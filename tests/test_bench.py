@@ -202,6 +202,14 @@ class TestRunExperiment:
             assert "non-finite" in row["error"]
             assert row["f1_x"] is None and row["f1_y"] is None and row["wall_time"] is None
 
+    def test_nonfinite_y_error_type_on_every_baseline(self):
+        """A failed row keeps the exception's class name beside its message."""
+        y = RNG.normal(size=(6, 2))
+        y[1, 1] = np.nan
+        bad = ModalPair(x=RNG.normal(size=(6, 3)), y=y)
+        rows = run_experiment({"dataset": bad, "methods": list(BASELINES), "seeds": [0]})
+        assert [r["error_type"] for r in rows] == ["NumericalError"] * len(BASELINES)
+
     def test_baselines_share_one_laplacian_per_modality(self, monkeypatch):
         """Per seed: one Laplacian for MC and one per modality for mmKS and mmKP together."""
         calls = []
@@ -270,7 +278,7 @@ class TestReports:
         out = tmp_path / "rows.csv"
         write_rows_csv(rows, out)
         text = out.read_text()
-        assert text.splitlines()[0] == "dataset,method,seed,f1_x,f1_y,wall_time,error"
+        assert text.splitlines()[0] == "dataset,method,seed,f1_x,f1_y,wall_time,error,error_type"
         assert len(text.splitlines()) == 3
         report = format_report(rows)
         assert "gaussian" in report and "MC" in report and "mmKS" in report

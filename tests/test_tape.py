@@ -418,6 +418,13 @@ class TestErrors:
         with pytest.raises(NumericalError):
             t.exp(big)  # overflow -> inf
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_is_a_typed_error_without_a_warning(self):
+        """Primitives run under their own errstate: no caller has to set one."""
+        t = Tape()
+        with pytest.raises(NumericalError):
+            t.exp(t.constant(800.0))
+
     def test_singular_inverse(self):
         t = Tape()
         with pytest.raises(SingularMatrixError):

@@ -1,6 +1,7 @@
 """Training loop: losses, gradients, determinism, config contracts, warm-up tuning."""
 
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -33,6 +34,7 @@ from mmdufs.trainer import (
     RunConfig,
     TrainingDiverged,
     _eval_scores,
+    _objective,
     differential_loss,
     shared_loss,
     train,
@@ -251,6 +253,21 @@ def dense_q_score(tape, l_target, l_other, gram, c, b):
     return tape.inner(q, gram)
 
 
+def assert_first_epoch_permutation_invariant(mode, seed, n, dx, dy, b):
+    """train's first epoch in mode: same scores, loss and gradients (mu after
+    one unit step from 0) when the samples are reordered."""
+    rng = np.random.default_rng(seed)
+    pair = ModalPair(x=rng.normal(size=(n, dx)), y=rng.normal(size=(n, dy)))
+    perm = rng.permutation(n)
+    permuted = ModalPair(x=pair.x[perm], y=pair.y[perm])
+    cfg = RunConfig(mode=mode, epochs=1, lambda_x=0.3, lambda_y=0.1, b=b, seed=seed)
+    ref, got = train(pair, cfg), train(permuted, cfg)
+    for key in ("loss", "score_x", "score_y"):
+        assert got.log.rows[0][key] == pytest.approx(ref.log.rows[0][key], rel=1e-10)
+    for g_ref, g_got in ((ref.gates_x.mu, got.gates_x.mu), (ref.gates_y.mu, got.gates_y.mu)):
+        np.testing.assert_allclose(g_got, g_ref, rtol=1e-9, atol=1e-12 * np.abs(g_ref).max())
+
+
 class TestFactoredDifferentialScore:
     """b Tr[W^T L W], W = (L_other + cI)^{-1} X~, against the dense-Q chain."""
 
@@ -290,18 +307,7 @@ class TestFactoredDifferentialScore:
         b=st.sampled_from([1.0, 0.3]),
     )
     def test_invariant_under_sample_permutation(self, seed, n, dx, dy, b):
-        """train's first differential epoch: same scores, loss and gradients
-        (mu after one unit step from 0) when the samples are reordered."""
-        rng = np.random.default_rng(seed)
-        pair = ModalPair(x=rng.normal(size=(n, dx)), y=rng.normal(size=(n, dy)))
-        perm = rng.permutation(n)
-        permuted = ModalPair(x=pair.x[perm], y=pair.y[perm])
-        cfg = RunConfig(mode="differential", epochs=1, lambda_x=0.3, lambda_y=0.1, b=b, seed=seed)
-        ref, got = train(pair, cfg), train(permuted, cfg)
-        for key in ("loss", "score_x", "score_y"):
-            assert got.log.rows[0][key] == pytest.approx(ref.log.rows[0][key], rel=1e-10)
-        for g_ref, g_got in ((ref.gates_x.mu, got.gates_x.mu), (ref.gates_y.mu, got.gates_y.mu)):
-            np.testing.assert_allclose(g_got, g_ref, rtol=1e-9, atol=1e-12 * np.abs(g_ref).max())
+        assert_first_epoch_permutation_invariant("differential", seed, n, dx, dy, b)
 
 
 class TestSharedFusedEpoch:
@@ -338,6 +344,58 @@ class TestSharedFusedEpoch:
         assert np.count_nonzero(gx) > 0 and np.count_nonzero(gy) > 0
         np.testing.assert_allclose(gx, grads[mu_x.idx], rtol=1e-10, atol=0)
         np.testing.assert_allclose(gy, grads[mu_y.idx], rtol=1e-10, atol=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(3, 9),
+        dx=st.integers(1, 6),
+        dy=st.integers(1, 12),
+        b=st.sampled_from([1.0, 0.3]),
+    )
+    def test_invariant_under_sample_permutation(self, seed, n, dx, dy, b):
+        assert_first_epoch_permutation_invariant("shared", seed, n, dx, dy, b)
+
+
+class TestTapeReuse:
+    """Tape(reuse=prev), as train chains it: the arrays change hands, the bits do not."""
+
+    @staticmethod
+    def record(tape, pair, cfg):
+        """Values of every node and the gate gradients of one epoch's objective, copied."""
+        rng = np.random.default_rng(5)
+        mu_x = tape.leaf(rng.uniform(-0.3, 0.3, pair.x.shape[1]), trainable=True)
+        mu_y = tape.leaf(rng.uniform(-0.3, 0.3, pair.y.shape[1]), trainable=True)
+        z_x = tape.hard_sigmoid(tape.add(mu_x, tape.constant(rng.normal(0, 0.5, mu_x.shape))))
+        z_y = tape.hard_sigmoid(tape.add(mu_y, tape.constant(rng.normal(0, 0.5, mu_y.shape))))
+        xb, yb = unit_norm_columns(pair.x), unit_norm_columns(pair.y)
+        loss, _, _, _ = _objective(tape, xb, yb, z_x, z_y, mu_x, mu_y, cfg)
+        grads = tape.backward(loss)
+        values = [np.array(node.value) for node in tape.nodes]
+        return loss, values, grads[mu_x.idx].copy(), grads[mu_y.idx].copy()
+
+    @pytest.mark.parametrize("mode", ["shared", "differential"])
+    def test_bit_identical_to_a_fresh_tape(self, mode):
+        pair = tiny_pair(seed=4, n=12, dx=6, dy=14)  # dy > n
+        cfg = RunConfig(mode=mode, lambda_x=0.2, lambda_y=0.1, b=0.7, c=0.2)
+        _, want, want_gx, want_gy = self.record(Tape(), pair, cfg)
+        tape = loss = None
+        for _ in range(3):
+            prev, prev_loss = tape, loss
+            tape = Tape(reuse=prev)
+            pool = [arr for arrs in tape._free.values() for arr in arrs]
+            loss, got, gx, gy = self.record(tape, pair, cfg)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            assert np.array_equal(gx, want_gx) and np.array_equal(gy, want_gy)
+            if prev is not None:
+                # every array the tape handed out came from the superseded tape ...
+                pooled = {id(arr) for arr in pool}
+                assert all(id(arr) in pooled for _, arr in tape._taken.values())
+                # ... which no longer differentiates
+                with pytest.raises(ContractError, match="different tape"):
+                    prev.backward(prev_loss)
 
 
 # A short shared run on the gaussian preset (n=260, large enough for BLAS to
@@ -481,6 +539,18 @@ class TestTrain:
             res = train(pair, cfg)
             opens.append(res.log.last["open_x"] + res.log.last["open_y"])
         assert all(a >= b for a, b in zip(opens, opens[1:]))
+
+    def test_no_tape_left_for_the_cycle_collector(self):
+        """Each epoch's tape is freed by reference counting alone: no Node <-> Tape cycle."""
+        gc.collect()
+        gc.disable()
+        try:
+            before = sum(isinstance(obj, Tape) for obj in gc.get_objects())
+            train(tiny_pair(seed=3), RunConfig(epochs=3))
+            after = sum(isinstance(obj, Tape) for obj in gc.get_objects())
+        finally:
+            gc.enable()
+        assert after == before
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_regularizer_raises_numerical_error(self):
