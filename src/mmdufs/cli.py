@@ -8,6 +8,7 @@ The environment variable MMDUFS_SEED provides a global seed fallback.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import sys
@@ -27,32 +28,28 @@ from .bench import (
     run_experiment,
     write_rows_csv,
 )
-from .datagen import IngestionError, ModalPair, gen_cube, load_pair, save_pair
+from .datagen import DATASET_FILES, IngestionError, ModalPair, gen_cube, load_pair, save_pair
 from .gates import f1, load_gates_csv, save_gates_csv, select_features
 from .graph import data_laplacian
 from .operators import shared_operator_array
 from .tape import ContractError, NumericalError, SingularMatrixError, eigh_descending
-from .trainer import RunConfig, TrainingDiverged, train, warmup_tune
+from .trainer import LAMBDA_GRID, WARMUP_EPOCHS, RunConfig, TrainingDiverged, train, warmup_tune
 
-GENERATOR_PRESETS = dict(DATASET_PRESETS)
-GENERATOR_PRESETS["cube"] = lambda seed: gen_cube(seed)
+GENERATOR_PRESETS = {**DATASET_PRESETS, "cube": gen_cube}
 
 _NUMERICAL_ERRORS = (NumericalError, SingularMatrixError, TrainingDiverged)
 _USAGE_ERRORS = (ContractError, IngestionError, ValueError, KeyError, OSError)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("MMDUFS_SEED")
-    if env is None:
-        return 0
+def _seed(seed: int | None) -> int:
+    """seed if given, else the MMDUFS_SEED environment variable, else 0."""
+    if seed is not None:
+        return seed
+    env = os.environ.get("MMDUFS_SEED", "0")
     try:
         return int(env)
     except ValueError:
         raise click.UsageError(f"MMDUFS_SEED must be an integer, got '{env}'")
-
-
-def _resolve_seed(seed: int | None) -> int:
-    return _default_seed() if seed is None else seed
 
 
 def _guard_overwrite(paths: list[Path], force: bool) -> None:
@@ -92,20 +89,23 @@ def _load_config(config_path, seed: int | None, overrides: dict) -> RunConfig:
         if seed is None and "seed" in fields:
             seed = cfg.seed
     clean = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, seed=_resolve_seed(seed), **clean)
+    return replace(cfg, seed=_seed(seed), **clean)
 
 
-def _run(body) -> None:
-    """Shared error-to-exit-code mapping for command bodies."""
-    try:
-        body()
-    except click.ClickException:
-        raise
-    except _NUMERICAL_ERRORS as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(1)
-    except _USAGE_ERRORS as exc:
-        raise click.UsageError(str(exc))
+def _exit_codes(command):
+    """Map a command's failures to exit codes: numerical 1, usage or configuration 2."""
+
+    @functools.wraps(command)
+    def wrapper(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except _NUMERICAL_ERRORS as exc:
+            click.echo(f"numerical failure: {exc}", err=True)
+            sys.exit(1)
+        except _USAGE_ERRORS as exc:
+            raise click.UsageError(str(exc))
+
+    return wrapper
 
 
 @click.group()
@@ -118,18 +118,14 @@ def main() -> None:
 @click.option("--out", "outdir", required=True, type=click.Path(path_type=Path))
 @click.option("--seed", type=int, default=None, help="generator seed (default: MMDUFS_SEED or 0)")
 @click.option("--force", is_flag=True, help="overwrite existing artifacts")
+@_exit_codes
 def generate(preset: str, outdir: Path, seed: int | None, force: bool) -> None:
     """Write a synthetic dataset (X.csv, Y.csv, truth files, manifest.json)."""
     if preset not in GENERATOR_PRESETS:
         raise click.UsageError(f"unknown preset '{preset}'; choose from {sorted(GENERATOR_PRESETS)}")
-
-    def body():
-        _guard_overwrite([outdir / "manifest.json"], force)
-        pair = GENERATOR_PRESETS[preset](_resolve_seed(seed))
-        save_pair(pair, outdir)
-        click.echo(f"wrote {preset} dataset to {outdir}")
-
-    _run(body)
+    _guard_overwrite([outdir / name for name in DATASET_FILES], force)
+    save_pair(GENERATOR_PRESETS[preset](_seed(seed)), outdir)
+    click.echo(f"wrote {preset} dataset to {outdir}")
 
 
 def _load_data(datadir: Path) -> ModalPair:
@@ -147,67 +143,60 @@ def _load_data(datadir: Path) -> ModalPair:
 @click.option("--epochs", type=int, default=None, help="override config epochs")
 @click.option("--mode", type=click.Choice(["shared", "differential"]), default=None)
 @click.option("--force", is_flag=True)
+@_exit_codes
 def train_cmd(datadir, config_path, outdir, seed, epochs, mode, force) -> None:
     """Train gate vectors; write gates, train log, selection, and manifest."""
+    cfg = _load_config(config_path, seed, {"epochs": epochs, "mode": mode})
+    pair = _load_data(datadir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    artifacts = [outdir / n for n in ("gates_x.csv", "gates_y.csv", "train_log.csv",
+                                      "selection.json", "run_manifest.json")]
+    _guard_overwrite(artifacts, force)
 
-    def body():
-        cfg = _load_config(config_path, seed, {"epochs": epochs, "mode": mode})
-        pair = _load_data(datadir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        artifacts = [outdir / n for n in ("gates_x.csv", "gates_y.csv", "train_log.csv",
-                                          "selection.json", "run_manifest.json")]
-        _guard_overwrite(artifacts, force)
+    result = train(pair, cfg, ground_truth=dict(zip("xy", pair.truth(cfg.mode))))
 
-        result = train(pair, cfg, ground_truth=dict(zip("xy", pair.truth(cfg.mode))))
-
-        save_gates_csv(result.gates_x, outdir / "gates_x.csv")
-        save_gates_csv(result.gates_y, outdir / "gates_y.csv")
-        _write_csv(outdir / "train_log.csv", result.log.rows)
-        k_x, k_y = pair.selection_sizes(cfg.mode)
-        selection = {
-            "x": select_features(result.gates_x, "top-k", k=k_x),
-            "y": select_features(result.gates_y, "top-k", k=k_y),
-            "converged_x": select_features(result.gates_x, "converged"),
-            "converged_y": select_features(result.gates_y, "converged"),
-        }
-        (outdir / "selection.json").write_text(json.dumps(selection, indent=2))
-        (outdir / "run_manifest.json").write_text(cfg.to_json())
-        last = result.log.last
-        click.echo(f"trained {cfg.epochs} epochs; final record: {last}")
-
-    _run(body)
+    save_gates_csv(result.gates_x, outdir / "gates_x.csv")
+    save_gates_csv(result.gates_y, outdir / "gates_y.csv")
+    _write_csv(outdir / "train_log.csv", result.log.rows)
+    k_x, k_y = pair.selection_sizes(cfg.mode)
+    selection = {
+        "x": select_features(result.gates_x, "top-k", k=k_x),
+        "y": select_features(result.gates_y, "top-k", k=k_y),
+        "converged_x": select_features(result.gates_x, "converged"),
+        "converged_y": select_features(result.gates_y, "converged"),
+    }
+    (outdir / "selection.json").write_text(json.dumps(selection, indent=2))
+    (outdir / "run_manifest.json").write_text(cfg.to_json())
+    click.echo(f"trained {cfg.epochs} epochs; final record: {result.log.last}")
 
 
 @main.command()
 @click.option("--data", "datadir", required=True, type=click.Path(path_type=Path))
 @click.option("--config", "config_path", type=click.Path(path_type=Path), default=None)
 @click.option("--out", "outdir", required=True, type=click.Path(path_type=Path))
-@click.option("--grid", default="1e-6,1e-5,1e-4,1e-3,1e-2,1e-1,1,10,100",
+@click.option("--grid", default=",".join(map(str, LAMBDA_GRID)),
               help="comma-separated lambda grid")
-@click.option("--warmup-epochs", type=int, default=1000)
+@click.option("--warmup-epochs", type=int, default=WARMUP_EPOCHS)
 @click.option("--seed", type=int, default=None)
 @click.option("--force", is_flag=True)
+@_exit_codes
 def tune(datadir, config_path, outdir, grid, warmup_epochs, seed, force) -> None:
     """Warm-up lambda tuning: short runs over a grid, score table + choice."""
+    try:
+        values = [float(v) for v in grid.split(",") if v.strip()]
+    except ValueError:
+        raise click.UsageError(f"bad --grid '{grid}'")
+    cfg = _load_config(config_path, seed, {})
+    pair = _load_data(datadir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    _guard_overwrite([outdir / "lambda_grid.csv", outdir / "chosen_lambda.json"], force)
 
-    def body():
-        try:
-            values = [float(v) for v in grid.split(",") if v.strip()]
-        except ValueError:
-            raise click.UsageError(f"bad --grid '{grid}'")
-        cfg = _load_config(config_path, seed, {})
-        pair = _load_data(datadir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _guard_overwrite([outdir / "lambda_grid.csv", outdir / "chosen_lambda.json"], force)
-
-        lam_x, lam_y, records = warmup_tune(pair, cfg, values, warmup_epochs=warmup_epochs)
-        _write_csv(outdir / "lambda_grid.csv", records)
-        (outdir / "chosen_lambda.json").write_text(
-            json.dumps({"lambda_x": lam_x, "lambda_y": lam_y}, indent=2)
-        )
-        click.echo(f"chosen lambda_x={lam_x} lambda_y={lam_y}")
-
-    _run(body)
+    lam_x, lam_y, records = warmup_tune(pair, cfg, values, warmup_epochs=warmup_epochs)
+    _write_csv(outdir / "lambda_grid.csv", records)
+    (outdir / "chosen_lambda.json").write_text(
+        json.dumps({"lambda_x": lam_x, "lambda_y": lam_y}, indent=2)
+    )
+    click.echo(f"chosen lambda_x={lam_x} lambda_y={lam_y}")
 
 
 @main.command()
@@ -217,17 +206,13 @@ def tune(datadir, config_path, outdir, grid, warmup_epochs, seed, force) -> None
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None,
               help="write selection JSON here (default: stdout)")
 @click.option("--force", is_flag=True)
+@_exit_codes
 def select(gates_path, policy, k, out_path, force) -> None:
     """Feature selection from a saved gates CSV."""
-
-    def body():
-        if not Path(gates_path).exists():
-            raise click.UsageError(f"no gates file at {gates_path}")
-        state = load_gates_csv(gates_path)
-        chosen = select_features(state, policy, k=k)
-        _emit(json.dumps({"policy": policy, "k": k, "selected": chosen}, indent=2), out_path, force)
-
-    _run(body)
+    if not Path(gates_path).exists():
+        raise click.UsageError(f"no gates file at {gates_path}")
+    chosen = select_features(load_gates_csv(gates_path), policy, k=k)
+    _emit(json.dumps({"policy": policy, "k": k, "selected": chosen}, indent=2), out_path, force)
 
 
 @main.command()
@@ -237,23 +222,20 @@ def select(gates_path, policy, k, out_path, force) -> None:
 @click.option("--k-y", type=int, default=None)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None)
 @click.option("--force", is_flag=True)
+@_exit_codes
 def baseline(datadir, method, k_x, k_y, out_path, force) -> None:
     """Run a kernel-fusion baseline selector on a saved dataset."""
-
-    def body():
-        pair = _load_data(datadir)
-        kx, ky = pair.selection_sizes("shared")
-        res = baseline_select(pair, method, kx if k_x is None else k_x, ky if k_y is None else k_y)
-        payload = {
-            "method": res.method,
-            "selected_x": res.selected_x,
-            "selected_y": res.selected_y,
-            "f1_x": res.f1_x,
-            "f1_y": res.f1_y,
-        }
-        _emit(json.dumps(payload, indent=2), out_path, force)
-
-    _run(body)
+    pair = _load_data(datadir)
+    kx, ky = pair.selection_sizes("shared")
+    res = baseline_select(pair, method, kx if k_x is None else k_x, ky if k_y is None else k_y)
+    payload = {
+        "method": res.method,
+        "selected_x": res.selected_x,
+        "selected_y": res.selected_y,
+        "f1_x": res.f1_x,
+        "f1_y": res.f1_y,
+    }
+    _emit(json.dumps(payload, indent=2), out_path, force)
 
 
 @main.command()
@@ -263,51 +245,28 @@ def baseline(datadir, method, k_x, k_y, out_path, force) -> None:
 @click.option("--mode", type=click.Choice(["shared", "differential"]), default="shared")
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None)
 @click.option("--force", is_flag=True)
+@_exit_codes
 def evaluate(selection_path, datadir, mode, out_path, force) -> None:
     """F1 of a saved selection against a dataset's ground truth."""
-
-    def body():
-        if not Path(selection_path).exists():
-            raise click.UsageError(f"no selection file at {selection_path}")
-        sel = json.loads(Path(selection_path).read_text())
-        pair = _load_data(datadir)
-        rows = [
-            {"modality": mod, "f1": f1(sel[mod], truth), "selected": len(sel[mod]),
-             "truth": len(truth)}
-            for mod, truth in zip("xy", pair.truth(mode))
-            if truth is not None and mod in sel
-        ]
-        if not rows:
-            raise click.UsageError("nothing to evaluate: no matching truth/selection entries")
-        _emit(json.dumps(rows, indent=2), out_path, force)
-
-    _run(body)
-
-
-def _experiment_cell(args):
-    spec, methods, seed = args
-    return run_experiment({**spec, "methods": methods, "seeds": [seed]})
-
-
-def _run_cells(spec: dict, jobs: int) -> list[dict]:
-    """run_experiment(spec)'s rows, in its (seed, method) order, from up to jobs processes.
-
-    A cell is one seed's baselines, which share that seed's Laplacians, or one other run.
-    """
-    methods = spec.get("methods", list(BASELINES) + ["mmDUFS"])
-    seeds = spec.get("seeds", [0])
-    groups = [[m for m in methods if m in BASELINES]] + [[m] for m in methods if m not in BASELINES]
-    groups = [g for g in groups if g]
-    cells = [(spec, group, s) for s in seeds for group in groups]
-    if jobs <= 1 or len(cells) <= 1:
-        return run_experiment(spec)
-    rows: list[dict] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = pool.map(_experiment_cell, cells)
-        for _ in seeds:
-            seed_rows = [row for _ in groups for row in next(results)]
-            rows.extend(sorted(seed_rows, key=lambda row: methods.index(row["method"])))
-    return rows
+    if not Path(selection_path).exists():
+        raise click.UsageError(f"no selection file at {selection_path}")
+    sel = json.loads(Path(selection_path).read_text())
+    if not isinstance(sel, dict):
+        raise click.UsageError(f"{selection_path}: expected a JSON object with 'x'/'y' index lists")
+    for mod in "xy":
+        if mod in sel and not (isinstance(sel[mod], list)
+                               and all(isinstance(i, int) for i in sel[mod])):
+            raise click.UsageError(f"{selection_path}: '{mod}' must be a list of feature indices")
+    pair = _load_data(datadir)
+    rows = [
+        {"modality": mod, "f1": f1(sel[mod], truth), "selected": len(sel[mod]),
+         "truth": len(truth)}
+        for mod, truth in zip("xy", pair.truth(mode))
+        if truth is not None and mod in sel
+    ]
+    if not rows:
+        raise click.UsageError("nothing to evaluate: no matching truth/selection entries")
+    _emit(json.dumps(rows, indent=2), out_path, force)
 
 
 _TABLE_DATASETS = {
@@ -317,12 +276,16 @@ _TABLE_DATASETS = {
 
 
 def _reproduce_table(outdir: Path, stem: str, seed: int, jobs: int, epochs: int | None) -> None:
-    rows = []
-    for ds in _TABLE_DATASETS[stem]:
-        spec = {"dataset": ds, "seeds": [seed, seed + 1, seed + 2]}
-        if epochs is not None:
-            spec["epochs"] = epochs
-        rows.extend(_run_cells(spec, jobs))
+    """run_experiment on one spec per (dataset, seed) cell: in-process, or on jobs workers."""
+    override = {} if epochs is None else {"epochs": epochs}
+    specs = [{"dataset": ds, "seeds": [s], **override}
+             for ds in _TABLE_DATASETS[stem] for s in (seed, seed + 1, seed + 2)]
+    if jobs <= 1:
+        cells = list(map(run_experiment, specs))
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            cells = list(pool.map(run_experiment, specs))
+    rows = [row for cell in cells for row in cell]
     write_rows_csv(rows, outdir / f"{stem}.csv")
     report = format_report(rows)
     (outdir / f"{stem}.txt").write_text(report + "\n")
@@ -362,13 +325,9 @@ def _reproduce_cube_figure(outdir: Path, seed: int) -> None:
 
 
 def _reproduce_lambda_grid(outdir: Path, seed: int, epochs: int | None) -> None:
-    from .datagen import gen_gaussian_mixture
-
-    pair = gen_gaussian_mixture(seed)
+    pair = DATASET_PRESETS["gaussian"](seed)
     cfg = replace(SHARED_HYPERPARAMS["gaussian"], seed=seed)
-    grid = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0]
-    warmup = 1000
-    lam_x, _, records = warmup_tune(pair, cfg, grid, warmup_epochs=warmup)
+    lam_x, _, records = warmup_tune(pair, cfg, LAMBDA_GRID)
     # full(er) training per grid value for the F1 column
     full_epochs = epochs if epochs is not None else 3000
     rows = []
@@ -397,23 +356,20 @@ def _reproduce_lambda_grid(outdir: Path, seed: int, epochs: int | None) -> None:
 @click.option("--jobs", type=int, default=None, help="worker processes (default: logical cores)")
 @click.option("--epochs", type=int, default=None, help="override training epochs (smoke runs)")
 @click.option("--force", is_flag=True)
+@_exit_codes
 def reproduce(target, outdir, seed, jobs, epochs, force) -> None:
     """One-command reproduction of a desk-scale result."""
-
-    def body():
-        outdir.mkdir(parents=True, exist_ok=True)
-        stem = target.replace("-", "_")  # each target's main artifact is <stem>.csv
-        _guard_overwrite([outdir / f"{stem}.csv"], force)
-        s = _resolve_seed(seed)
+    outdir.mkdir(parents=True, exist_ok=True)
+    stem = target.replace("-", "_")  # each target's main artifact is <stem>.csv
+    _guard_overwrite([outdir / f"{stem}.csv"], force)
+    s = _seed(seed)
+    if stem in _TABLE_DATASETS:
         n_jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-        if stem in _TABLE_DATASETS:
-            _reproduce_table(outdir, stem, s, n_jobs, epochs)
-        elif target == "cube-figure":
-            _reproduce_cube_figure(outdir, s)
-        else:
-            _reproduce_lambda_grid(outdir, s, epochs)
-
-    _run(body)
+        _reproduce_table(outdir, stem, s, n_jobs, epochs)
+    elif target == "cube-figure":
+        _reproduce_cube_figure(outdir, s)
+    else:
+        _reproduce_lambda_grid(outdir, s, epochs)
 
 
 if __name__ == "__main__":

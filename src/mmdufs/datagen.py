@@ -34,6 +34,9 @@ class IngestionError(ValueError):
 
 
 _TRUTH_FIELDS = ("truth_shared_x", "truth_shared_y", "truth_diff_x", "truth_diff_y")
+# Every file save_pair may write; load_pair reads each one that exists.
+DATASET_FILES = ("X.csv", "Y.csv", *(f"{name}.csv" for name in _TRUTH_FIELDS),
+                 "labels.csv", "latent.csv", "manifest.json")
 
 
 @dataclass
@@ -268,8 +271,20 @@ def gen_cube(
     )
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_matrix(path) -> np.ndarray:
-    """Headerless or single-header CSV into a dense float matrix."""
+    """Headerless or single-header CSV into a dense float matrix.
+
+    Line 1 is a header only when none of its cells is a number; any other
+    non-numeric cell is an IngestionError that names its line.
+    """
     rows = []
     width = None
     with open(path) as fh:
@@ -278,13 +293,8 @@ def _read_matrix(path) -> np.ndarray:
             if not line:
                 continue
             cells = line.split(",")
-            if lineno == 1:
-                try:
-                    rows.append([float(c) for c in cells])
-                    width = len(cells)
-                except ValueError:
-                    continue  # header line
-                continue
+            if lineno == 1 and not any(map(_is_number, cells)):
+                continue  # header line
             if width is None:
                 width = len(cells)
             if len(cells) != width:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
+from .datagen import IngestionError
 from .tape import ContractError
 
 __all__ = [
@@ -108,10 +109,18 @@ def save_gates_csv(state: GateState, path) -> None:
 
 
 def load_gates_csv(path) -> GateState:
+    """Gates from a save_gates_csv file; IngestionError names the file if it is malformed."""
     mus = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)  # header
+        next(reader, None)  # header
         for row in reader:
-            mus.append(float(row[1]))
+            try:
+                mus.append(float(row[1]))
+            except (IndexError, ValueError) as exc:
+                raise IngestionError(
+                    f"{path}:{reader.line_num}: expected feature,mu,eval_gate ({exc})"
+                ) from exc
+    if not mus:
+        raise IngestionError(f"{path}: no gate rows")
     return GateState(mu=np.array(mus))

@@ -40,25 +40,28 @@ class GraphPair:
 def median_bandwidth(d2: np.ndarray) -> float:
     """Median of nonzero pairwise Euclidean distances; 1.0 if all coincide.
 
-    d2 is the symmetric matrix of pairwise squared distances, as made by
-    pairwise_sq_dists; only its strict upper triangle is read.
+    d2 is the symmetric matrix of pairwise squared distances, clamped at
+    zero, as made by pairwise_sq_dists; only its strict upper triangle is
+    read, gathered into one copy that is partitioned in place.
     """
     d2 = np.asarray(d2, dtype=np.float64)
     if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
         raise DimensionError(f"median bandwidth needs a square distance matrix, got {d2.shape}")
     if d2.shape[0] < 2:
         raise ContractError("median bandwidth needs at least two rows")
-    upper = d2[np.triu(d2 > 0, k=1)]
-    m = upper.size
+    upper = np.concatenate([row[i + 1:] for i, row in enumerate(d2[:-1])])
+    m = np.count_nonzero(upper)
     if m == 0:
         return 1.0
-    # sqrt is monotone, so one partition of the squares finds the middle
-    # distance (or the two middle ones, for an even count).
-    part = np.partition(upper, m // 2)
-    hi = np.sqrt(part[m // 2])
+    # The zeros sort first, and sqrt is monotone, so one partition of the
+    # squares finds the middle nonzero distance (or the two middle ones, for
+    # an even count).
+    mid = upper.size - m + m // 2
+    upper.partition(mid)
+    hi = np.sqrt(upper[mid])
     if m % 2:
         return float(hi)
-    return float((np.sqrt(part[: m // 2].max()) + hi) / 2)
+    return float((np.sqrt(upper[:mid].max()) + hi) / 2)
 
 
 def gaussian_kernel(d2: np.ndarray, bandwidth: float) -> np.ndarray:

@@ -282,11 +282,16 @@ def _eval_scores(pair: ModalPair, cfg: RunConfig, result: TrainResult) -> tuple[
     return float(s_x.value), float(s_y.value)
 
 
+# Warm-up tuning's defaults: the lambda grid the CLI searches and the epochs per grid point.
+LAMBDA_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
+WARMUP_EPOCHS = 1000
+
+
 def warmup_tune(
     pair: ModalPair,
     cfg_template: RunConfig,
     lambda_grid,
-    warmup_epochs: int = 1000,
+    warmup_epochs: int = WARMUP_EPOCHS,
 ) -> tuple[float, float, list[dict]]:
     """Short-run grid search over lambda maximizing the mean operator scores.
 

@@ -1,5 +1,6 @@
 """CLI: artifact layout, exit codes, overwrite guard, seed handling."""
 
+import csv
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mmdufs.cli import _run_cells, main
+from mmdufs.cli import main
 from mmdufs.datagen import ModalPair, load_pair, save_pair
 
 
@@ -334,18 +335,83 @@ class TestReproduce:
         res = runner.invoke(main, ["reproduce", "mnist-figure", "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
 
-    def test_parallel_cells_match_serial_rows(self):
-        """Cells grouped by seed on 2 workers give the serial rows in the serial order."""
-        spec = {"dataset": "gaussian", "seeds": [0, 1], "epochs": 2}
-
-        def strip(rows):
-            return [{k: v for k, v in r.items() if k != "wall_time"} for r in rows]
-
-        serial = _run_cells(spec, jobs=1)
-        assert [(r["seed"], r["method"]) for r in serial] == [
-            (s, m) for s in (0, 1) for m in ("MC", "mmKS", "mmKP", "mmDUFS")
+    def test_parallel_cells_match_serial_rows(self, runner, tmp_path):
+        """(dataset, seed) cells on 2 workers give the serial rows in the serial order."""
+        tables = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            res = runner.invoke(main, ["reproduce", "gaussian-table", "--out", str(out),
+                                       "--seed", "0", "--epochs", "2", "--jobs", jobs])
+            assert res.exit_code == 0, res.output
+            with open(out / "gaussian_table.csv", newline="") as fh:
+                rows = [{k: v for k, v in r.items() if k != "wall_time"}
+                        for r in csv.DictReader(fh)]
+            tables[jobs] = rows, (out / "gaussian_table.txt").read_bytes()
+        serial_rows = tables["1"][0]
+        assert [(r["dataset"], r["seed"], r["method"]) for r in serial_rows] == [
+            (ds, str(s), m)
+            for ds in ("gaussian", "gaussian+10", "gaussian+30", "gaussian+50")
+            for s in (0, 1, 2)
+            for m in ("MC", "mmKS", "mmKP", "mmDUFS")
         ]
-        assert strip(_run_cells(spec, jobs=2)) == strip(serial)
+        assert tables["2"] == tables["1"]
+
+
+def _empty_gates(tmp_path):
+    (tmp_path / "gates.csv").write_text("")
+    return ["select", "--gates", str(tmp_path / "gates.csv")]
+
+
+def _truncated_gates(tmp_path):
+    (tmp_path / "gates.csv").write_text("feature,mu,eval_gate\n0,0.25,0.75\n1\n")
+    return ["select", "--gates", str(tmp_path / "gates.csv")]
+
+
+def _selection_not_a_list(tmp_path):
+    rng = np.random.default_rng(0)
+    save_pair(ModalPair(x=rng.normal(size=(6, 3)), y=rng.normal(size=(6, 2)),
+                        truth_shared_x=np.array([0]), truth_shared_y=np.array([1])),
+              tmp_path / "data")
+    (tmp_path / "sel.json").write_text(json.dumps({"x": 5, "y": [1]}))
+    return ["evaluate", "--selection", str(tmp_path / "sel.json"), "--data", str(tmp_path / "data")]
+
+
+def _bad_cell_in_first_row(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "X.csv").write_text("1,oops\n3,4\n5,6\n")
+    (data / "Y.csv").write_text("1\n2\n3\n")
+    return ["baseline", "--data", str(data), "--method", "MC"]
+
+
+def _dataset_without_manifest(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "X.csv").write_bytes(b"1,2\n")
+    return ["generate", "--preset", "gaussian", "--out", str(data), "--seed", "0"]
+
+
+@pytest.mark.parametrize("setup, message", [
+    pytest.param(_empty_gates, "gates.csv: no gate rows", id="empty-gates"),
+    pytest.param(_truncated_gates, "gates.csv:3", id="truncated-gates"),
+    pytest.param(_selection_not_a_list, "'x' must be a list", id="selection-not-a-list"),
+    pytest.param(_bad_cell_in_first_row, "X.csv:1", id="bad-cell-in-first-row"),
+    pytest.param(_dataset_without_manifest, "X.csv", id="existing-x-csv"),
+])
+def test_malformed_input_and_overwrite_exit_2(runner, tmp_path, setup, message):
+    """Malformed gates, selection and CSV files, and an existing X.csv, are usage errors
+    that leave every file as it was."""
+    args = setup(tmp_path)
+
+    def files():
+        return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    before = files()
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert message in res.output
+    assert files() == before
 
 
 class TestImport:

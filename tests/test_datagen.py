@@ -199,6 +199,10 @@ class TestIngest:
         px.write_text("1,2\n3,oops\n")
         with pytest.raises(IngestionError):
             ingest(px, py)
+        # a first line with any numeric cell is data, not a header
+        px.write_text("1,oops\n3,4\n")
+        with pytest.raises(IngestionError, match=r"x\.csv:1: non-numeric"):
+            ingest(px, py)
         px.write_text("")
         with pytest.raises(IngestionError):
             ingest(px, py)

@@ -1,5 +1,7 @@
 """Kernels, median bandwidth, and normalized Laplacians."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,19 @@ class TestMedianBandwidth:
         dists = [np.sqrt(d2[i, j]) for i in range(n) for j in range(i + 1, n) if d2[i, j] > 0]
         expect = float(np.median(dists)) if dists else 1.0
         assert median_bandwidth(d2) == pytest.approx(expect, rel=1e-15)
+
+    def test_one_copy_of_the_upper_triangle(self):
+        """One call holds at most 0.6 n^2 float64 at its peak: the n(n-1)/2 gathered
+        distances, partitioned in place, and no n x n mask or second copy."""
+        n = 260
+        d2 = pairwise_sq_dists(RNG.normal(size=(n, 5)))
+        tracemalloc.start()
+        try:
+            median_bandwidth(d2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * n * n * 8, peak / (n * n * 8)
 
     def test_ignores_zero_distances(self):
         x = np.array([[0.0], [0.0], [3.0]])
