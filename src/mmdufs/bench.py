@@ -219,10 +219,14 @@ def mean_f1(rows: list[dict]) -> dict:
     return {k: float(np.mean(v)) for k, v in acc.items()}
 
 
-def write_rows_csv(rows: list[dict], path) -> None:
-    fields = ["dataset", "method", "seed", "f1_x", "f1_y", "wall_time", "error", "error_type"]
+# The columns of a run_experiment row; a cell that succeeded leaves the error ones blank.
+ROW_FIELDS = ("dataset", "method", "seed", "f1_x", "f1_y", "wall_time", "error", "error_type")
+
+
+def write_rows_csv(rows: list[dict], path, fields=None) -> None:
+    """rows as CSV under the header fields (default: the first row's keys); missing keys are blank."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=fields or list(rows[0]), extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
 

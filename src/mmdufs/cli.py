@@ -7,7 +7,6 @@ The environment variable MMDUFS_SEED provides a global seed fallback.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import os
@@ -22,6 +21,7 @@ import numpy as np
 from .bench import (
     BASELINES,
     DATASET_PRESETS,
+    ROW_FIELDS,
     SHARED_HYPERPARAMS,
     baseline_select,
     format_report,
@@ -67,14 +67,6 @@ def _emit(text: str, out_path: Path | None, force: bool) -> None:
     else:
         _guard_overwrite([out_path], force)
         Path(out_path).write_text(text)
-
-
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    """rows as CSV under a header of the first row's keys."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 def _load_config(config_path, seed: int | None, overrides: dict) -> RunConfig:
@@ -123,8 +115,12 @@ def generate(preset: str, outdir: Path, seed: int | None, force: bool) -> None:
     """Write a synthetic dataset (X.csv, Y.csv, truth files, manifest.json)."""
     if preset not in GENERATOR_PRESETS:
         raise click.UsageError(f"unknown preset '{preset}'; choose from {sorted(GENERATOR_PRESETS)}")
-    _guard_overwrite([outdir / name for name in DATASET_FILES], force)
-    save_pair(GENERATOR_PRESETS[preset](_seed(seed)), outdir)
+    dataset_files = [outdir / name for name in DATASET_FILES]
+    _guard_overwrite(dataset_files, force)
+    pair = GENERATOR_PRESETS[preset](_seed(seed))
+    for path in dataset_files:  # under --force, no file of the dataset it replaces stays
+        path.unlink(missing_ok=True)
+    save_pair(pair, outdir)
     click.echo(f"wrote {preset} dataset to {outdir}")
 
 
@@ -157,7 +153,7 @@ def train_cmd(datadir, config_path, outdir, seed, epochs, mode, force) -> None:
 
     save_gates_csv(result.gates_x, outdir / "gates_x.csv")
     save_gates_csv(result.gates_y, outdir / "gates_y.csv")
-    _write_csv(outdir / "train_log.csv", result.log.rows)
+    write_rows_csv(result.log, outdir / "train_log.csv")
     k_x, k_y = pair.selection_sizes(cfg.mode)
     selection = {
         "x": select_features(result.gates_x, "top-k", k=k_x),
@@ -167,7 +163,7 @@ def train_cmd(datadir, config_path, outdir, seed, epochs, mode, force) -> None:
     }
     (outdir / "selection.json").write_text(json.dumps(selection, indent=2))
     (outdir / "run_manifest.json").write_text(cfg.to_json())
-    click.echo(f"trained {cfg.epochs} epochs; final record: {result.log.last}")
+    click.echo(f"trained {cfg.epochs} epochs; final record: {result.log[-1]}")
 
 
 @main.command()
@@ -192,7 +188,7 @@ def tune(datadir, config_path, outdir, grid, warmup_epochs, seed, force) -> None
     _guard_overwrite([outdir / "lambda_grid.csv", outdir / "chosen_lambda.json"], force)
 
     lam_x, lam_y, records = warmup_tune(pair, cfg, values, warmup_epochs=warmup_epochs)
-    _write_csv(outdir / "lambda_grid.csv", records)
+    write_rows_csv(records, outdir / "lambda_grid.csv")
     (outdir / "chosen_lambda.json").write_text(
         json.dumps({"lambda_x": lam_x, "lambda_y": lam_y}, indent=2)
     )
@@ -286,7 +282,7 @@ def _reproduce_table(outdir: Path, stem: str, seed: int, jobs: int, epochs: int 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             cells = list(pool.map(run_experiment, specs))
     rows = [row for cell in cells for row in cell]
-    write_rows_csv(rows, outdir / f"{stem}.csv")
+    write_rows_csv(rows, outdir / f"{stem}.csv", ROW_FIELDS)
     report = format_report(rows)
     (outdir / f"{stem}.txt").write_text(report + "\n")
     click.echo(report)
@@ -308,7 +304,7 @@ def _reproduce_cube_figure(outdir: Path, seed: int) -> None:
             row[f"l_x_vec{j}"] = vecs_x[i, j]
             row[f"cos{j}"] = np.cos(np.pi * j * theta_s[i] / l_s)
         rows.append(row)
-    _write_csv(outdir / "cube_figure.csv", rows)
+    write_rows_csv(rows, outdir / "cube_figure.csv")
     # R^2 of each operator eigenvector against the matching shared-mode cosine
     summary = []
     for j in range(1, 4):
@@ -320,7 +316,7 @@ def _reproduce_cube_figure(outdir: Path, seed: int) -> None:
             resid = v - a @ coef
             r2 = 1.0 - resid.var() / v.var()
             summary.append({"operator": name, "mode": j, "r_squared": float(r2)})
-    _write_csv(outdir / "cube_r2.csv", summary)
+    write_rows_csv(summary, outdir / "cube_r2.csv")
     click.echo(json.dumps(summary, indent=2))
 
 
@@ -344,7 +340,7 @@ def _reproduce_lambda_grid(outdir: Path, seed: int, epochs: int | None) -> None:
             "f1_y": f1(sel_y, pair.truth_shared_y),
             "chosen": lam == lam_x,
         })
-    _write_csv(outdir / "lambda_grid.csv", rows)
+    write_rows_csv(rows, outdir / "lambda_grid.csv")
     click.echo(f"chosen lambda={lam_x}; wrote {outdir / 'lambda_grid.csv'}")
 
 

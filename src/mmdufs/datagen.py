@@ -1,4 +1,4 @@
-"""Synthetic multi-modal datasets and CSV ingestion.
+"""Synthetic multi-modal datasets, and their reading and writing as CSV directories.
 
 Generators cover a two-modality Gaussian mixture with shared and
 modality-specific clusters, a bifurcating developmental-tree surrogate with
@@ -23,7 +23,6 @@ __all__ = [
     "gen_gaussian_mixture",
     "gen_tree",
     "gen_cube",
-    "ingest",
     "save_pair",
     "load_pair",
 ]
@@ -243,31 +242,28 @@ def gen_tree(seed: int = 0) -> ModalPair:
     )
 
 
-def gen_cube(
-    seed: int = 0,
-    n: int = 1000,
-    l_s: float = 2.0,
-    l_a: float = 0.5,
-    l_b: float = 1.0,
-) -> ModalPair:
-    """Uniform samples from [0,l_s] x [0,l_a] x [0,l_b].
+# gen_cube's sample count and box sides.
+_CUBE_N = 1000
+_CUBE_SIDES = {"l_s": 2.0, "l_a": 0.5, "l_b": 1.0}
+
+
+def gen_cube(seed: int = 0) -> ModalPair:
+    """1000 uniform samples from [0,l_s] x [0,l_a] x [0,l_b] = [0,2] x [0,0.5] x [0,1].
 
     Y observes (theta_s, theta_a) and X observes (theta_s, theta_b); the first
     coordinate is the shared latent variable. Full latent coordinates are kept
-    for downstream analysis. The default side lengths make the shared
-    coordinate dominate the joint spectrum (l_s largest) while X retains a
-    clear modality-specific mode in theta_b; the short theta_a side keeps
+    for downstream analysis. The side lengths make the shared coordinate
+    dominate the joint spectrum (l_s largest) while X retains a clear
+    modality-specific mode in theta_b; the short theta_a side keeps
     cross-modal product modes out of the leading shared eigenspace.
     """
-    if n < 10:
-        raise ValueError("cube generator needs n >= 10")
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 1.0, size=(n, 3)) * np.array([l_s, l_a, l_b])
+    theta = rng.uniform(0.0, 1.0, size=(_CUBE_N, 3)) * np.array(list(_CUBE_SIDES.values()))
     return ModalPair(
         x=theta[:, [0, 2]].copy(),
         y=theta[:, [0, 1]].copy(),
         latent=theta,
-        meta={"generator": "cube", "seed": seed, "n": n, "l_s": l_s, "l_a": l_a, "l_b": l_b},
+        meta={"generator": "cube", "seed": seed, "n": _CUBE_N, **_CUBE_SIDES},
     )
 
 
@@ -320,28 +316,6 @@ def _read_indices(path) -> np.ndarray:
             except ValueError as exc:
                 raise IngestionError(f"{path}:{lineno}: expected an integer index") from exc
     return np.array(vals, dtype=np.int64)
-
-
-def ingest(
-    path_x,
-    path_y,
-    truth_shared_x=None,
-    truth_shared_y=None,
-    truth_diff_x=None,
-    truth_diff_y=None,
-) -> ModalPair:
-    """Load two CSV matrices (and optional truth index files) as a ModalPair."""
-    x = _read_matrix(path_x)
-    y = _read_matrix(path_y)
-    if x.shape[0] != y.shape[0]:
-        raise IngestionError(
-            f"row-count mismatch: {path_x} has {x.shape[0]}, {path_y} has {y.shape[0]}"
-        )
-    paths = (truth_shared_x, truth_shared_y, truth_diff_x, truth_diff_y)
-    truths = {
-        name: _read_indices(p) if p is not None else None for name, p in zip(_TRUTH_FIELDS, paths)
-    }
-    return ModalPair(x=x, y=y, meta={"source_x": str(path_x), "source_y": str(path_y)}, **truths)
 
 
 _FMT = "%.17g"

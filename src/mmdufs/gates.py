@@ -50,10 +50,6 @@ class GateState:
     def zeros(cls, n_features: int, seed: int = 0) -> "GateState":
         return cls(mu=np.zeros(n_features), seed=seed)
 
-    @property
-    def n_features(self) -> int:
-        return self.mu.size
-
     def draw_noise(self) -> np.ndarray:
         return self._rng.normal(0.0, SIGMA, size=self.mu.size)
 

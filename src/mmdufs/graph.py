@@ -67,7 +67,8 @@ def median_bandwidth(d2: np.ndarray) -> float:
 def gaussian_kernel(d2: np.ndarray, bandwidth: float) -> np.ndarray:
     """K_ij = exp(-d2_ij / (2 sigma^2)) from pairwise squared distances d2.
 
-    Plain-array version of kernel_on_tape; d2 is made by pairwise_sq_dists.
+    Plain-array version of kernel_on_tape; d2 is made by pairwise_sq_dists,
+    which is exactly symmetric, and so is K.
     """
     d2 = np.asarray(d2, dtype=np.float64)
     if not np.isfinite(d2).all():
@@ -78,8 +79,8 @@ def gaussian_kernel(d2: np.ndarray, bandwidth: float) -> np.ndarray:
         raise ContractError("kernel needs at least two rows")
     if bandwidth <= 0:
         raise ContractError("bandwidth must be positive")
-    k = np.exp(-d2 / (2.0 * bandwidth**2))
-    return 0.5 * (k + k.T)
+    k = np.divide(d2, -2.0 * bandwidth**2)
+    return np.exp(k, out=k)
 
 
 def normalized_laplacian(k: np.ndarray) -> np.ndarray:

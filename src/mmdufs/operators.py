@@ -70,8 +70,13 @@ def differential_operator(
 
 
 def shared_operator_array(l_x: np.ndarray, l_y: np.ndarray, b: float = 1.0) -> np.ndarray:
-    p = l_x @ l_y + l_y @ l_x
-    return 0.5 * b * (p + p.T)
+    """b * (L_x L_y + L_y L_x), formed as shared_operator forms it.
+
+    L_y L_x = M^T for M = L_x L_y, as both Laplacians are symmetric: one
+    product, and the result is exactly symmetric.
+    """
+    m = l_x @ l_y
+    return b * (m + m.T)
 
 
 def differential_operator_array(

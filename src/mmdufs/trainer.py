@@ -11,7 +11,7 @@ weight lambda scores the same objective at deterministic gates.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .datagen import ModalPair
 
 __all__ = [
     "RunConfig",
-    "TrainLog",
     "TrainResult",
     "TrainingDiverged",
     "shared_loss",
@@ -71,24 +70,10 @@ class RunConfig:
 
 
 @dataclass
-class TrainLog:
-    """Per-epoch training records."""
-
-    rows: list[dict] = field(default_factory=list)
-
-    def append(self, **record):
-        self.rows.append(record)
-
-    @property
-    def last(self) -> dict | None:
-        return self.rows[-1] if self.rows else None
-
-
-@dataclass
 class TrainResult:
     gates_x: GateState
     gates_y: GateState
-    log: TrainLog
+    log: list[dict]  # one record per epoch
     bandwidth_x: float
     bandwidth_y: float
 
@@ -216,7 +201,7 @@ def train(
     gates_x = GateState.zeros(pair.x.shape[1], seed=cfg.seed)
     gates_y = GateState.zeros(pair.y.shape[1], seed=cfg.seed + 1)
     batch_rng = np.random.default_rng(cfg.seed + 2)
-    log = TrainLog()
+    log = []
 
     tape = None
     for epoch in range(cfg.epochs):
@@ -238,7 +223,7 @@ def train(
             gates_x.mu -= cfg.learning_rate * grads[mu_x.idx]
             gates_y.mu -= cfg.learning_rate * grads[mu_y.idx]
         if not (np.isfinite(gates_x.mu).all() and np.isfinite(gates_y.mu).all()):
-            raise TrainingDiverged(epoch, log.last)
+            raise TrainingDiverged(epoch, log[-1] if log else None)
 
         record = {
             "epoch": epoch,
@@ -256,7 +241,7 @@ def train(
                 if truth is not None:
                     sel = select_features(gates, "top-k", k=len(truth))
                     record[f"f1_{key}"] = f1(sel, truth)
-        log.append(**record)
+        log.append(record)
 
     return TrainResult(
         gates_x=gates_x,

@@ -330,3 +330,22 @@ class TestCriterion11Determinism:
             outs.append(out)
         for artifact in ("gates_x.csv", "gates_y.csv", "train_log.csv"):
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+
+
+class TestCriterion12DifferentialGaussian:
+    def test_recovers_modality_specific_features(self):
+        """Differential mode selects each modality's own cluster features, above every baseline.
+
+        0.95 is the F1 floor of the benchmark's gaussian-differential workload,
+        which trains this preset for 50 epochs; the 0.05 margin is criterion 10's.
+        """
+        rows = run_experiment(
+            {"dataset": "gaussian", "mode": "differential", "epochs": 50, "seeds": [0, 1, 2]}
+        )
+        assert not [r for r in rows if "error" in r]
+        means = mean_f1(rows)
+        for mod in ("x", "y"):
+            ours = means[("gaussian", "mmDUFS", mod)]
+            best = max(means[("gaussian", m, mod)] for m in BASELINES)
+            assert ours >= 0.95, (mod, ours, means)
+            assert ours >= best + 0.05, (mod, ours, best, means)

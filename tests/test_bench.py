@@ -11,6 +11,7 @@ from mmdufs.bench import (
     BASELINES,
     DATASET_PRESETS,
     DIFFERENTIAL_HYPERPARAMS,
+    ROW_FIELDS,
     SHARED_HYPERPARAMS,
     baseline_select,
     format_report,
@@ -276,10 +277,13 @@ class TestReports:
     def test_csv_and_table(self, tmp_path):
         rows = run_experiment({"dataset": "gaussian", "methods": ["MC", "mmKS"], "seeds": [0]})
         out = tmp_path / "rows.csv"
-        write_rows_csv(rows, out)
+        write_rows_csv(rows, out, ROW_FIELDS)
         text = out.read_text()
         assert text.splitlines()[0] == "dataset,method,seed,f1_x,f1_y,wall_time,error,error_type"
         assert len(text.splitlines()) == 3
+        assert all(line.endswith(",,") for line in text.splitlines()[1:])  # no error
+        write_rows_csv(rows, out)  # default header: the first row's keys
+        assert out.read_text().splitlines()[0] == "dataset,method,seed,f1_x,f1_y,wall_time"
         report = format_report(rows)
         assert "gaussian" in report and "MC" in report and "mmKS" in report
         assert "X" in report and "Y" in report

@@ -53,6 +53,19 @@ class TestGenerate:
         )
         assert res.exit_code == 0
 
+    def test_force_replaces_every_dataset_file(self, runner, dataset):
+        """--force leaves no file of the replaced dataset: a cube has no truth or labels."""
+        res = runner.invoke(
+            main, ["generate", "--preset", "cube", "--out", str(dataset), "--force"]
+        )
+        assert res.exit_code == 0, res.output
+        pair = load_pair(dataset)
+        assert pair.x.shape == (1000, 2)
+        assert pair.truth("shared") == pair.truth("differential") == (None, None)
+        assert pair.labels is None
+        res = runner.invoke(main, ["baseline", "--data", str(dataset), "--method", "MC"])
+        assert res.exit_code == 0, res.output
+
     def test_unknown_preset(self, runner, tmp_path):
         res = runner.invoke(main, ["generate", "--preset", "imagenet", "--out", str(tmp_path / "d")])
         assert res.exit_code == 2

@@ -1,4 +1,4 @@
-"""Synthetic generators, ingestion, and persistence."""
+"""Synthetic generators, and dataset directories: reading, validation and persistence."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from mmdufs.datagen import (
     gen_cube,
     gen_gaussian_mixture,
     gen_tree,
-    ingest,
     load_pair,
     save_pair,
 )
@@ -153,8 +152,8 @@ class TestTree:
 
 class TestCube:
     def test_shapes_and_latent(self):
-        p = gen_cube(seed=0, n=500)
-        assert p.x.shape == (500, 2) and p.y.shape == (500, 2)
+        p = gen_cube(seed=0)
+        assert p.x.shape == (1000, 2) and p.y.shape == (1000, 2)
         # first column of both modalities is the shared coordinate
         np.testing.assert_array_equal(p.x[:, 0], p.latent[:, 0])
         np.testing.assert_array_equal(p.y[:, 0], p.latent[:, 0])
@@ -162,72 +161,61 @@ class TestCube:
         np.testing.assert_array_equal(p.y[:, 1], p.latent[:, 1])
 
     def test_side_lengths(self):
-        p = gen_cube(seed=3, n=2000, l_s=2.0, l_a=0.5, l_b=1.0)
+        p = gen_cube(seed=3)
+        assert {k: p.meta[k] for k in ("n", "l_s", "l_a", "l_b")} == {
+            "n": 1000, "l_s": 2.0, "l_a": 0.5, "l_b": 1.0}
         assert p.latent[:, 0].max() <= 2.0 and p.latent[:, 0].max() > 1.9
         assert p.latent[:, 1].max() <= 0.5 and p.latent[:, 2].max() <= 1.0
 
-    def test_minimum_size(self):
-        with pytest.raises(ValueError):
-            gen_cube(n=5)
+
+def dataset_dir(tmp_path, x_text, y_text, **files):
+    """tmp_path/d holding X.csv, Y.csv and each file named in files, with the given texts."""
+    d = tmp_path / "d"
+    d.mkdir(exist_ok=True)
+    for name, text in {"X.csv": x_text, "Y.csv": y_text, **files}.items():
+        (d / name).write_text(text)
+    return d
 
 
 class TestIngest:
+    """load_pair reads a dataset directory's CSV files, or raises IngestionError."""
+
     def test_round_trip_matrices(self, tmp_path):
         rng = np.random.default_rng(0)
         x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
-        px, py = tmp_path / "x.csv", tmp_path / "y.csv"
-        np.savetxt(px, x, delimiter=",", fmt="%.17g")
-        np.savetxt(py, y, delimiter=",", fmt="%.17g")
-        p = ingest(px, py)
+        np.savetxt(tmp_path / "X.csv", x, delimiter=",", fmt="%.17g")
+        np.savetxt(tmp_path / "Y.csv", y, delimiter=",", fmt="%.17g")
+        p = load_pair(tmp_path)
         np.testing.assert_array_equal(p.x, x)
         np.testing.assert_array_equal(p.y, y)
 
     def test_header_skipped(self, tmp_path):
-        px = tmp_path / "x.csv"
-        px.write_text("a,b\n1,2\n3,4\n")
-        py = tmp_path / "y.csv"
-        py.write_text("1\n2\n")
-        p = ingest(px, py)
+        p = load_pair(dataset_dir(tmp_path, "a,b\n1,2\n3,4\n", "1\n2\n"))
         np.testing.assert_array_equal(p.x, [[1, 2], [3, 4]])
 
     def test_errors(self, tmp_path):
-        px, py = tmp_path / "x.csv", tmp_path / "y.csv"
-        px.write_text("1,2\n3\n")
-        py.write_text("1\n2\n")
-        with pytest.raises(IngestionError):
-            ingest(px, py)
-        px.write_text("1,2\n3,oops\n")
-        with pytest.raises(IngestionError):
-            ingest(px, py)
-        # a first line with any numeric cell is data, not a header
-        px.write_text("1,oops\n3,4\n")
-        with pytest.raises(IngestionError, match=r"x\.csv:1: non-numeric"):
-            ingest(px, py)
-        px.write_text("")
-        with pytest.raises(IngestionError):
-            ingest(px, py)
-        px.write_text("1,2\n3,4\n")
-        py.write_text("1\n")
-        with pytest.raises(IngestionError):
-            ingest(px, py)
+        for x_text, y_text, match in [
+            ("1,2\n3\n", "1\n2\n", r"X\.csv:2: expected 2 cells"),
+            ("1,2\n3,oops\n", "1\n2\n", r"X\.csv:2: non-numeric"),
+            # a first line with any numeric cell is data, not a header
+            ("1,oops\n3,4\n", "1\n2\n", r"X\.csv:1: non-numeric"),
+            ("", "1\n2\n", r"X\.csv: no data rows"),
+            ("1,2\n3,4\n", "1\n", "sample count"),
+        ]:
+            with pytest.raises(IngestionError, match=match):
+                load_pair(dataset_dir(tmp_path, x_text, y_text))
 
     def test_truth_files_and_zscore(self, tmp_path):
-        px, py, pt = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "t.csv"
-        px.write_text("1,2\n3,4\n5,0\n")
-        py.write_text("1\n2\n3\n")
-        pt.write_text("0\n1\n")
-        p = ingest(px, py, truth_shared_x=pt)
+        d = dataset_dir(tmp_path, "1,2\n3,4\n5,0\n", "1\n2\n3\n", **{"truth_shared_x.csv": "0\n1\n"})
+        p = load_pair(d)
         assert list(p.truth_shared_x) == [0, 1]
         np.testing.assert_array_equal(p.x, [[1, 2], [3, 4], [5, 0]])  # raw values
         np.testing.assert_allclose(zscore_columns(p.x).mean(axis=0), 0.0, atol=1e-12)
 
     def test_bad_truth_file(self, tmp_path):
-        px, py, pt = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "t.csv"
-        px.write_text("1\n")
-        py.write_text("1\n")
-        pt.write_text("zero\n")
-        with pytest.raises(IngestionError):
-            ingest(px, py, truth_shared_x=pt)
+        d = dataset_dir(tmp_path, "1\n", "1\n", **{"truth_shared_x.csv": "zero\n"})
+        with pytest.raises(IngestionError, match=r"truth_shared_x\.csv:1: expected an integer"):
+            load_pair(d)
 
 
 class TestSaveLoad:
@@ -243,10 +231,11 @@ class TestSaveLoad:
         assert back.meta["generator"] == "gaussian_mixture"
 
     def test_cube_round_trip_keeps_latent(self, tmp_path):
-        p = gen_cube(seed=0, n=50)
+        p = gen_cube(seed=0)
         save_pair(p, tmp_path / "c")
         back = load_pair(tmp_path / "c")
         np.testing.assert_array_equal(back.latent, p.latent)
+        assert back.meta["l_s"] == p.meta["l_s"] == 2.0
         assert back.truth_shared_x is None
 
     @pytest.mark.parametrize("text", ["", "0\n0\n1\n", "-1\n", "0\n130\n"])

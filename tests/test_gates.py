@@ -22,7 +22,7 @@ from mmdufs.tape import ContractError, Tape
 class TestGateState:
     def test_zeros_factory(self):
         g = GateState.zeros(5, seed=3)
-        assert g.n_features == 5
+        assert g.mu.size == 5
         np.testing.assert_array_equal(g.mu, 0.0)
         np.testing.assert_array_equal(g.eval_gates(), 0.5)
 

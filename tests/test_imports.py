@@ -1,8 +1,10 @@
-"""Every name a module of the package imports is used in that module, and every
-name a module exports resolves."""
+"""Every name a module of the package imports is used in that module, every
+name a module exports resolves, and every exported function has a caller."""
 
 import ast
 import importlib
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,9 @@ import pytest
 import mmdufs
 
 MODULES = sorted(p for p in Path(mmdufs.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+# Public functions whose only callers are tests: independent references for them.
+ORACLES = {"differential_operator_array"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -55,3 +60,40 @@ def test_all_names_resolve(path):
 
 def test_package_all_names_resolve():
     assert [name for name in mmdufs.__all__ if not hasattr(mmdufs, name)] == []
+
+
+def named_in(source: str) -> set[str]:
+    """Names a file's code reads, imports or spells as a (dotted) identifier string.
+
+    The strings count because the benchmark names its spans and generators
+    as strings ("trainer.shared_loss", getattr(mm.datagen, "gen_tree")).
+    """
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+                names.update(node.value.split("."))
+    return names
+
+
+def test_named_in_reads_code_and_identifier_strings():
+    source = 'from a import b\nc.d()\ne = "trainer.f"\n"""g is mentioned here"""\n'
+    assert named_in(source) == {"b", "c", "d", "e", "trainer", "f"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_public_functions_have_callers(path):
+    """Each function in __all__ is named by another package module or the benchmark."""
+    module = importlib.import_module(f"mmdufs.{path.stem}")
+    elsewhere = set().union(*(named_in(p.read_text()) for p in MODULES + PERFBENCH if p != path))
+    uncalled = [
+        name for name in getattr(module, "__all__", ())
+        if inspect.isfunction(getattr(module, name)) and name not in elsewhere | ORACLES
+    ]
+    assert uncalled == []

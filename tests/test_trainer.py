@@ -263,7 +263,7 @@ def assert_first_epoch_permutation_invariant(mode, seed, n, dx, dy, b):
     cfg = RunConfig(mode=mode, epochs=1, lambda_x=0.3, lambda_y=0.1, b=b, seed=seed)
     ref, got = train(pair, cfg), train(permuted, cfg)
     for key in ("loss", "score_x", "score_y"):
-        assert got.log.rows[0][key] == pytest.approx(ref.log.rows[0][key], rel=1e-10)
+        assert got.log[0][key] == pytest.approx(ref.log[0][key], rel=1e-10)
     for g_ref, g_got in ((ref.gates_x.mu, got.gates_x.mu), (ref.gates_y.mu, got.gates_y.mu)):
         np.testing.assert_allclose(g_got, g_ref, rtol=1e-9, atol=1e-12 * np.abs(g_ref).max())
 
@@ -481,7 +481,7 @@ class TestTrain:
         cfg = RunConfig(epochs=5, learning_rate=0.5, seed=7)
         r1 = train(pair, cfg)
         r2 = train(pair, cfg)
-        assert r1.log.rows == r2.log.rows
+        assert r1.log == r2.log
         np.testing.assert_array_equal(r1.gates_x.mu, r2.gates_x.mu)
 
     def test_seed_changes_trajectory(self):
@@ -494,7 +494,7 @@ class TestTrain:
         pair = tiny_pair(seed=2, n=20)
         cfg = RunConfig(epochs=4, batch_size=10, learning_rate=0.1)
         res = train(pair, cfg)
-        assert len(res.log.rows) == 4
+        assert len(res.log) == 4
 
     def test_batch_size_too_large(self):
         pair = tiny_pair(n=8)
@@ -514,12 +514,12 @@ class TestTrain:
         # one constant column among varying ones still trains
         x = pair.x.copy()
         x[:, 0] = 3.0
-        assert len(train(ModalPair(x=x, y=pair.y), RunConfig(mode=mode, epochs=1)).log.rows) == 1
+        assert len(train(ModalPair(x=x, y=pair.y), RunConfig(mode=mode, epochs=1)).log) == 1
 
     def test_f1_logged_with_ground_truth(self):
         pair = tiny_pair()
         res = train(pair, RunConfig(epochs=2), ground_truth={"x": [0, 1], "y": [0]})
-        assert "f1_x" in res.log.rows[0] and "f1_y" in res.log.rows[0]
+        assert "f1_x" in res.log[0] and "f1_y" in res.log[0]
 
     def test_score_nondecreasing_without_regularizer(self):
         """With lam=0 and frozen bandwidth the score trend is upward."""
@@ -537,7 +537,7 @@ class TestTrain:
         for lam in (1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1):
             cfg = RunConfig(epochs=60, learning_rate=1.0, lambda_x=lam, lambda_y=lam, seed=0)
             res = train(pair, cfg)
-            opens.append(res.log.last["open_x"] + res.log.last["open_y"])
+            opens.append(res.log[-1]["open_x"] + res.log[-1]["open_y"])
         assert all(a >= b for a, b in zip(opens, opens[1:]))
 
     def test_no_tape_left_for_the_cycle_collector(self):
