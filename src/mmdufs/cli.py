@@ -13,6 +13,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import click
@@ -33,7 +34,8 @@ from .gates import f1, load_gates_csv, save_gates_csv, select_features
 from .graph import data_laplacian
 from .operators import shared_operator_array
 from .tape import ContractError, NumericalError, SingularMatrixError, eigh_descending
-from .trainer import LAMBDA_GRID, WARMUP_EPOCHS, RunConfig, TrainingDiverged, train, warmup_tune
+from .trainer import (LAMBDA_GRID, WARMUP_EPOCHS, RunConfig, TrainingDiverged, run, train,
+                      warmup_record, warmup_tune)
 
 GENERATOR_PRESETS = {**DATASET_PRESETS, "cube": gen_cube}
 
@@ -321,27 +323,24 @@ def _reproduce_cube_figure(outdir: Path, seed: int) -> None:
 
 
 def _reproduce_lambda_grid(outdir: Path, seed: int, epochs: int | None) -> None:
+    """One run per lambda: its warm-up score at WARMUP_EPOCHS, its F1 at epochs (default 3000)."""
     pair = DATASET_PRESETS["gaussian"](seed)
-    cfg = replace(SHARED_HYPERPARAMS["gaussian"], seed=seed)
-    lam_x, _, records = warmup_tune(pair, cfg, LAMBDA_GRID)
-    # full(er) training per grid value for the F1 column
-    full_epochs = epochs if epochs is not None else 3000
+    full_epochs = 3000 if epochs is None else epochs
+    cfg = replace(SHARED_HYPERPARAMS["gaussian"], seed=seed, epochs=full_epochs)
+    truth = dict(zip("xy", pair.truth("shared")))
+    stop = max(WARMUP_EPOCHS, cfg.epochs)
     rows = []
-    for rec in records:
-        lam = rec["lambda"]
-        run_cfg = replace(cfg, lambda_x=lam, lambda_y=lam, epochs=full_epochs)
-        result = train(pair, run_cfg)
-        sel_x = select_features(result.gates_x, "top-k", k=len(pair.truth_shared_x))
-        sel_y = select_features(result.gates_y, "top-k", k=len(pair.truth_shared_y))
-        rows.append({
-            "lambda": lam,
-            "score_shared": rec["score_shared"],
-            "f1_x": f1(sel_x, pair.truth_shared_x),
-            "f1_y": f1(sel_y, pair.truth_shared_y),
-            "chosen": lam == lam_x,
-        })
+    for lam in LAMBDA_GRID:  # ascending, so max() below breaks ties to the smaller lambda
+        lam_cfg = replace(cfg, lambda_x=lam, lambda_y=lam)
+        for epoch, result in enumerate(islice(run(pair, lam_cfg, truth), stop), 1):
+            if epoch == WARMUP_EPOCHS:
+                row = warmup_record(pair, lam_cfg, result)
+        final = result.log[cfg.epochs - 1]
+        rows.append({**row, "f1_x": final["f1_x"], "f1_y": final["f1_y"]})
+    chosen = max(rows, key=lambda r: r["score_shared"])["lambda"]
+    rows = [{**r, "chosen": r["lambda"] == chosen} for r in rows]
     write_rows_csv(rows, outdir / "lambda_grid.csv")
-    click.echo(f"chosen lambda={lam_x}; wrote {outdir / 'lambda_grid.csv'}")
+    click.echo(f"chosen lambda={chosen}; wrote {outdir / 'lambda_grid.csv'}")
 
 
 @main.command()

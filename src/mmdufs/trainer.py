@@ -4,14 +4,17 @@ Each epoch samples stochastic gates, evaluates the mode's objective on a new
 tape (kernels, Laplacians and graph operators rebuilt from the gated data),
 and backpropagates to the gate parameters. The new tape is built with
 Tape(reuse=) of the previous epoch's, so it writes into that tape's arrays
-and a run allocates one buffer set. A warm-up grid search over the sparsity
-weight lambda scores the same objective at deterministic gates.
+and a run allocates one buffer set. run yields after every epoch; train stops
+it at cfg.epochs. A warm-up grid search over the sparsity weight lambda
+scores the same objective at deterministic gates.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
+from itertools import count, islice
 
 import numpy as np
 
@@ -27,7 +30,9 @@ __all__ = [
     "TrainingDiverged",
     "shared_loss",
     "differential_loss",
+    "run",
     "train",
+    "warmup_record",
     "warmup_tune",
 ]
 
@@ -48,6 +53,11 @@ class RunConfig:
     bandwidth_scale: float = 0.5
 
     def __post_init__(self):
+        for name in ("seed", "epochs", "batch_size"):
+            value = getattr(self, name)
+            is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not (is_int or (name == "batch_size" and value is None)):
+                raise ContractError(f"{name} must be an integer, got {value!r}")
         if self.mode not in ("shared", "differential"):
             raise ContractError(f"unknown mode '{self.mode}'")
         if self.epochs < 1:
@@ -62,8 +72,6 @@ class RunConfig:
             raise ContractError("batch size must be >= 2")
         if self.bandwidth_scale <= 0:
             raise ContractError("bandwidth scale must be positive")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ContractError(f"seed must be an integer, got {self.seed!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -173,13 +181,11 @@ def _objective(tape, xb, yb, z_x, z_y, mu_x, mu_y, cfg, bandwidths=(None, None))
     return tape.add(loss_x, loss_y), s_x, s_y, graphs
 
 
-def train(
-    pair: ModalPair,
-    cfg: RunConfig,
-    ground_truth: dict | None = None,
-) -> TrainResult:
-    """Optimize both gate vectors by SGD; deterministic for a fixed config and seed.
+def run(pair: ModalPair, cfg: RunConfig, ground_truth: dict | None = None) -> Iterator[TrainResult]:
+    """Optimize both gate vectors by SGD, deterministic for a fixed config and seed.
 
+    After each epoch, yields the run so far: one TrainResult, which the next
+    epoch updates in place. cfg.epochs is not read; the caller stops the run.
     Each epoch takes its kernel bandwidths from that epoch's gated data and
     appends one row to the log. ground_truth maps "x"/"y" to index arrays (or
     None); for each array given, top-k selection F1 (k = truth size) is logged.
@@ -202,9 +208,10 @@ def train(
     gates_y = GateState.zeros(pair.y.shape[1], seed=cfg.seed + 1)
     batch_rng = np.random.default_rng(cfg.seed + 2)
     log = []
+    result = TrainResult(gates_x, gates_y, log, bandwidth_x=np.nan, bandwidth_y=np.nan)
 
     tape = None
-    for epoch in range(cfg.epochs):
+    for epoch in count():
         if cfg.batch_size is None or cfg.batch_size >= n:
             xb, yb = data_x, data_y
         else:
@@ -242,14 +249,13 @@ def train(
                     sel = select_features(gates, "top-k", k=len(truth))
                     record[f"f1_{key}"] = f1(sel, truth)
         log.append(record)
+        result.bandwidth_x, result.bandwidth_y = graphs.bandwidth_x, graphs.bandwidth_y
+        yield result
 
-    return TrainResult(
-        gates_x=gates_x,
-        gates_y=gates_y,
-        log=log,
-        bandwidth_x=graphs.bandwidth_x,
-        bandwidth_y=graphs.bandwidth_y,
-    )
+
+def train(pair: ModalPair, cfg: RunConfig, ground_truth: dict | None = None) -> TrainResult:
+    """run(pair, cfg, ground_truth) stopped after cfg.epochs epochs."""
+    return next(islice(run(pair, cfg, ground_truth), cfg.epochs - 1, None))
 
 
 def _eval_scores(pair: ModalPair, cfg: RunConfig, result: TrainResult) -> tuple[float, float]:
@@ -272,6 +278,19 @@ LAMBDA_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 WARMUP_EPOCHS = 1000
 
 
+def warmup_record(pair: ModalPair, cfg: RunConfig, result: TrainResult) -> dict:
+    """Warm-up row for cfg's lambda: _eval_scores per sample and selected feature.
+
+    Shared mode records the two modalities' mean; differential mode each one.
+    """
+    n = pair.n_samples
+    d_x, d_y = pair.selection_sizes(cfg.mode)
+    tr_x, tr_y = _eval_scores(pair, cfg, result)
+    if cfg.mode == "shared":
+        return {"lambda": cfg.lambda_x, "score_shared": (tr_x / d_x + tr_y / d_y) / (2.0 * n)}
+    return {"lambda": cfg.lambda_x, "score_x": tr_x / (d_x * n), "score_y": tr_y / (d_y * n)}
+
+
 def warmup_tune(
     pair: ModalPair,
     cfg_template: RunConfig,
@@ -281,37 +300,25 @@ def warmup_tune(
     """Short-run grid search over lambda maximizing the mean operator scores.
 
     For each grid value, trains for warmup_epochs with lambda_x = lambda_y =
-    that value and evaluates the mean score per feature and sample at
-    deterministic gates. Shared mode maximizes the combined mean score (one
-    lambda for both modalities); differential mode picks lambda_x and
-    lambda_y from their own scores. Ties resolve to the smaller lambda.
+    that value, one train call per value, and scores the run by
+    warmup_record. Shared mode maximizes the combined score (one lambda for
+    both modalities); differential mode picks lambda_x and lambda_y from
+    their own scores. The grid is searched in ascending order and ties
+    resolve to the smaller lambda.
 
     Returns (lambda_x, lambda_y, per-grid-point records).
     """
     grid = sorted(float(v) for v in lambda_grid)
     if not grid:
         raise ContractError("lambda grid must be nonempty")
-    n = pair.n_samples
-    d_x, d_y = pair.selection_sizes(cfg_template.mode)
 
     records = []
     for lam in grid:
         cfg = replace(cfg_template, lambda_x=lam, lambda_y=lam, epochs=warmup_epochs)
-        result = train(pair, cfg)
-        tr_x, tr_y = _eval_scores(pair, cfg, result)
-        if cfg.mode == "shared":
-            s = (tr_x / d_x + tr_y / d_y) / (2.0 * n)
-            records.append({"lambda": lam, "score_shared": s})
-        else:
-            records.append(
-                {"lambda": lam, "score_x": tr_x / (d_x * n), "score_y": tr_y / (d_y * n)}
-            )
+        records.append(warmup_record(pair, cfg, train(pair, cfg)))
 
-    def argmax(key):
-        best = max(r[key] for r in records)
-        for r in records:  # grid is sorted ascending: first hit = smallest lambda
-            if r[key] == best:
-                return r["lambda"]
+    def argmax(key):  # max keeps the first of equal scores: the smaller lambda
+        return max(records, key=lambda r: r[key])["lambda"]
 
     if cfg_template.mode == "shared":
         lam = argmax("score_shared")

@@ -258,10 +258,17 @@ class TestRunExperiment:
         assert [r["error"] for r in rows] == [str(exc)] * 2
         assert all(r["f1_x"] is None and r["wall_time"] is None for r in rows)
 
-    def test_type_error_propagates(self):
-        """A programming error is not a failed cell: a string epoch count breaks RunConfig."""
-        with pytest.raises(TypeError):
-            run_experiment({"dataset": "gaussian", "methods": ["mmDUFS"], "epochs": "3"})
+    def test_type_error_propagates(self, monkeypatch):
+        """A programming error is not a failed cell; a non-integer epoch count is a contract one."""
+        rows = run_experiment({"dataset": "gaussian", "methods": ["mmDUFS"], "epochs": "3"})
+        assert [r["error_type"] for r in rows] == ["ContractError"]
+
+        def broken_train(*args, **kwargs):
+            raise TypeError("a bug in training")
+
+        monkeypatch.setattr(bench, "train", broken_train)
+        with pytest.raises(TypeError, match="a bug in training"):
+            run_experiment({"dataset": "gaussian", "methods": ["mmDUFS"], "epochs": 1})
 
     def test_modal_pair_dataset_takes_name(self):
         """A ModalPair is used as given for every seed; its rows carry spec["name"]."""

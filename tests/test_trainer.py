@@ -30,12 +30,14 @@ from mmdufs.operators import (
     shared_operator_array,
 )
 from mmdufs.tape import ContractError, NumericalError, Tape, pairwise_sq_dists
+from mmdufs import trainer
 from mmdufs.trainer import (
     RunConfig,
     TrainingDiverged,
     _eval_scores,
     _objective,
     differential_loss,
+    run,
     shared_loss,
     train,
     unit_norm_columns,
@@ -457,9 +459,12 @@ class TestRunConfig:
             RunConfig(batch_size=1)
         with pytest.raises(ContractError):
             RunConfig(bandwidth_scale=0.0)
-        for seed in ("7", 7.0, True):
-            with pytest.raises(ContractError, match="seed"):
-                RunConfig(seed=seed)
+        # a float, bool or string count is a contract error, not a TypeError mid-run
+        for field in ("seed", "epochs", "batch_size"):
+            for value in ("7", 7.0, 2.5, True):
+                with pytest.raises(ContractError, match=f"{field} must be an integer"):
+                    RunConfig(**{field: value})
+            assert getattr(RunConfig(**{field: np.int64(4)}), field) == 4
 
     def test_readme_config_table_lists_every_field(self):
         """README's `train --config` table names each RunConfig field exactly once."""
@@ -473,6 +478,11 @@ class TestRunConfig:
         cfg = RunConfig(mode="differential", lambda_x=0.4, epochs=7, seed=11)
         back = RunConfig(**json.loads(cfg.to_json()))  # as `train --config` reads it
         assert back == cfg
+
+
+def no_epoch(gates):
+    """Stands in for GateState.draw_noise where no epoch may start."""
+    raise AssertionError("an epoch started")
 
 
 class TestTrain:
@@ -496,21 +506,25 @@ class TestTrain:
         res = train(pair, cfg)
         assert len(res.log) == 4
 
-    def test_batch_size_too_large(self):
+    def test_batch_size_too_large(self, monkeypatch):
+        """An oversized batch fails before the first epoch draws gate noise."""
+        monkeypatch.setattr(GateState, "draw_noise", no_epoch)
         pair = tiny_pair(n=8)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="exceeds sample count"):
             train(pair, RunConfig(epochs=1, batch_size=9))
 
     @pytest.mark.parametrize("mode", ["shared", "differential"])
-    def test_constant_modality_rejected(self, mode):
+    def test_constant_modality_rejected(self, mode, monkeypatch):
         """A modality whose every column is constant fails before the first epoch."""
         pair = tiny_pair(seed=2)
-        const = ModalPair(x=pair.x, y=np.full_like(pair.y, 0.1))
-        with pytest.raises(ContractError, match="modality y"):
-            train(const, RunConfig(mode=mode, epochs=1))
-        const = ModalPair(x=np.tile(pair.x[:1], (pair.n_samples, 1)), y=pair.y)
-        with pytest.raises(ContractError, match="modality x"):
-            train(const, RunConfig(mode=mode, epochs=1))
+        with monkeypatch.context() as patch:
+            patch.setattr(GateState, "draw_noise", no_epoch)
+            const = ModalPair(x=pair.x, y=np.full_like(pair.y, 0.1))
+            with pytest.raises(ContractError, match="modality y"):
+                train(const, RunConfig(mode=mode, epochs=1))
+            const = ModalPair(x=np.tile(pair.x[:1], (pair.n_samples, 1)), y=pair.y)
+            with pytest.raises(ContractError, match="modality x"):
+                train(const, RunConfig(mode=mode, epochs=1))
         # one constant column among varying ones still trains
         x = pair.x.copy()
         x[:, 0] = 3.0
@@ -552,7 +566,6 @@ class TestTrain:
             gc.enable()
         assert after == before
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_regularizer_raises_numerical_error(self):
         pair = tiny_pair()
         # a regularizer weight near the float64 ceiling overflows the loss on
@@ -561,7 +574,6 @@ class TestTrain:
         with pytest.raises(NumericalError, match="non-finite"):
             train(pair, cfg)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_step_raises_diverged(self):
         """A step to infinite gates on the last epoch is an error, not a returned result."""
         cfg = RunConfig(mode="differential", epochs=1, learning_rate=1e308)
@@ -569,7 +581,6 @@ class TestTrain:
             train(tiny_pair(seed=0), cfg)
         assert info.value.epoch == 0 and info.value.last_record is None
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_warmup_score_raises_numerical_error(self):
         """Warm-up scoring runs under train's errstate: an overflow is the tape's typed error."""
         pair = gen_gaussian_mixture(seed=0)
@@ -585,6 +596,38 @@ def tuning_pair(seed):
     x3, y2 = np.arange(3), np.arange(2)
     return ModalPair(x=p.x, y=p.y, truth_shared_x=x3, truth_shared_y=y2,
                      truth_diff_x=x3, truth_diff_y=y2)
+
+
+class TestRun:
+    """run is train's epoch loop: stopping it after E epochs is train at E epochs."""
+
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(mode="shared", learning_rate=0.5, lambda_x=0.05, seed=3),
+        RunConfig(mode="shared", batch_size=10, learning_rate=0.5, seed=3),
+        RunConfig(mode="differential", lambda_x=0.3, lambda_y=0.2, c=0.2, seed=3),
+    ], ids=["shared", "shared-minibatch", "differential"])
+    def test_prefix_of_run_is_train(self, cfg, monkeypatch):
+        seen = []  # each epoch's bandwidths, as its own graphs resolved them
+
+        def recording_graph_pair(*args, **kwargs):
+            graphs = build_graph_pair(*args, **kwargs)
+            seen.append((graphs.bandwidth_x, graphs.bandwidth_y))
+            return graphs
+
+        monkeypatch.setattr(trainer, "build_graph_pair", recording_graph_pair)
+        pair = tiny_pair(seed=2, n=20)
+        truth = {"x": [0, 1], "y": [2]}
+        epochs = run(pair, cfg, ground_truth=truth)
+        first = next(epochs)
+        for e in range(1, 6):
+            result = first if e == 1 else next(epochs)
+            assert result is first  # one TrainResult, updated in place
+            assert (result.bandwidth_x, result.bandwidth_y) == seen[-1]
+            want = train(pair, dataclasses.replace(cfg, epochs=e), ground_truth=truth)
+            assert result.log == want.log and len(want.log) == e
+            assert np.array_equal(result.gates_x.mu, want.gates_x.mu)
+            assert np.array_equal(result.gates_y.mu, want.gates_y.mu)
+            assert (result.bandwidth_x, result.bandwidth_y) == (want.bandwidth_x, want.bandwidth_y)
 
 
 class TestWarmupTune:
@@ -604,13 +647,15 @@ class TestWarmupTune:
         chosen = next(r for r in records if r["lambda"] == lx)
         assert chosen["score_shared"] == best
 
-    def test_tie_prefers_smaller_lambda(self):
-        # a grid with one value duplicated cannot tie after dedup; craft a tie by
-        # checking the first-hit rule on identical scores (lam so small both runs agree)
+    def test_tie_prefers_smaller_lambda(self, monkeypatch):
+        """Equal scores at every grid value choose the smallest lambda, in any grid order."""
+        monkeypatch.setattr(trainer, "_eval_scores", lambda pair, cfg, result: (1.0, 2.0))
         pair = tuning_pair(seed=4)
-        lx, ly, records = warmup_tune(pair, RunConfig(epochs=2), [1e-12, 1e-11], warmup_epochs=2)
-        if records[0]["score_shared"] == records[1]["score_shared"]:
-            assert lx == 1e-12
+        for mode in ("shared", "differential"):
+            lx, ly, records = warmup_tune(pair, RunConfig(mode=mode), [1e-2, 1e-4, 1e-3], 1)
+            assert [r["lambda"] for r in records] == [1e-4, 1e-3, 1e-2]
+            assert all(r == {**records[0], "lambda": r["lambda"]} for r in records)
+            assert lx == ly == 1e-4
 
     def test_empty_grid(self):
         with pytest.raises(ContractError):
