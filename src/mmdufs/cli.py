@@ -273,17 +273,20 @@ _TABLE_DATASETS = {
 }
 
 
+def _map(fn, items, jobs: int) -> list:
+    """fn over items, results in order: in-process at jobs <= 1, else on a pool of jobs workers."""
+    if jobs <= 1:
+        return list(map(fn, items))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
 def _reproduce_table(outdir: Path, stem: str, seed: int, jobs: int, epochs: int | None) -> None:
-    """run_experiment on one spec per (dataset, seed) cell: in-process, or on jobs workers."""
+    """run_experiment on one spec per (dataset, seed) cell."""
     override = {} if epochs is None else {"epochs": epochs}
     specs = [{"dataset": ds, "seeds": [s], **override}
              for ds in _TABLE_DATASETS[stem] for s in (seed, seed + 1, seed + 2)]
-    if jobs <= 1:
-        cells = list(map(run_experiment, specs))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(run_experiment, specs))
-    rows = [row for cell in cells for row in cell]
+    rows = [row for cell in _map(run_experiment, specs, jobs) for row in cell]
     write_rows_csv(rows, outdir / f"{stem}.csv", ROW_FIELDS)
     report = format_report(rows)
     (outdir / f"{stem}.txt").write_text(report + "\n")
@@ -322,21 +325,26 @@ def _reproduce_cube_figure(outdir: Path, seed: int) -> None:
     click.echo(json.dumps(summary, indent=2))
 
 
-def _reproduce_lambda_grid(outdir: Path, seed: int, epochs: int | None) -> None:
-    """One run per lambda: its warm-up score at WARMUP_EPOCHS, its F1 at epochs (default 3000)."""
+def _lambda_grid_row(seed: int, lam: float, warmup_epochs: int, epochs: int) -> dict:
+    """One gaussian run at lambda: its warm-up score at warmup_epochs, its F1 at epochs."""
     pair = DATASET_PRESETS["gaussian"](seed)
-    full_epochs = 3000 if epochs is None else epochs
-    cfg = replace(SHARED_HYPERPARAMS["gaussian"], seed=seed, epochs=full_epochs)
+    cfg = replace(SHARED_HYPERPARAMS["gaussian"], seed=seed, epochs=epochs,
+                  lambda_x=lam, lambda_y=lam)
     truth = dict(zip("xy", pair.truth("shared")))
-    stop = max(WARMUP_EPOCHS, cfg.epochs)
-    rows = []
-    for lam in LAMBDA_GRID:  # ascending, so max() below breaks ties to the smaller lambda
-        lam_cfg = replace(cfg, lambda_x=lam, lambda_y=lam)
-        for epoch, result in enumerate(islice(run(pair, lam_cfg, truth), stop), 1):
-            if epoch == WARMUP_EPOCHS:
-                row = warmup_record(pair, lam_cfg, result)
-        final = result.log[cfg.epochs - 1]
-        rows.append({**row, "f1_x": final["f1_x"], "f1_y": final["f1_y"]})
+    for epoch, result in enumerate(islice(run(pair, cfg, truth), epochs), 1):
+        if epoch == warmup_epochs:
+            row = warmup_record(pair, cfg, result)
+    final = result.log[-1]
+    return {**row, "f1_x": final["f1_x"], "f1_y": final["f1_y"]}
+
+
+def _reproduce_lambda_grid(outdir: Path, seed: int, jobs: int, epochs: int | None) -> None:
+    """One run per lambda of epochs (default 3000), warm-up scored at min(WARMUP_EPOCHS, epochs)."""
+    epochs = 3000 if epochs is None else epochs
+    grid_row = functools.partial(_lambda_grid_row, seed,
+                                 warmup_epochs=min(WARMUP_EPOCHS, epochs), epochs=epochs)
+    rows = _map(grid_row, LAMBDA_GRID, jobs)
+    # LAMBDA_GRID is ascending, so max() breaks ties to the smaller lambda
     chosen = max(rows, key=lambda r: r["score_shared"])["lambda"]
     rows = [{**r, "chosen": r["lambda"] == chosen} for r in rows]
     write_rows_csv(rows, outdir / "lambda_grid.csv")
@@ -348,7 +356,8 @@ def _reproduce_lambda_grid(outdir: Path, seed: int, epochs: int | None) -> None:
     ["gaussian-table", "tree-table", "cube-figure", "lambda-grid"]))
 @click.option("--out", "outdir", required=True, type=click.Path(path_type=Path))
 @click.option("--seed", type=int, default=None)
-@click.option("--jobs", type=int, default=None, help="worker processes (default: logical cores)")
+@click.option("--jobs", type=int, default=None,
+              help="worker processes for the tables and lambda-grid (default: logical cores)")
 @click.option("--epochs", type=int, default=None, help="override training epochs (smoke runs)")
 @click.option("--force", is_flag=True)
 @_exit_codes
@@ -358,13 +367,13 @@ def reproduce(target, outdir, seed, jobs, epochs, force) -> None:
     stem = target.replace("-", "_")  # each target's main artifact is <stem>.csv
     _guard_overwrite([outdir / f"{stem}.csv"], force)
     s = _seed(seed)
+    n_jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     if stem in _TABLE_DATASETS:
-        n_jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         _reproduce_table(outdir, stem, s, n_jobs, epochs)
     elif target == "cube-figure":
         _reproduce_cube_figure(outdir, s)
     else:
-        _reproduce_lambda_grid(outdir, s, epochs)
+        _reproduce_lambda_grid(outdir, s, n_jobs, epochs)
 
 
 if __name__ == "__main__":

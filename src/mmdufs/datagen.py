@@ -25,6 +25,7 @@ __all__ = [
     "gen_cube",
     "save_pair",
     "load_pair",
+    "read_matrix",
 ]
 
 
@@ -275,7 +276,7 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _read_matrix(path) -> np.ndarray:
+def read_matrix(path) -> np.ndarray:
     """Headerless or single-header CSV into a dense float matrix.
 
     Line 1 is a header only when none of its cells is a number; any other
@@ -355,10 +356,10 @@ def load_pair(indir) -> ModalPair:
     latent = indir / "latent.csv"
     manifest = indir / "manifest.json"
     return ModalPair(
-        x=_read_matrix(indir / "X.csv"),
-        y=_read_matrix(indir / "Y.csv"),
+        x=read_matrix(indir / "X.csv"),
+        y=read_matrix(indir / "Y.csv"),
         labels=_read_indices(labels) if labels.exists() else None,
-        latent=_read_matrix(latent) if latent.exists() else None,
+        latent=read_matrix(latent) if latent.exists() else None,
         meta=json.loads(manifest.read_text()) if manifest.exists() else {},
         **kwargs,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .datagen import IngestionError
+from .datagen import IngestionError, read_matrix
 from .tape import ContractError
 
 __all__ = [
@@ -105,18 +105,12 @@ def save_gates_csv(state: GateState, path) -> None:
 
 
 def load_gates_csv(path) -> GateState:
-    """Gates from a save_gates_csv file; IngestionError names the file if it is malformed."""
-    mus = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)  # header
-        for row in reader:
-            try:
-                mus.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise IngestionError(
-                    f"{path}:{reader.line_num}: expected feature,mu,eval_gate ({exc})"
-                ) from exc
-    if not mus:
-        raise IngestionError(f"{path}: no gate rows")
-    return GateState(mu=np.array(mus))
+    """Gates (mu, column 1) from a save_gates_csv file, read by read_matrix.
+
+    Line 1 is a header only when none of its cells is a number. IngestionError
+    names the file if it is malformed.
+    """
+    table = read_matrix(path)
+    if table.shape[1] < 2:
+        raise IngestionError(f"{path}: expected feature,mu,eval_gate columns, got one column")
+    return GateState(mu=table[:, 1])

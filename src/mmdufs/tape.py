@@ -3,10 +3,11 @@
 The tape records a fixed set of coarse matrix primitives (matmul, kernels,
 normalization sandwiches, inverses, traces, gating, ...). Calling
 :meth:`Tape.backward` on a scalar node returns exact gradients with respect
-to every trainable leaf. A tape built with ``Tape(reuse=prev)`` writes its
-array results into the buffers of ``prev``, so a loop that records one tape
-per step allocates one buffer set in all. Eigendecomposition is provided as
-an off-tape analysis utility.
+to every trainable leaf. Pooled arrays change hands only at
+``Tape(reuse=prev)``: every array a tape hands out stays its own until the
+next tape takes over the whole set, so a loop that records one tape per step
+allocates one buffer set in all. Eigendecomposition is provided as an
+off-tape analysis utility.
 """
 
 from __future__ import annotations
@@ -96,13 +97,6 @@ def _check_symmetric(a: np.ndarray, scratch=None) -> None:
         raise ContractError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
 
 
-def _as_array(value) -> np.ndarray:
-    out = np.asarray(value, dtype=np.float64)
-    if not np.isfinite(out).all():
-        raise NumericalError("input contains non-finite entries")
-    return out
-
-
 class Node:
     """One recorded value on the tape.
 
@@ -137,37 +131,31 @@ class Tape:
     Nodes do not point back at their tape, so a tape and its arrays are freed
     as soon as the last reference to it goes, without the cyclic collector.
 
-    Tape(reuse=prev) takes over every array prev handed out — its nodes'
-    values and caches and the gradients of its backward — and the new tape's
-    array results, forward and backward, are written into them. prev is
-    emptied: backward on one of its nodes raises ContractError, and any array
-    read from its nodes or returned by its backward may be overwritten.
+    Arrays change hands only here: Tape(reuse=prev) takes over every array
+    prev handed out — its nodes' values and caches, its scratch space and the
+    gradients of its backward — and the new tape writes its array results,
+    forward and backward, into them; no tape hands out one array twice. prev
+    is emptied: backward on one of its nodes raises ContractError, and any
+    array read from its nodes or returned by its backward may be overwritten.
     """
 
     def __init__(self, reuse: Tape | None = None):
         self.nodes: list[Node] = []
-        # Pooled arrays by (shape, order): free to hand out, and handed out.
+        # Pooled C-order arrays: free to hand out (by shape), and handed out.
         self._free: dict[tuple, list[np.ndarray]] = {}
-        self._taken: dict[int, tuple[tuple, np.ndarray]] = {}
+        self._taken: list[np.ndarray] = []
         if reuse is not None:
             self._free = reuse._free
-            for key, arr in reuse._taken.values():
-                self._free.setdefault(key, []).append(arr)
-            reuse.nodes, reuse._free, reuse._taken = [], {}, {}
+            for arr in reuse._taken:
+                self._free.setdefault(arr.shape, []).append(arr)
+            reuse.nodes, reuse._free, reuse._taken = [], {}, []
 
-    def _take(self, shape: tuple, order: str = "C") -> np.ndarray:
+    def _take(self, shape: tuple) -> np.ndarray:
         """An uninitialized array from the free list (a new one if it has none)."""
-        key = (shape, order)
-        free = self._free.get(key)
-        arr = free.pop() if free else np.empty(shape, order=order)
-        self._taken[id(arr)] = (key, arr)
+        free = self._free.get(shape)
+        arr = free.pop() if free else np.empty(shape)
+        self._taken.append(arr)
         return arr
-
-    def _give_back(self, *arrays: np.ndarray) -> None:
-        """Return scratch arrays from _take, whose contents are dead, to the free list."""
-        for arr in arrays:
-            key, _ = self._taken.pop(id(arr))
-            self._free.setdefault(key, []).append(arr)
 
     def _record(self, value, op, inputs, cache=None, trainable=False) -> Node:
         value = np.asarray(value, dtype=np.float64)
@@ -180,7 +168,7 @@ class Tape:
     # -- leaves ----------------------------------------------------------
 
     def leaf(self, value, trainable: bool = False) -> Node:
-        return self._record(_as_array(value), "leaf", (), trainable=trainable)
+        return self._record(value, "leaf", (), trainable=trainable)
 
     def constant(self, value) -> Node:
         return self.leaf(value, trainable=False)
@@ -230,8 +218,9 @@ class Tape:
             raise DimensionError("inverse needs a square matrix")
         n = av.shape[0]
         # Scratch space: a C-order array (its transpose is F-order) and the
-        # F-order work array that potrf and potri overwrite in place.
-        scratch, work = self._take((n, n)), self._take((n, n), "F")
+        # F-order work array, a C-order take transposed, that potrf and potri
+        # overwrite in place.
+        scratch, work = self._take((n, n)), self._take((n, n)).T
         _check_symmetric(av, scratch)
         np.copyto(work, av)
         work.flat[:: n + 1] += shift
@@ -248,7 +237,6 @@ class Tape:
         np.fill_diagonal(inv, diag)
         # 1-norm condition estimate; cheap relative to the factorization.
         cond = anorm * np.abs(inv, out=scratch).sum(axis=0).max()
-        self._give_back(scratch, work)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularMatrixError(f"condition estimate {cond:.3e} exceeds {_COND_LIMIT:.0e}")
         return self._record(inv, "inverse", (a,), cache=inv)
@@ -290,9 +278,7 @@ class Tape:
         if g.value.ndim != 2 or g.value.shape[0] != g.value.shape[1]:
             raise DimensionError("sq_dists needs a square Gram matrix")
         shape = g.value.shape
-        scratch = self._take(shape)
-        out = _dists_from_gram(np.diag(g.value), g.value, self._take(shape), scratch)
-        self._give_back(scratch)
+        out = _dists_from_gram(np.diag(g.value), g.value, self._take(shape), self._take(shape))
         return self._record(out, "sq_dists", (g,))
 
     def open_gate_expectation(self, mu: Node, sigma: float) -> Node:
@@ -392,16 +378,13 @@ class Tape:
             inv = node.cache
             half = np.matmul(inv, g, out=take(g.shape))
             out = np.matmul(half, inv, out=take(g.shape))
-            self._give_back(half)
             yield a, np.negative(out, out=out)
         elif op == "trace":
             n = a.value.shape[0]
             yield a, float(g) * np.eye(n)
         elif op == "gram":
             h = np.add(g, g.T, out=take(g.shape))
-            out = np.matmul(h, a.value, out=take(a.value.shape))
-            self._give_back(h)
-            yield a, out
+            yield a, np.matmul(h, a.value, out=take(a.value.shape))
         elif op == "inner":
             b, g = node.inputs[1], float(g)
             if a.needs_grad:

@@ -374,7 +374,7 @@ class TestReproduce:
 
         pair = gen_gaussian_mixture(1)
         cfg = dataclasses.replace(SHARED_HYPERPARAMS["gaussian"], seed=1)
-        lam_x, _, records = warmup_tune(pair, cfg, grid, warmup_epochs=warmup)
+        lam_x, _, records = warmup_tune(pair, cfg, grid, warmup_epochs=min(warmup, epochs))
         rows = []
         for rec in records:
             lam = rec["lambda"]
@@ -386,6 +386,20 @@ class TestReproduce:
             rows.append({**rec, **f1s, "chosen": lam == lam_x})
         write_rows_csv(rows, tmp_path / "oracle.csv")
         assert (out / "lambda_grid.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_lambda_grid_parallel_matches_serial(self, runner, tmp_path, monkeypatch):
+        """The lambda runs on 2 workers write the serial lambda_grid.csv bytes."""
+        monkeypatch.setattr(cli, "LAMBDA_GRID", (1e-4, 1e-2, 1.0))
+        monkeypatch.setattr(cli, "WARMUP_EPOCHS", 3)
+        grids = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            res = runner.invoke(main, ["reproduce", "lambda-grid", "--out", str(out),
+                                       "--seed", "0", "--epochs", "5", "--jobs", jobs])
+            assert res.exit_code == 0, res.output
+            grids[jobs] = (out / "lambda_grid.csv").read_bytes()
+        assert len(grids["1"].splitlines()) == 4
+        assert grids["2"] == grids["1"]
 
     def test_lambda_grid_zero_epochs_exits_2_untrained(self, runner, tmp_path, monkeypatch):
         runs = []
@@ -428,6 +442,11 @@ def _empty_gates(tmp_path):
     return ["select", "--gates", str(tmp_path / "gates.csv")]
 
 
+def _one_column_gates(tmp_path):
+    (tmp_path / "gates.csv").write_text("0.25\n0.5\n")
+    return ["select", "--gates", str(tmp_path / "gates.csv")]
+
+
 def _truncated_gates(tmp_path):
     (tmp_path / "gates.csv").write_text("feature,mu,eval_gate\n0,0.25,0.75\n1\n")
     return ["select", "--gates", str(tmp_path / "gates.csv")]
@@ -458,7 +477,8 @@ def _dataset_without_manifest(tmp_path):
 
 
 @pytest.mark.parametrize("setup, message", [
-    pytest.param(_empty_gates, "gates.csv: no gate rows", id="empty-gates"),
+    pytest.param(_empty_gates, "gates.csv: no data rows", id="empty-gates"),
+    pytest.param(_one_column_gates, "gates.csv: expected", id="one-column-gates"),
     pytest.param(_truncated_gates, "gates.csv:3", id="truncated-gates"),
     pytest.param(_selection_not_a_list, "'x' must be a list", id="selection-not-a-list"),
     pytest.param(_bad_cell_in_first_row, "X.csv:1", id="bad-cell-in-first-row"),

@@ -157,6 +157,14 @@ class TestCsvRoundTrip:
         back = load_gates_csv(path)
         np.testing.assert_array_equal(back.mu, g.mu)  # bit-identical via repr
 
+    def test_headerless_file_keeps_every_gate(self, tmp_path):
+        """Line 1 is data when it holds a number, so the first gate is not dropped."""
+        path = tmp_path / "gates.csv"
+        path.write_text("0,0.3,0.8\n1,-0.2,0.3\n2,0.1,0.6\n")
+        back = load_gates_csv(path)
+        np.testing.assert_array_equal(back.mu, [0.3, -0.2, 0.1])
+        assert select_features(back, "top-k", k=1) == [0]
+
     def test_deterministic_bytes(self, tmp_path):
         g = GateState(mu=np.linspace(-1, 1, 7))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

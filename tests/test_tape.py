@@ -412,7 +412,7 @@ class TestErrors:
 
     def test_nonfinite_rejected(self):
         t = Tape()
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="non-finite"):
             t.constant(np.array([1.0, np.nan]))
         big = t.constant(np.full((2, 2), 800.0))
         with pytest.raises(NumericalError):

@@ -394,10 +394,25 @@ class TestTapeReuse:
             if prev is not None:
                 # every array the tape handed out came from the superseded tape ...
                 pooled = {id(arr) for arr in pool}
-                assert all(id(arr) in pooled for _, arr in tape._taken.values())
+                assert all(id(arr) in pooled for arr in tape._taken)
                 # ... which no longer differentiates
                 with pytest.raises(ContractError, match="different tape"):
                     prev.backward(prev_loss)
+
+    @pytest.mark.parametrize("mode", ["shared", "differential"])
+    def test_buffer_set_stops_growing(self, mode):
+        """From the third chained tape on, a tape hands out exactly its predecessor's arrays:
+        each one it takes comes from that tape, and none of that tape's sits idle."""
+        pair = tiny_pair(seed=4, n=12, dx=6, dy=14)
+        cfg = RunConfig(mode=mode, lambda_x=0.2, lambda_y=0.1, b=0.7, c=0.2)
+        tape, handed = None, []
+        for _ in range(4):
+            tape = Tape(reuse=tape)
+            self.record(tape, pair, cfg)
+            ids = [id(arr) for arr in tape._taken]
+            assert len(set(ids)) == len(ids)  # no array handed out twice by one tape
+            handed.append(set(ids))
+        assert handed[2] == handed[1] and handed[3] == handed[2]
 
 
 # A short shared run on the gaussian preset (n=260, large enough for BLAS to
