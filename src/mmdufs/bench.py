@@ -1,4 +1,4 @@
-"""Baseline selectors, F1 evaluation, and the experiment harness.
+"""Baseline selectors and the experiment harness.
 
 Baselines are kernel-fusion variants of the Laplacian Score: MC scores
 against the Laplacian of the column-concatenated data, mmKS against
@@ -12,19 +12,18 @@ from __future__ import annotations
 import csv
 import functools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .datagen import ModalPair, gen_gaussian_mixture, gen_tree
-from .gates import f1, select_features, top_k
+from .gates import selection_f1, top_k
 from .graph import data_laplacian
 from .operators import score_all_features, zscore_columns
 from .tape import ContractError
 from .trainer import RunConfig, train
 
 __all__ = [
-    "SelectionResult",
     "baseline_select",
     "run_experiment",
     "format_report",
@@ -39,24 +38,6 @@ BASELINES = ("MC", "mmKS", "mmKP")
 # inflates all pairwise distances; a fraction of the median keeps the kernel
 # resolving cluster-scale structure instead of saturating toward uniformity.
 BASELINE_BANDWIDTH_FACTOR = 0.3
-
-
-@dataclass
-class SelectionResult:
-    method: str
-    selected_x: list[int]
-    selected_y: list[int]
-    f1_x: float | None = None
-    f1_y: float | None = None
-    wall_time: float = 0.0
-
-    def score_against(self, truth: tuple) -> "SelectionResult":
-        """Set f1_x and f1_y against (truth_x, truth_y); None where a set is absent."""
-        self.f1_x, self.f1_y = (
-            None if t is None else f1(sel, t)
-            for sel, t in zip((self.selected_x, self.selected_y), truth)
-        )
-        return self
 
 
 def _modality_products(pair: ModalPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -75,19 +56,17 @@ def _modality_products(pair: ModalPair) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def baseline_select(
     pair: ModalPair, method: str, k_x: int, k_y: int, products=None
-) -> SelectionResult:
+) -> tuple[list[int], list[int]]:
     """Top-k features per modality under a kernel-fusion baseline operator.
 
     mmKS and mmKP score each z-scored column z_j from P_x = L_x Z and
     P_y = L_y Z: z_j^T (L_x + L_y) z_j = z_j^T P_x[:, j] + z_j^T P_y[:, j],
     and, as L_x is symmetric, z_j^T L_x L_y z_j = P_x[:, j]^T P_y[:, j].
     products is a zero-argument callable returning _modality_products(pair);
-    run_experiment passes one cached per pair. F1 is against the shared
-    truth; run_experiment rescores each row against the truth of its mode.
+    run_experiment passes one cached per pair. Returns (selected_x, selected_y).
     """
     if method not in BASELINES:
         raise ContractError(f"unknown baseline '{method}'")
-    start = time.perf_counter()
     if method == "MC":
         op = data_laplacian(np.hstack([pair.x, pair.y]), BASELINE_BANDWIDTH_FACTOR)
         scores_x = score_all_features(zscore_columns(pair.x), op)
@@ -99,12 +78,7 @@ def baseline_select(
         else:
             scores = np.einsum("ij,ij->j", p_x, p_y)
         scores_x, scores_y = np.split(scores, [pair.x.shape[1]])
-    return SelectionResult(
-        method=method,
-        selected_x=top_k(scores_x, k_x),
-        selected_y=top_k(scores_y, k_y),
-        wall_time=time.perf_counter() - start,
-    ).score_against(pair.truth("shared"))
+    return top_k(scores_x, k_x), top_k(scores_y, k_y)
 
 
 DATASET_PRESETS = {
@@ -134,17 +108,6 @@ DIFFERENTIAL_HYPERPARAMS = {
 }
 
 
-def _mmdufs_select(pair: ModalPair, cfg: RunConfig, k_x: int, k_y: int) -> SelectionResult:
-    start = time.perf_counter()
-    result = train(pair, cfg)
-    return SelectionResult(
-        method="mmDUFS",
-        selected_x=select_features(result.gates_x, "top-k", k=k_x),
-        selected_y=select_features(result.gates_y, "top-k", k=k_y),
-        wall_time=time.perf_counter() - start,
-    )
-
-
 def run_experiment(spec: dict) -> list[dict]:
     """Run every (method x seed) cell of an experiment and collect F1 rows.
 
@@ -157,10 +120,12 @@ def run_experiment(spec: dict) -> list[dict]:
                every row's k and F1, and the operator mmDUFS trains against
       epochs:  optional override of the preset epoch count
     mmDUFS trains with the mode's preset (RunConfig() if none; a ModalPair
-    takes "gaussian"). Numerical and contract failures (ArithmeticError,
-    ValueError, ContractError) are recorded per cell, as the message in
-    "error" and the exception's class name in "error_type", and the
-    experiment continues; any other exception propagates.
+    takes "gaussian") and selects its top-k mu. A cell's wall_time is its
+    selection's; selection_f1 scores it once, against the mode's truth.
+    Numerical and contract failures (ArithmeticError, ValueError,
+    ContractError) are recorded per cell, as the message in "error" and the
+    exception's class name in "error_type", and the experiment continues;
+    any other exception propagates.
 
     mmKS and mmKP of one seed share its two Laplacians' products with the
     data (_modality_products), built by the first of them to run: in the
@@ -190,13 +155,15 @@ def run_experiment(spec: dict) -> list[dict]:
         for method in methods:
             row = {"dataset": name, "method": method, "seed": seed}
             try:
+                start = time.perf_counter()
                 if method == "mmDUFS":
-                    cfg = replace(preset, mode=mode, seed=seed, **overrides)
-                    res = _mmdufs_select(pair, cfg, k_x, k_y)
+                    result = train(pair, replace(preset, mode=mode, seed=seed, **overrides))
+                    selected = top_k(result.gates_x.mu, k_x), top_k(result.gates_y.mu, k_y)
                 else:
-                    res = baseline_select(pair, method, k_x, k_y, products=products)
-                res.score_against(truth)
-                row.update(f1_x=res.f1_x, f1_y=res.f1_y, wall_time=res.wall_time)
+                    selected = baseline_select(pair, method, k_x, k_y, products=products)
+                wall_time = time.perf_counter() - start
+                f1_x, f1_y = selection_f1(selected, truth)
+                row.update(f1_x=f1_x, f1_y=f1_y, wall_time=wall_time)
             except (ArithmeticError, ValueError, ContractError) as exc:
                 # Numerical and contract failures of one cell are recorded and
                 # the grid goes on; anything else is a bug and propagates.

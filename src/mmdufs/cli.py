@@ -30,12 +30,12 @@ from .bench import (
     write_rows_csv,
 )
 from .datagen import DATASET_FILES, IngestionError, ModalPair, gen_cube, load_pair, save_pair
-from .gates import f1, load_gates_csv, save_gates_csv, select_features
+from .gates import f1, load_gates_csv, save_gates_csv, select_features, selection_f1
 from .graph import data_laplacian
 from .operators import shared_operator_array
 from .tape import ContractError, NumericalError, SingularMatrixError, eigh_descending
-from .trainer import (LAMBDA_GRID, WARMUP_EPOCHS, RunConfig, TrainingDiverged, run, train,
-                      warmup_record, warmup_tune)
+from .trainer import (LAMBDA_GRID, WARMUP_EPOCHS, RunConfig, TrainingDiverged, best_lambda, run,
+                      train, warmup_record, warmup_tune)
 
 GENERATOR_PRESETS = {**DATASET_PRESETS, "cube": gen_cube}
 
@@ -151,7 +151,7 @@ def train_cmd(datadir, config_path, outdir, seed, epochs, mode, force) -> None:
                                       "selection.json", "run_manifest.json")]
     _guard_overwrite(artifacts, force)
 
-    result = train(pair, cfg, ground_truth=dict(zip("xy", pair.truth(cfg.mode))))
+    result = train(pair, cfg, truth=pair.truth(cfg.mode))
 
     save_gates_csv(result.gates_x, outdir / "gates_x.csv")
     save_gates_csv(result.gates_y, outdir / "gates_y.csv")
@@ -225,14 +225,10 @@ def baseline(datadir, method, k_x, k_y, out_path, force) -> None:
     """Run a kernel-fusion baseline selector on a saved dataset."""
     pair = _load_data(datadir)
     kx, ky = pair.selection_sizes("shared")
-    res = baseline_select(pair, method, kx if k_x is None else k_x, ky if k_y is None else k_y)
-    payload = {
-        "method": res.method,
-        "selected_x": res.selected_x,
-        "selected_y": res.selected_y,
-        "f1_x": res.f1_x,
-        "f1_y": res.f1_y,
-    }
+    selected = baseline_select(pair, method, kx if k_x is None else k_x, ky if k_y is None else k_y)
+    f1_x, f1_y = selection_f1(selected, pair.truth("shared"))
+    payload = {"method": method, "selected_x": selected[0], "selected_y": selected[1],
+               "f1_x": f1_x, "f1_y": f1_y}
     _emit(json.dumps(payload, indent=2), out_path, force)
 
 
@@ -251,11 +247,14 @@ def evaluate(selection_path, datadir, mode, out_path, force) -> None:
     sel = json.loads(Path(selection_path).read_text())
     if not isinstance(sel, dict):
         raise click.UsageError(f"{selection_path}: expected a JSON object with 'x'/'y' index lists")
-    for mod in "xy":
-        if mod in sel and not (isinstance(sel[mod], list)
-                               and all(isinstance(i, int) for i in sel[mod])):
-            raise click.UsageError(f"{selection_path}: '{mod}' must be a list of feature indices")
     pair = _load_data(datadir)
+    for mod, data in zip("xy", (pair.x, pair.y)):
+        width = data.shape[1]
+        # type(), not isinstance(): JSON true would pass as the index 1
+        if mod in sel and not (isinstance(sel[mod], list)
+                               and all(type(i) is int and 0 <= i < width for i in sel[mod])):
+            raise click.UsageError(
+                f"{selection_path}: '{mod}' must be a list of feature indices in [0, {width})")
     rows = [
         {"modality": mod, "f1": f1(sel[mod], truth), "selected": len(sel[mod]),
          "truth": len(truth)}
@@ -330,8 +329,7 @@ def _lambda_grid_row(seed: int, lam: float, warmup_epochs: int, epochs: int) -> 
     pair = DATASET_PRESETS["gaussian"](seed)
     cfg = replace(SHARED_HYPERPARAMS["gaussian"], seed=seed, epochs=epochs,
                   lambda_x=lam, lambda_y=lam)
-    truth = dict(zip("xy", pair.truth("shared")))
-    for epoch, result in enumerate(islice(run(pair, cfg, truth), epochs), 1):
+    for epoch, result in enumerate(islice(run(pair, cfg, pair.truth("shared")), epochs), 1):
         if epoch == warmup_epochs:
             row = warmup_record(pair, cfg, result)
     final = result.log[-1]
@@ -344,8 +342,7 @@ def _reproduce_lambda_grid(outdir: Path, seed: int, jobs: int, epochs: int | Non
     grid_row = functools.partial(_lambda_grid_row, seed,
                                  warmup_epochs=min(WARMUP_EPOCHS, epochs), epochs=epochs)
     rows = _map(grid_row, LAMBDA_GRID, jobs)
-    # LAMBDA_GRID is ascending, so max() breaks ties to the smaller lambda
-    chosen = max(rows, key=lambda r: r["score_shared"])["lambda"]
+    chosen = best_lambda(rows, "score_shared")  # LAMBDA_GRID is ascending
     rows = [{**r, "chosen": r["lambda"] == chosen} for r in rows]
     write_rows_csv(rows, outdir / "lambda_grid.csv")
     click.echo(f"chosen lambda={chosen}; wrote {outdir / 'lambda_grid.csv'}")

@@ -9,6 +9,7 @@ coordinate is shared between the modalities.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -280,7 +281,8 @@ def read_matrix(path) -> np.ndarray:
     """Headerless or single-header CSV into a dense float matrix.
 
     Line 1 is a header only when none of its cells is a number; any other
-    non-numeric cell is an IngestionError that names its line.
+    non-numeric or non-finite (nan, inf) cell is an IngestionError that
+    names its line.
     """
     rows = []
     width = None
@@ -297,9 +299,12 @@ def read_matrix(path) -> np.ndarray:
             if len(cells) != width:
                 raise IngestionError(f"{path}:{lineno}: expected {width} cells, got {len(cells)}")
             try:
-                rows.append([float(c) for c in cells])
+                row = [float(c) for c in cells]
             except ValueError as exc:
                 raise IngestionError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
+            if not all(map(math.isfinite, row)):
+                raise IngestionError(f"{path}:{lineno}: non-finite cell")
+            rows.append(row)
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     return np.array(rows, dtype=np.float64)

@@ -26,6 +26,7 @@ __all__ = [
     "select_features",
     "top_k",
     "f1",
+    "selection_f1",
     "save_gates_csv",
     "load_gates_csv",
 ]
@@ -94,6 +95,11 @@ def f1(selected, truth) -> float:
     fp = len(sel - tru)
     fn = len(tru - sel)
     return 2 * tp / (2 * tp + fp + fn)
+
+
+def selection_f1(selected, truth) -> tuple[float | None, float | None]:
+    """F1 of (selected_x, selected_y) against (truth_x, truth_y); None for an absent truth set."""
+    return tuple(None if t is None else f1(sel, t) for sel, t in zip(selected, truth))
 
 
 def save_gates_csv(state: GateState, path) -> None:

@@ -34,6 +34,7 @@ __all__ = [
     "train",
     "warmup_record",
     "warmup_tune",
+    "best_lambda",
 ]
 
 
@@ -181,14 +182,15 @@ def _objective(tape, xb, yb, z_x, z_y, mu_x, mu_y, cfg, bandwidths=(None, None))
     return tape.add(loss_x, loss_y), s_x, s_y, graphs
 
 
-def run(pair: ModalPair, cfg: RunConfig, ground_truth: dict | None = None) -> Iterator[TrainResult]:
+def run(pair: ModalPair, cfg: RunConfig, truth: tuple | None = None) -> Iterator[TrainResult]:
     """Optimize both gate vectors by SGD, deterministic for a fixed config and seed.
 
     After each epoch, yields the run so far: one TrainResult, which the next
     epoch updates in place. cfg.epochs is not read; the caller stops the run.
     Each epoch takes its kernel bandwidths from that epoch's gated data and
-    appends one row to the log. ground_truth maps "x"/"y" to index arrays (or
-    None); for each array given, top-k selection F1 (k = truth size) is logged.
+    appends one row to the log. truth is an (x, y) pair of index arrays or
+    None, as ModalPair.truth returns; for each array given, top-k selection
+    F1 (k = truth size) is logged.
 
     In differential mode each modality's gates follow only their own loss:
     the other modality's Laplacian enters Q_x (and Q_y) as a constant, so one
@@ -242,20 +244,17 @@ def run(pair: ModalPair, cfg: RunConfig, ground_truth: dict | None = None) -> It
             "open_x": int(np.count_nonzero(gates_x.eval_gates() > 0)),
             "open_y": int(np.count_nonzero(gates_y.eval_gates() > 0)),
         }
-        if ground_truth:
-            for key, gates in (("x", gates_x), ("y", gates_y)):
-                truth = ground_truth.get(key)
-                if truth is not None:
-                    sel = select_features(gates, "top-k", k=len(truth))
-                    record[f"f1_{key}"] = f1(sel, truth)
+        for key, gates, t in zip("xy", (gates_x, gates_y), truth or ()):
+            if t is not None:
+                record[f"f1_{key}"] = f1(select_features(gates, "top-k", k=len(t)), t)
         log.append(record)
         result.bandwidth_x, result.bandwidth_y = graphs.bandwidth_x, graphs.bandwidth_y
         yield result
 
 
-def train(pair: ModalPair, cfg: RunConfig, ground_truth: dict | None = None) -> TrainResult:
-    """run(pair, cfg, ground_truth) stopped after cfg.epochs epochs."""
-    return next(islice(run(pair, cfg, ground_truth), cfg.epochs - 1, None))
+def train(pair: ModalPair, cfg: RunConfig, truth: tuple | None = None) -> TrainResult:
+    """run(pair, cfg, truth) stopped after cfg.epochs epochs."""
+    return next(islice(run(pair, cfg, truth), cfg.epochs - 1, None))
 
 
 def _eval_scores(pair: ModalPair, cfg: RunConfig, result: TrainResult) -> tuple[float, float]:
@@ -317,10 +316,16 @@ def warmup_tune(
         cfg = replace(cfg_template, lambda_x=lam, lambda_y=lam, epochs=warmup_epochs)
         records.append(warmup_record(pair, cfg, train(pair, cfg)))
 
-    def argmax(key):  # max keeps the first of equal scores: the smaller lambda
-        return max(records, key=lambda r: r[key])["lambda"]
-
     if cfg_template.mode == "shared":
-        lam = argmax("score_shared")
+        lam = best_lambda(records, "score_shared")
         return lam, lam, records
-    return argmax("score_x"), argmax("score_y"), records
+    return best_lambda(records, "score_x"), best_lambda(records, "score_y"), records
+
+
+def best_lambda(records: list[dict], key: str) -> float:
+    """The "lambda" of the record with the highest score under key.
+
+    The first of equal scores wins, so on an ascending grid ties go to the
+    smaller lambda.
+    """
+    return max(records, key=lambda r: r[key])["lambda"]

@@ -1,4 +1,4 @@
-"""Subspace oracles for the operator tests: eigenspaces and principal angles."""
+"""Oracles for the operator tests: ideal block Laplacians, eigenspaces, principal angles."""
 
 import numpy as np
 
@@ -18,3 +18,26 @@ def top_eigenspace(op: np.ndarray, k: int) -> np.ndarray:
     """Orthonormal basis of the eigenspace of the k largest eigenvalues."""
     _, vecs = eigh_descending(op)
     return vecs[:, :k]
+
+
+def block_laplacian(sizes):
+    """Normalized Laplacian of an ideal (all-ones block) cluster kernel, and its indicator basis.
+
+    For this kernel the Laplacian equals the sum of v v^T over the normalized
+    cluster indicators v: the exact orthogonal projector onto their span,
+    which makes every spectral quantity of the operators built from it
+    available in closed form.
+    """
+    n = sum(sizes)
+    k = np.zeros((n, n))
+    basis = []
+    start = 0
+    for s in sizes:
+        k[start : start + s, start : start + s] = 1.0
+        v = np.zeros(n)
+        v[start : start + s] = 1.0 / np.sqrt(s)
+        basis.append(v)
+        start += s
+    d = k.sum(axis=1)
+    l = k / np.sqrt(d)[:, None] / np.sqrt(d)[None, :]
+    return l, np.column_stack(basis)

@@ -19,14 +19,13 @@ from mmdufs.bench import (
     BASELINES,
     SHARED_HYPERPARAMS,
     baseline_select,
-    f1,
     mean_f1,
     run_experiment,
 )
 from mmdufs import trainer
 from mmdufs.cli import main
 from mmdufs.datagen import ModalPair, gen_gaussian_mixture
-from mmdufs.gates import GateState, select_features
+from mmdufs.gates import GateState, f1, select_features, selection_f1
 from mmdufs.graph import build_graph_pair, median_bandwidth
 from mmdufs.tape import pairwise_sq_dists
 from mmdufs.operators import (
@@ -36,7 +35,7 @@ from mmdufs.operators import (
     shared_operator_array,
 )
 from mmdufs.tape import Tape, eigh_descending
-from subspace import principal_angle_degrees, top_eigenspace
+from subspace import block_laplacian, principal_angle_degrees, top_eigenspace
 from mmdufs.trainer import (
     RunConfig,
     differential_loss,
@@ -47,28 +46,6 @@ from mmdufs.trainer import (
 )
 
 FLOAT_SLACK = 1e-9  # guards "within tol" comparisons against rounding only
-
-
-def block_laplacian(sizes):
-    """Normalized Laplacian of an ideal (all-ones block) cluster kernel.
-
-    For this kernel the Laplacian is the exact orthogonal projector onto the
-    normalized cluster indicator vectors, which makes every spectral quantity
-    below available in closed form.
-    """
-    n = sum(sizes)
-    k = np.zeros((n, n))
-    basis = []
-    start = 0
-    for s in sizes:
-        k[start : start + s, start : start + s] = 1.0
-        v = np.zeros(n)
-        v[start : start + s] = 1.0 / np.sqrt(s)
-        basis.append(v)
-        start += s
-    d = k.sum(axis=1)
-    l = k / np.sqrt(d)[:, None] / np.sqrt(d)[None, :]
-    return l, np.column_stack(basis)
 
 
 def ideal_cluster_pair():
@@ -115,12 +92,13 @@ class TestCriterion2NoisyGaussian:
 class TestCriterion3Baselines:
     def test_baseline_ordering_and_mmkp_level(self):
         pair = gen_gaussian_mixture(seed=0)
-        res = {m: baseline_select(pair, m, 30, 20) for m in BASELINES}
-        for mod in ("f1_x", "f1_y"):
-            mc, ks, kp = (getattr(res[m], mod) for m in ("MC", "mmKS", "mmKP"))
+        res = {m: selection_f1(baseline_select(pair, m, 30, 20), pair.truth("shared"))
+               for m in BASELINES}
+        for i, mod in enumerate(("f1_x", "f1_y")):
+            mc, ks, kp = (res[m][i] for m in ("MC", "mmKS", "mmKP"))
             assert kp >= ks >= mc, (mod, mc, ks, kp)
-        assert abs(res["mmKP"].f1_x - 1.0) <= 0.05 + FLOAT_SLACK
-        assert abs(res["mmKP"].f1_y - 0.95) <= 0.05 + FLOAT_SLACK
+        assert abs(res["mmKP"][0] - 1.0) <= 0.05 + FLOAT_SLACK
+        assert abs(res["mmKP"][1] - 0.95) <= 0.05 + FLOAT_SLACK
 
 
 class TestCriterion4DifferentialSpectrum:

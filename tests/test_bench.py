@@ -20,7 +20,7 @@ from mmdufs.bench import (
     write_rows_csv,
 )
 from mmdufs.datagen import ModalPair, gen_gaussian_mixture, gen_tree
-from mmdufs.gates import f1, top_k
+from mmdufs.gates import f1, selection_f1, top_k
 from mmdufs.graph import data_laplacian
 from mmdufs.operators import score_all_features, zscore_columns
 from mmdufs.tape import ContractError, SingularMatrixError
@@ -52,6 +52,12 @@ class TestF1:
         with pytest.raises(ContractError):
             f1([0], [])
 
+    def test_selection_f1_skips_an_absent_truth_set(self):
+        """Each modality is scored against its own set; None where that set is absent."""
+        assert selection_f1(([0, 1, 9], [2]), ([0, 1, 2, 3], None)) == (pytest.approx(4 / 7), None)
+        assert selection_f1(([0], [1, 2]), (None, [2])) == (None, pytest.approx(2 / 3))
+        assert selection_f1(([0], [1]), (None, None)) == (None, None)
+
 
 class TestBaselineSelect:
     def test_unknown_method(self):
@@ -62,24 +68,25 @@ class TestBaselineSelect:
     def test_returns_k_unique_in_range(self):
         pair = gen_gaussian_mixture(seed=0)
         for method in BASELINES:
-            r = baseline_select(pair, method, 30, 20)
-            assert len(r.selected_x) == 30 and len(set(r.selected_x)) == 30
-            assert len(r.selected_y) == 20
-            assert min(r.selected_x) >= 0 and max(r.selected_x) < 130
-            assert 0.0 <= r.f1_x <= 1.0 and 0.0 <= r.f1_y <= 1.0
+            sel_x, sel_y = baseline_select(pair, method, 30, 20)
+            f1_x, f1_y = selection_f1((sel_x, sel_y), pair.truth("shared"))
+            assert len(sel_x) == 30 and len(set(sel_x)) == 30
+            assert len(sel_y) == 20
+            assert min(sel_x) >= 0 and max(sel_x) < 130
+            assert 0.0 <= f1_x <= 1.0 and 0.0 <= f1_y <= 1.0
 
     def test_deterministic(self):
         pair = gen_gaussian_mixture(seed=1)
         a = baseline_select(pair, "mmKP", 10, 10)
         b = baseline_select(pair, "mmKP", 10, 10)
-        assert a.selected_x == b.selected_x and a.selected_y == b.selected_y
+        assert a[0] == b[0] and a[1] == b[1]
 
     def test_k_equals_p(self):
         pair = gen_gaussian_mixture(seed=0)
-        r = baseline_select(pair, "MC", 130, 90)
-        assert r.selected_x == list(range(130))
+        selected = baseline_select(pair, "MC", 130, 90)
+        assert selected[0] == list(range(130))
         # F1 determined by truth size alone: TP=30, FP=100, FN=0
-        assert r.f1_x == pytest.approx(60 / 160)
+        assert selection_f1(selected, pair.truth("shared"))[0] == pytest.approx(60 / 160)
 
     def test_identical_modalities_rank_like_single_modality(self):
         """With Y = X, mmKS ~ 2L and mmKP ~ L^2 rank like the plain score."""
@@ -98,10 +105,10 @@ class TestBaselineSelect:
         z = zscore_columns(x)
         base = np.argsort(-score_all_features(z, l), kind="stable")[:4]
         base_sq = np.argsort(-score_all_features(z, l @ l), kind="stable")[:4]
-        ks = baseline_select(pair, "mmKS", 4, 4)
-        kp = baseline_select(pair, "mmKP", 4, 4)
-        assert set(ks.selected_x) == set(int(i) for i in base)
-        assert set(kp.selected_x) == set(int(i) for i in base_sq)
+        ks_x, _ = baseline_select(pair, "mmKS", 4, 4)
+        kp_x, _ = baseline_select(pair, "mmKP", 4, 4)
+        assert set(ks_x) == set(int(i) for i in base)
+        assert set(kp_x) == set(int(i) for i in base_sq)
 
     @pytest.mark.parametrize("preset,seed", [("gaussian", 0), ("gaussian", 1), ("gaussian", 2),
                                              ("tree", 0)])
@@ -121,17 +128,15 @@ class TestBaselineSelect:
         for method, op in (("mmKS", l_x + l_y), ("mmKP", l_x @ l_y)):
             ranked.clear()
             res = baseline_select(pair, method, k_x, k_y)
-            for data, got, k, selected in zip(
-                (pair.x, pair.y), ranked, (k_x, k_y), (res.selected_x, res.selected_y)
-            ):
+            for data, got, k, selected in zip((pair.x, pair.y), ranked, (k_x, k_y), res):
                 dense = score_all_features(zscore_columns(data), op)
                 np.testing.assert_allclose(got, dense, rtol=1e-10)
                 assert selected == top_k(dense, k)
 
     def test_truthless_pair_has_no_f1(self):
         pair = ModalPair(x=RNG.normal(size=(20, 4)), y=RNG.normal(size=(20, 3)))
-        r = baseline_select(pair, "MC", 2, 2)
-        assert r.f1_x is None and r.f1_y is None
+        f1_x, f1_y = selection_f1(baseline_select(pair, "MC", 2, 2), pair.truth("shared"))
+        assert f1_x is None and f1_y is None
 
 
 class TestPresets:
@@ -167,9 +172,9 @@ class TestRunExperiment:
         )
         pair = gen_gaussian_mixture(0)
         for row in rows:
-            res = baseline_select(pair, row["method"], 40, 40)
-            assert row["f1_x"] == f1(res.selected_x, pair.truth_diff_x)
-            assert row["f1_y"] == f1(res.selected_y, pair.truth_diff_y)
+            sel_x, sel_y = baseline_select(pair, row["method"], 40, 40)
+            assert row["f1_x"] == f1(sel_x, pair.truth_diff_x)
+            assert row["f1_y"] == f1(sel_y, pair.truth_diff_y)
 
     def test_mmdufs_cell_with_overrides(self):
         rows = run_experiment(

@@ -452,13 +452,22 @@ def _truncated_gates(tmp_path):
     return ["select", "--gates", str(tmp_path / "gates.csv")]
 
 
-def _selection_not_a_list(tmp_path):
-    rng = np.random.default_rng(0)
-    save_pair(ModalPair(x=rng.normal(size=(6, 3)), y=rng.normal(size=(6, 2)),
-                        truth_shared_x=np.array([0]), truth_shared_y=np.array([1])),
-              tmp_path / "data")
-    (tmp_path / "sel.json").write_text(json.dumps({"x": 5, "y": [1]}))
-    return ["evaluate", "--selection", str(tmp_path / "sel.json"), "--data", str(tmp_path / "data")]
+def _nan_gate(tmp_path):
+    (tmp_path / "gates.csv").write_text("feature,mu,eval_gate\n0,nan,0.5\n1,0.2,0.7\n")
+    return ["select", "--gates", str(tmp_path / "gates.csv"), "--k", "1"]
+
+
+def _evaluate(selection):
+    """Setup that evaluates selection against a dataset of 3 X and 2 Y features."""
+    def setup(tmp_path):
+        rng = np.random.default_rng(0)
+        save_pair(ModalPair(x=rng.normal(size=(6, 3)), y=rng.normal(size=(6, 2)),
+                            truth_shared_x=np.array([0]), truth_shared_y=np.array([1])),
+                  tmp_path / "data")
+        (tmp_path / "sel.json").write_text(json.dumps(selection))
+        return ["evaluate", "--selection", str(tmp_path / "sel.json"),
+                "--data", str(tmp_path / "data")]
+    return setup
 
 
 def _bad_cell_in_first_row(tmp_path):
@@ -467,6 +476,14 @@ def _bad_cell_in_first_row(tmp_path):
     (data / "X.csv").write_text("1,oops\n3,4\n5,6\n")
     (data / "Y.csv").write_text("1\n2\n3\n")
     return ["baseline", "--data", str(data), "--method", "MC"]
+
+
+def _nan_in_x(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "X.csv").write_text("1,2\n3,nan\n5,7\n2,2\n")
+    (data / "Y.csv").write_text("1\n2\n3\n5\n")
+    return ["train", "--data", str(data), "--out", str(tmp_path / "run"), "--epochs", "1"]
 
 
 def _dataset_without_manifest(tmp_path):
@@ -480,8 +497,15 @@ def _dataset_without_manifest(tmp_path):
     pytest.param(_empty_gates, "gates.csv: no data rows", id="empty-gates"),
     pytest.param(_one_column_gates, "gates.csv: expected", id="one-column-gates"),
     pytest.param(_truncated_gates, "gates.csv:3", id="truncated-gates"),
-    pytest.param(_selection_not_a_list, "'x' must be a list", id="selection-not-a-list"),
+    pytest.param(_nan_gate, "gates.csv:2: non-finite", id="nan-gate"),
+    pytest.param(_evaluate({"x": 5, "y": [1]}), "'x' must be a list", id="selection-not-a-list"),
+    pytest.param(_evaluate({"x": [True, False], "y": [0]}), "'x' must be a list",
+                 id="boolean-index"),
+    pytest.param(_evaluate({"x": [0, 3], "y": [0]}),
+                 "'x' must be a list of feature indices in [0, 3)", id="index-past-width"),
+    pytest.param(_evaluate({"x": [0], "y": [-1]}), "'y' must be a list", id="negative-index"),
     pytest.param(_bad_cell_in_first_row, "X.csv:1", id="bad-cell-in-first-row"),
+    pytest.param(_nan_in_x, "X.csv:2: non-finite", id="nan-in-x"),
     pytest.param(_dataset_without_manifest, "X.csv", id="existing-x-csv"),
 ])
 def test_malformed_input_and_overwrite_exit_2(runner, tmp_path, setup, message):

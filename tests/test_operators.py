@@ -13,30 +13,9 @@ from mmdufs.operators import (
 )
 from mmdufs.graph import gaussian_kernel, normalized_laplacian
 from mmdufs.tape import ContractError, DimensionError, Tape, eigh_descending, pairwise_sq_dists
-from subspace import principal_angle_degrees, top_eigenspace
+from subspace import block_laplacian, principal_angle_degrees, top_eigenspace
 
 RNG = np.random.default_rng(42)
-
-
-def block_laplacian(sizes):
-    """Normalized Laplacian of an ideal block (all-ones within cluster) kernel.
-
-    Returns (L, indicator basis): L equals sum of v v^T over the normalized
-    cluster indicators, an exact projector.
-    """
-    n = sum(sizes)
-    k = np.zeros((n, n))
-    basis = []
-    start = 0
-    for s in sizes:
-        k[start : start + s, start : start + s] = 1.0
-        v = np.zeros(n)
-        v[start : start + s] = 1.0 / np.sqrt(s)
-        basis.append(v)
-        start += s
-    d = k.sum(axis=1)
-    l = k / np.sqrt(d)[:, None] / np.sqrt(d)[None, :]
-    return l, np.column_stack(basis)
 
 
 def nested_block_pair():

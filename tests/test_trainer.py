@@ -547,8 +547,13 @@ class TestTrain:
 
     def test_f1_logged_with_ground_truth(self):
         pair = tiny_pair()
-        res = train(pair, RunConfig(epochs=2), ground_truth={"x": [0, 1], "y": [0]})
+        res = train(pair, RunConfig(epochs=2), truth=([0, 1], [0]))
         assert "f1_x" in res.log[0] and "f1_y" in res.log[0]
+
+    def test_f1_logged_only_for_a_present_truth_set(self):
+        res = train(tiny_pair(), RunConfig(epochs=2), truth=([0, 1], None))
+        assert all("f1_x" in r and "f1_y" not in r for r in res.log)
+        assert all("f1_x" not in r for r in train(tiny_pair(), RunConfig(epochs=1)).log)
 
     def test_score_nondecreasing_without_regularizer(self):
         """With lam=0 and frozen bandwidth the score trend is upward."""
@@ -631,14 +636,14 @@ class TestRun:
 
         monkeypatch.setattr(trainer, "build_graph_pair", recording_graph_pair)
         pair = tiny_pair(seed=2, n=20)
-        truth = {"x": [0, 1], "y": [2]}
-        epochs = run(pair, cfg, ground_truth=truth)
+        truth = ([0, 1], [2])
+        epochs = run(pair, cfg, truth=truth)
         first = next(epochs)
         for e in range(1, 6):
             result = first if e == 1 else next(epochs)
             assert result is first  # one TrainResult, updated in place
             assert (result.bandwidth_x, result.bandwidth_y) == seen[-1]
-            want = train(pair, dataclasses.replace(cfg, epochs=e), ground_truth=truth)
+            want = train(pair, dataclasses.replace(cfg, epochs=e), truth=truth)
             assert result.log == want.log and len(want.log) == e
             assert np.array_equal(result.gates_x.mu, want.gates_x.mu)
             assert np.array_equal(result.gates_y.mu, want.gates_y.mu)
