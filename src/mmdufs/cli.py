@@ -29,7 +29,7 @@ from .bench import (
     run_experiment,
     write_rows_csv,
 )
-from .datagen import DATASET_FILES, IngestionError, ModalPair, gen_cube, load_pair, save_pair
+from .datagen import DATASET_FILES, check_indices, gen_cube, load_pair, read_json, save_pair
 from .gates import f1, load_gates_csv, save_gates_csv, select_features, selection_f1
 from .graph import data_laplacian
 from .operators import shared_operator_array
@@ -40,7 +40,7 @@ from .trainer import (LAMBDA_GRID, WARMUP_EPOCHS, RunConfig, TrainingDiverged, b
 GENERATOR_PRESETS = {**DATASET_PRESETS, "cube": gen_cube}
 
 _NUMERICAL_ERRORS = (NumericalError, SingularMatrixError, TrainingDiverged)
-_USAGE_ERRORS = (ContractError, IngestionError, ValueError, KeyError, OSError)
+_USAGE_ERRORS = (ContractError, ValueError, KeyError, OSError)  # ValueError: IngestionError too
 
 
 def _seed(seed: int | None) -> int:
@@ -108,15 +108,13 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--preset", required=True, help=f"one of {sorted(GENERATOR_PRESETS)}")
+@click.option("--preset", type=click.Choice(list(GENERATOR_PRESETS)), required=True)
 @click.option("--out", "outdir", required=True, type=click.Path(path_type=Path))
 @click.option("--seed", type=int, default=None, help="generator seed (default: MMDUFS_SEED or 0)")
 @click.option("--force", is_flag=True, help="overwrite existing artifacts")
 @_exit_codes
 def generate(preset: str, outdir: Path, seed: int | None, force: bool) -> None:
     """Write a synthetic dataset (X.csv, Y.csv, truth files, manifest.json)."""
-    if preset not in GENERATOR_PRESETS:
-        raise click.UsageError(f"unknown preset '{preset}'; choose from {sorted(GENERATOR_PRESETS)}")
     dataset_files = [outdir / name for name in DATASET_FILES]
     _guard_overwrite(dataset_files, force)
     pair = GENERATOR_PRESETS[preset](_seed(seed))
@@ -124,12 +122,6 @@ def generate(preset: str, outdir: Path, seed: int | None, force: bool) -> None:
         path.unlink(missing_ok=True)
     save_pair(pair, outdir)
     click.echo(f"wrote {preset} dataset to {outdir}")
-
-
-def _load_data(datadir: Path) -> ModalPair:
-    if not (Path(datadir) / "X.csv").exists():
-        raise click.UsageError(f"no dataset found in {datadir} (missing X.csv)")
-    return load_pair(datadir)
 
 
 @main.command(name="train")
@@ -145,7 +137,7 @@ def _load_data(datadir: Path) -> ModalPair:
 def train_cmd(datadir, config_path, outdir, seed, epochs, mode, force) -> None:
     """Train gate vectors; write gates, train log, selection, and manifest."""
     cfg = _load_config(config_path, seed, {"epochs": epochs, "mode": mode})
-    pair = _load_data(datadir)
+    pair = load_pair(datadir)
     outdir.mkdir(parents=True, exist_ok=True)
     artifacts = [outdir / n for n in ("gates_x.csv", "gates_y.csv", "train_log.csv",
                                       "selection.json", "run_manifest.json")]
@@ -185,7 +177,7 @@ def tune(datadir, config_path, outdir, grid, warmup_epochs, seed, force) -> None
     except ValueError:
         raise click.UsageError(f"bad --grid '{grid}'")
     cfg = _load_config(config_path, seed, {})
-    pair = _load_data(datadir)
+    pair = load_pair(datadir)
     outdir.mkdir(parents=True, exist_ok=True)
     _guard_overwrite([outdir / "lambda_grid.csv", outdir / "chosen_lambda.json"], force)
 
@@ -207,8 +199,6 @@ def tune(datadir, config_path, outdir, grid, warmup_epochs, seed, force) -> None
 @_exit_codes
 def select(gates_path, policy, k, out_path, force) -> None:
     """Feature selection from a saved gates CSV."""
-    if not Path(gates_path).exists():
-        raise click.UsageError(f"no gates file at {gates_path}")
     chosen = select_features(load_gates_csv(gates_path), policy, k=k)
     _emit(json.dumps({"policy": policy, "k": k, "selected": chosen}, indent=2), out_path, force)
 
@@ -223,7 +213,7 @@ def select(gates_path, policy, k, out_path, force) -> None:
 @_exit_codes
 def baseline(datadir, method, k_x, k_y, out_path, force) -> None:
     """Run a kernel-fusion baseline selector on a saved dataset."""
-    pair = _load_data(datadir)
+    pair = load_pair(datadir)
     kx, ky = pair.selection_sizes("shared")
     selected = baseline_select(pair, method, kx if k_x is None else k_x, ky if k_y is None else k_y)
     f1_x, f1_y = selection_f1(selected, pair.truth("shared"))
@@ -242,19 +232,16 @@ def baseline(datadir, method, k_x, k_y, out_path, force) -> None:
 @_exit_codes
 def evaluate(selection_path, datadir, mode, out_path, force) -> None:
     """F1 of a saved selection against a dataset's ground truth."""
-    if not Path(selection_path).exists():
-        raise click.UsageError(f"no selection file at {selection_path}")
-    sel = json.loads(Path(selection_path).read_text())
+    sel = read_json(selection_path)
     if not isinstance(sel, dict):
         raise click.UsageError(f"{selection_path}: expected a JSON object with 'x'/'y' index lists")
-    pair = _load_data(datadir)
+    pair = load_pair(datadir)
     for mod, data in zip("xy", (pair.x, pair.y)):
-        width = data.shape[1]
+        indices = sel.get(mod, [])
         # type(), not isinstance(): JSON true would pass as the index 1
-        if mod in sel and not (isinstance(sel[mod], list)
-                               and all(type(i) is int and 0 <= i < width for i in sel[mod])):
-            raise click.UsageError(
-                f"{selection_path}: '{mod}' must be a list of feature indices in [0, {width})")
+        if not (isinstance(indices, list) and all(type(i) is int for i in indices)):
+            raise click.UsageError(f"{selection_path}: '{mod}' must be a list of feature indices")
+        check_indices(f"{selection_path}: '{mod}'", indices, data.shape[1])
     rows = [
         {"modality": mod, "f1": f1(sel[mod], truth), "selected": len(sel[mod]),
          "truth": len(truth)}

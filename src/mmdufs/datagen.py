@@ -27,6 +27,8 @@ __all__ = [
     "save_pair",
     "load_pair",
     "read_matrix",
+    "check_indices",
+    "read_json",
 ]
 
 
@@ -65,16 +67,10 @@ class ModalPair:
             v = getattr(self, name)
             if v is None:
                 continue
-            v = np.asarray(v, dtype=np.int64)
-            width = (self.x if name.endswith("_x") else self.y).shape[1]
-            # k = len(truth) sets the selection size, so a repeated index
-            # would cap F1 below 1 and an empty set leaves F1 undefined.
+            v = check_indices(name, v, (self.x if name.endswith("_x") else self.y).shape[1])
+            # k = len(truth) sets the selection size: an empty set leaves F1 undefined.
             if v.size == 0:
                 raise IngestionError(f"{name} is empty")
-            if v.min() < 0 or v.max() >= width:
-                raise IngestionError(f"{name} has indices outside [0, {width})")
-            if np.unique(v).size != v.size:
-                raise IngestionError(f"{name} has duplicate indices")
             setattr(self, name, v)
 
     @property
@@ -311,17 +307,30 @@ def read_matrix(path) -> np.ndarray:
 
 
 def _read_indices(path) -> np.ndarray:
-    vals = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                vals.append(int(line))
-            except ValueError as exc:
-                raise IngestionError(f"{path}:{lineno}: expected an integer index") from exc
-    return np.array(vals, dtype=np.int64)
+    """A one-column file of int64 values (truth indices, labels), read by read_matrix."""
+    table = read_matrix(path)
+    if table.shape[1] != 1 or np.any(table != np.trunc(table)) or np.abs(table).max() >= 2**63:
+        raise IngestionError(f"{path}: expected one integer per line")
+    return table[:, 0].astype(np.int64)
+
+
+def check_indices(name: str, values, width: int) -> np.ndarray:
+    """values as int64 indices of distinct columns in [0, width); IngestionError names name."""
+    v = np.asarray(values)
+    if v.size and (v.min() < 0 or v.max() >= width):  # before the cast, so nothing wraps
+        raise IngestionError(f"{name} has indices outside [0, {width})")
+    v = v.astype(np.int64)
+    if np.unique(v).size != v.size:
+        raise IngestionError(f"{name} has duplicate indices")
+    return v
+
+
+def read_json(path):
+    """The JSON document in path; one that does not parse is an IngestionError naming path."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise IngestionError(f"{path}: {exc}") from exc
 
 
 _FMT = "%.17g"
@@ -333,12 +342,9 @@ def save_pair(pair: ModalPair, outdir) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     np.savetxt(outdir / "X.csv", pair.x, delimiter=",", fmt=_FMT)
     np.savetxt(outdir / "Y.csv", pair.y, delimiter=",", fmt=_FMT)
-    for name in _TRUTH_FIELDS:
-        idx = getattr(pair, name)
-        if idx is not None:
-            np.savetxt(outdir / f"{name}.csv", idx, fmt="%d")
-    if pair.labels is not None:
-        np.savetxt(outdir / "labels.csv", pair.labels, fmt="%d")
+    for name in (*_TRUTH_FIELDS, "labels"):
+        if getattr(pair, name) is not None:
+            np.savetxt(outdir / f"{name}.csv", getattr(pair, name), fmt="%d")
     if pair.latent is not None:
         np.savetxt(outdir / "latent.csv", pair.latent, delimiter=",", fmt=_FMT)
     manifest = {
@@ -351,20 +357,16 @@ def save_pair(pair: ModalPair, outdir) -> Path:
 
 
 def load_pair(indir) -> ModalPair:
+    """The dataset save_pair wrote to indir; any file but X.csv and Y.csv may be absent."""
     indir = Path(indir)
-    kwargs = {}
-    for name in _TRUTH_FIELDS:
-        p = indir / f"{name}.csv"
-        if p.exists():
-            kwargs[name] = _read_indices(p)
-    labels = indir / "labels.csv"
-    latent = indir / "latent.csv"
-    manifest = indir / "manifest.json"
+
+    def optional(name, read):
+        return read(indir / name) if (indir / name).exists() else None
+
     return ModalPair(
         x=read_matrix(indir / "X.csv"),
         y=read_matrix(indir / "Y.csv"),
-        labels=_read_indices(labels) if labels.exists() else None,
-        latent=read_matrix(latent) if latent.exists() else None,
-        meta=json.loads(manifest.read_text()) if manifest.exists() else {},
-        **kwargs,
+        **{name: optional(f"{name}.csv", _read_indices) for name in (*_TRUTH_FIELDS, "labels")},
+        latent=optional("latent.csv", read_matrix),
+        meta=optional("manifest.json", read_json) or {},
     )

@@ -111,11 +111,7 @@ def save_gates_csv(state: GateState, path) -> None:
 
 
 def load_gates_csv(path) -> GateState:
-    """Gates (mu, column 1) from a save_gates_csv file, read by read_matrix.
-
-    Line 1 is a header only when none of its cells is a number. IngestionError
-    names the file if it is malformed.
-    """
+    """Gates (mu, column 1) from a save_gates_csv file, read and checked by read_matrix."""
     table = read_matrix(path)
     if table.shape[1] < 2:
         raise IngestionError(f"{path}: expected feature,mu,eval_gate columns, got one column")

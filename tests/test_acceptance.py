@@ -26,7 +26,7 @@ from mmdufs import trainer
 from mmdufs.cli import main
 from mmdufs.datagen import ModalPair, gen_gaussian_mixture
 from mmdufs.gates import GateState, f1, select_features, selection_f1
-from mmdufs.graph import build_graph_pair, median_bandwidth
+from mmdufs.graph import median_bandwidth
 from mmdufs.tape import pairwise_sq_dists
 from mmdufs.operators import (
     differential_operator,
@@ -35,11 +35,10 @@ from mmdufs.operators import (
     shared_operator_array,
 )
 from mmdufs.tape import Tape, eigh_descending
+from objective import loss_for_mu
 from subspace import block_laplacian, principal_angle_degrees, top_eigenspace
 from mmdufs.trainer import (
     RunConfig,
-    differential_loss,
-    shared_loss,
     train,
     unit_norm_columns,
     warmup_tune,
@@ -169,27 +168,6 @@ class TestCriterion6CubeGeometry:
 
 
 class TestCriterion7GradientCheck:
-    @staticmethod
-    def _loss(pair, mu_x_val, mu_y_val, mode, noise_x, noise_y, bw_x, bw_y):
-        tape = Tape()
-        mu_x = tape.leaf(mu_x_val, trainable=True)
-        mu_y = tape.leaf(mu_y_val, trainable=True)
-        z_x = tape.hard_sigmoid(tape.add(mu_x, tape.constant(noise_x)))
-        z_y = tape.hard_sigmoid(tape.add(mu_y, tape.constant(noise_y)))
-        gated_x = tape.col_gate(tape.constant(unit_norm_columns(pair.x)), z_x)
-        gated_y = tape.col_gate(tape.constant(unit_norm_columns(pair.y)), z_y)
-        graphs = build_graph_pair(tape, gated_x, gated_y, 1.0, bandwidth_x=bw_x, bandwidth_y=bw_y)
-        if mode == "shared":
-            p = shared_operator(tape, graphs.l_x, graphs.l_y)
-            loss, _, _ = shared_loss(tape, graphs.gram_x, graphs.gram_y, p, mu_x, mu_y, 1e-2, 1e-2)
-        else:
-            q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=0.1)
-            q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=0.1)
-            lx, _ = differential_loss(tape, gated_x, q_x, mu_x, 0.4)
-            ly, _ = differential_loss(tape, gated_y, q_y, mu_y, 0.4)
-            loss = tape.add(lx, ly)
-        return tape, loss, mu_x, mu_y
-
     @pytest.mark.parametrize("mode", ["shared", "differential"])
     def test_twenty_random_instances(self, mode):
         h = 1e-5
@@ -206,7 +184,7 @@ class TestCriterion7GradientCheck:
             bw_x = median_bandwidth(pairwise_sq_dists(unit_norm_columns(pair.x)))
             bw_y = median_bandwidth(pairwise_sq_dists(unit_norm_columns(pair.y)))
             args = (pair, mu_x0, mu_y0, mode, noise_x, noise_y, bw_x, bw_y)
-            tape, loss, mu_x, mu_y = self._loss(*args)
+            tape, loss, mu_x, mu_y = loss_for_mu(*args)
             grads = tape.backward(loss)
             for leaf, base, which in ((mu_x, mu_x0, 0), (mu_y, mu_y0, 1)):
                 g = grads[leaf.idx]
@@ -217,7 +195,7 @@ class TestCriterion7GradientCheck:
                         mu[j] += sign * h
                         shifted = list(args)
                         shifted[1 + which] = mu
-                        _, l2, _, _ = self._loss(*shifted)
+                        _, l2, _, _ = loss_for_mu(*shifted)
                         fd[j] += sign * float(l2.value)
                 fd /= 2 * h
                 scale = max(np.abs(fd).max(), np.abs(g).max(), 1e-12)
@@ -326,4 +304,24 @@ class TestCriterion12DifferentialGaussian:
             ours = means[("gaussian", "mmDUFS", mod)]
             best = max(means[("gaussian", m, mod)] for m in BASELINES)
             assert ours >= 0.95, (mod, ours, means)
+            assert ours >= best + 0.05, (mod, ours, best, means)
+
+
+class TestCriterion13TreeDifferential:
+    def test_beats_best_baseline_by_margin(self):
+        """Differential mode selects tree's modality-specific block, above every baseline.
+
+        The preset runs at full batch (n = 1000) for 40 epochs, on seed 0, which
+        reads F1 0.98/1.0. Seeds 0-4 at 40 epochs read 0.92-0.98 in X and
+        0.80-1.0 in Y, each at least 0.08 above that seed's best baseline;
+        the floors are those minima, rounded down. The 0.05 margin is criterion 10's.
+        """
+        rows = run_experiment({"dataset": "tree", "mode": "differential", "epochs": 40,
+                               "seeds": [0]})
+        assert not [r for r in rows if "error" in r]
+        means = mean_f1(rows)
+        for mod, floor in (("x", 0.9), ("y", 0.8)):
+            ours = means[("tree", "mmDUFS", mod)]
+            best = max(means[("tree", m, mod)] for m in BASELINES)
+            assert ours >= floor, (mod, ours, means)
             assert ours >= best + 0.05, (mod, ours, best, means)

@@ -225,6 +225,28 @@ class TestTrain:
         assert res.exit_code == 2
         assert "modality y is constant" in res.output
 
+    @pytest.mark.parametrize("mode", ["shared", "differential"])
+    def test_degenerate_inputs_exit_0(self, runner, dataset, tmp_path, mode):
+        """n = 2 and repeated rows train, and so does lambda 1e3, which closes every gate."""
+        rng = np.random.default_rng(3)
+        pairs = {"n2": ModalPair(x=rng.normal(size=(2, 3)), y=rng.normal(size=(2, 2))),
+                 "dup": ModalPair(x=np.tile(rng.normal(size=(5, 4)), (2, 1)),
+                                  y=np.tile(rng.normal(size=(5, 3)), (2, 1)))}
+        for name, pair in pairs.items():
+            save_pair(pair, tmp_path / name)
+            res = runner.invoke(main, ["train", "--data", str(tmp_path / name), "--mode", mode,
+                                       "--epochs", "30", "--out", str(tmp_path / f"run_{name}")])
+            assert res.exit_code == 0, (name, res.output)
+        cfg = write_config(tmp_path, mode=mode, epochs=30, lambda_x=1e3, lambda_y=1e3)
+        out = tmp_path / "closed"
+        res = runner.invoke(main, ["train", "--data", str(dataset), "--config", str(cfg),
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        with open(out / "train_log.csv", newline="") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        assert last["open_x"] == last["open_y"] == "0"
+        assert float(last["score_x"]) == float(last["score_y"]) == 0.0
+
     def test_missing_data(self, runner, tmp_path):
         res = runner.invoke(main, ["train", "--data", str(tmp_path / "nope"),
                                    "--out", str(tmp_path / "run")])
@@ -470,6 +492,12 @@ def _evaluate(selection):
     return setup
 
 
+def _selection_not_json(tmp_path):
+    args = _evaluate({})(tmp_path)
+    (tmp_path / "sel.json").write_text("{x")
+    return args
+
+
 def _bad_cell_in_first_row(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
@@ -484,6 +512,15 @@ def _nan_in_x(tmp_path):
     (data / "X.csv").write_text("1,2\n3,nan\n5,7\n2,2\n")
     (data / "Y.csv").write_text("1\n2\n3\n5\n")
     return ["train", "--data", str(data), "--out", str(tmp_path / "run"), "--epochs", "1"]
+
+
+def _missing(*args):
+    """Setup that writes evaluate's dataset and selection, then runs args with tmp_path/
+    prefixed to each file name in them; "nope" names no file."""
+    def setup(tmp_path):
+        _evaluate({"x": [0], "y": [1]})(tmp_path)
+        return [str(tmp_path / a) if a in ("nope", "run", "data", "sel.json") else a for a in args]
+    return setup
 
 
 def _dataset_without_manifest(tmp_path):
@@ -501,16 +538,33 @@ def _dataset_without_manifest(tmp_path):
     pytest.param(_evaluate({"x": 5, "y": [1]}), "'x' must be a list", id="selection-not-a-list"),
     pytest.param(_evaluate({"x": [True, False], "y": [0]}), "'x' must be a list",
                  id="boolean-index"),
-    pytest.param(_evaluate({"x": [0, 3], "y": [0]}),
-                 "'x' must be a list of feature indices in [0, 3)", id="index-past-width"),
-    pytest.param(_evaluate({"x": [0], "y": [-1]}), "'y' must be a list", id="negative-index"),
+    pytest.param(_evaluate({"x": [0, 3], "y": [0]}), "sel.json: 'x' has indices outside [0, 3)",
+                 id="index-past-width"),
+    pytest.param(_evaluate({"x": [0], "y": [-1]}), "sel.json: 'y' has indices outside [0, 2)",
+                 id="negative-index"),
+    pytest.param(_evaluate({"x": [0, 0, 0, 1], "y": [0]}), "sel.json: 'x' has duplicate indices",
+                 id="repeated-index"),
+    pytest.param(_evaluate({"x": [0, 2**70], "y": [0]}), "sel.json: 'x' has indices outside",
+                 id="huge-index"),
+    pytest.param(_selection_not_json, "sel.json: Expecting property name", id="selection-not-json"),
+    pytest.param(_missing("train", "--data", "nope", "--out", "run"), "/nope/X.csv",
+                 id="missing-data-train"),
+    pytest.param(_missing("tune", "--data", "nope", "--out", "run"), "/nope/X.csv",
+                 id="missing-data-tune"),
+    pytest.param(_missing("baseline", "--data", "nope", "--method", "MC"), "/nope/X.csv",
+                 id="missing-data-baseline"),
+    pytest.param(_missing("evaluate", "--selection", "sel.json", "--data", "nope"),
+                 "/nope/X.csv", id="missing-data-evaluate"),
+    pytest.param(_missing("evaluate", "--selection", "nope", "--data", "data"), "/nope'",
+                 id="missing-selection"),
+    pytest.param(_missing("select", "--gates", "nope"), "/nope'", id="missing-gates"),
     pytest.param(_bad_cell_in_first_row, "X.csv:1", id="bad-cell-in-first-row"),
     pytest.param(_nan_in_x, "X.csv:2: non-finite", id="nan-in-x"),
     pytest.param(_dataset_without_manifest, "X.csv", id="existing-x-csv"),
 ])
 def test_malformed_input_and_overwrite_exit_2(runner, tmp_path, setup, message):
-    """Malformed gates, selection and CSV files, and an existing X.csv, are usage errors
-    that leave every file as it was."""
+    """Missing or malformed gates, selection and CSV files, and an existing X.csv, are usage
+    errors that name the file and leave every file as it was."""
     args = setup(tmp_path)
 
     def files():

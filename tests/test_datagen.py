@@ -6,6 +6,7 @@ import pytest
 from mmdufs.datagen import (
     IngestionError,
     ModalPair,
+    check_indices,
     gen_cube,
     gen_gaussian_mixture,
     gen_tree,
@@ -20,6 +21,12 @@ class TestModalPair:
     def test_row_count_mismatch(self):
         with pytest.raises(IngestionError):
             ModalPair(x=np.zeros((3, 2)), y=np.zeros((4, 2)))
+
+    def test_check_indices_checks_the_range_before_the_cast(self):
+        """An index past int64 is out of range; it does not wrap around to a valid one."""
+        with pytest.raises(IngestionError, match=r"s has indices outside \[0, 3\)"):
+            check_indices("s", [0, 2**64 + 1], 3)
+        assert check_indices("s", [], 3).dtype == np.int64  # an empty selection is valid
 
     def test_truth_cast_to_int(self):
         p = ModalPair(x=np.zeros((3, 2)), y=np.zeros((3, 2)), truth_shared_x=[0.0, 1.0])
@@ -213,9 +220,41 @@ class TestIngest:
         np.testing.assert_allclose(zscore_columns(p.x).mean(axis=0), 0.0, atol=1e-12)
 
     def test_bad_truth_file(self, tmp_path):
+        """A lone non-numeric line is a header, which leaves no data rows."""
         d = dataset_dir(tmp_path, "1\n", "1\n", **{"truth_shared_x.csv": "zero\n"})
-        with pytest.raises(IngestionError, match=r"truth_shared_x\.csv:1: expected an integer"):
+        with pytest.raises(IngestionError, match=r"truth_shared_x\.csv: no data rows"):
             load_pair(d)
+
+    def test_bad_manifest(self, tmp_path):
+        d = dataset_dir(tmp_path, "1\n2\n", "1\n2\n", **{"manifest.json": "{oops"})
+        with pytest.raises(IngestionError, match=r"manifest\.json: Expecting property name"):
+            load_pair(d)
+
+    @pytest.mark.parametrize("text, expect", [
+        ("index\n0\n3\n", [0, 3]),  # a header line is skipped, as in X.csv
+        ("3.0\n\n1e0\n", [3, 1]),  # integral values and blank lines are fine
+        ("3.5\n", r"truth_shared_x\.csv: expected one integer per line"),
+        ("1e20\n", r"truth_shared_x\.csv: expected one integer per line"),  # past int64
+        ("0,1\n", r"truth_shared_x\.csv: expected one integer per line"),
+        ("0\nzero\n", r"truth_shared_x\.csv:2: non-numeric"),
+        ("0\nnan\n", r"truth_shared_x\.csv:2: non-finite"),
+        ("index\n", r"truth_shared_x\.csv: no data rows"),
+    ], ids=["header", "integral-floats", "fraction", "past-int64", "two-columns", "word-on-line-2",
+            "nan", "header-only"])
+    def test_index_files_follow_the_matrix_rules(self, tmp_path, text, expect):
+        """Truth and label files are read by read_matrix, then checked for one integral column."""
+        d = dataset_dir(tmp_path, "1,2,3,4\n5,6,7,9\n", "1\n2\n",
+                        **{"truth_shared_x.csv": text, "labels.csv": text})
+        if isinstance(expect, str):
+            with pytest.raises(IngestionError, match=expect):
+                load_pair(d)
+            (d / "truth_shared_x.csv").unlink()
+            with pytest.raises(IngestionError, match=expect.replace("truth_shared_x", "labels")):
+                load_pair(d)
+        else:
+            p = load_pair(d)
+            assert list(p.truth_shared_x) == list(p.labels) == expect
+            assert p.labels.dtype == np.int64
 
 
 class TestSaveLoad:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mmdufs.datagen import gen_gaussian_mixture
 from mmdufs.operators import (
     differential_operator,
     differential_operator_array,
@@ -11,7 +14,7 @@ from mmdufs.operators import (
     shared_operator_array,
     zscore_columns,
 )
-from mmdufs.graph import gaussian_kernel, normalized_laplacian
+from mmdufs.graph import data_laplacian, gaussian_kernel, normalized_laplacian
 from mmdufs.tape import ContractError, DimensionError, Tape, eigh_descending, pairwise_sq_dists
 from subspace import block_laplacian, principal_angle_degrees, top_eigenspace
 
@@ -126,6 +129,36 @@ class TestDifferentialOperator:
             differential_operator(t, t.constant(np.eye(3)), t.constant(np.eye(3)), c=0.0)
         with pytest.raises(ContractError):
             differential_operator_array(np.eye(3), np.eye(3), c=-1.0)
+
+
+class TestOperatorProperties:
+    """Symmetry and definiteness on Laplacians of data.
+
+    Q_x = A^-1 L_x A^-1 is congruent to L_x = D^-1/2 K D^-1/2, which is PSD like
+    the Gaussian kernel K, so Q_x is PSD. P = L_x L_y + L_y L_x is symmetric, but a
+    product of two PSD matrices need not be PSD, and P is not.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 16), d_x=st.integers(1, 5),
+           d_y=st.integers(1, 5), scale=st.floats(0.2, 2.0), c=st.floats(1e-2, 1.0))
+    def test_p_symmetric_q_symmetric_psd(self, seed, n, d_x, d_y, scale, c):
+        rng = np.random.default_rng(seed)
+        l_x = data_laplacian(rng.normal(size=(n, d_x)), scale)
+        l_y = data_laplacian(rng.normal(size=(n, d_y)), scale)
+        p = shared_operator_array(l_x, l_y)
+        assert np.array_equal(p, p.T)
+        q = differential_operator_array(l_x, l_y, c)
+        assert np.array_equal(q, q.T)
+        w = np.linalg.eigvalsh(q)
+        assert w[0] >= -1e-10 * w[-1], (w[0], w[-1])
+
+    def test_p_is_indefinite_on_gaussian_data(self):
+        """Gaussian seed 0 at scale 0.4: P's smallest eigenvalue is -0.027, Q_x's is 0.049."""
+        pair = gen_gaussian_mixture(0)
+        l_x, l_y = data_laplacian(pair.x, 0.4), data_laplacian(pair.y, 0.4)
+        assert np.linalg.eigvalsh(shared_operator_array(l_x, l_y))[0] < -0.02
+        assert np.linalg.eigvalsh(differential_operator_array(l_x, l_y, 0.1))[0] > 0.04
 
 
 class TestScores:

@@ -26,10 +26,10 @@ from mmdufs.operators import (
     DifferentialOperator,
     differential_operator,
     differential_operator_array,
-    shared_operator,
     shared_operator_array,
 )
 from mmdufs.tape import ContractError, NumericalError, Tape, pairwise_sq_dists
+from objective import gated_graphs, loss_for_mu
 from mmdufs import trainer
 from mmdufs.trainer import (
     RunConfig,
@@ -38,7 +38,6 @@ from mmdufs.trainer import (
     _objective,
     differential_loss,
     run,
-    shared_loss,
     train,
     unit_norm_columns,
     warmup_tune,
@@ -50,36 +49,6 @@ RNG = np.random.default_rng(99)
 def tiny_pair(seed=0, n=14, dx=5, dy=4):
     rng = np.random.default_rng(seed)
     return ModalPair(x=rng.normal(size=(n, dx)), y=rng.normal(size=(n, dy)))
-
-
-def gated_graphs(pair, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y):
-    """Gate leaves, gated data and Laplacians on a fresh tape (frozen noise/bandwidth)."""
-    tape = Tape()
-    mu_x = tape.leaf(mu_x_val, trainable=True)
-    mu_y = tape.leaf(mu_y_val, trainable=True)
-    z_x = tape.hard_sigmoid(tape.add(mu_x, tape.constant(noise_x)))
-    z_y = tape.hard_sigmoid(tape.add(mu_y, tape.constant(noise_y)))
-    gated_x = tape.col_gate(tape.constant(unit_norm_columns(pair.x)), z_x)
-    gated_y = tape.col_gate(tape.constant(unit_norm_columns(pair.y)), z_y)
-    graphs = build_graph_pair(tape, gated_x, gated_y, 1.0, bandwidth_x=bw_x, bandwidth_y=bw_y)
-    return tape, mu_x, mu_y, gated_x, gated_y, graphs
-
-
-def loss_for_mu(pair, mu_x_val, mu_y_val, mode, noise_x, noise_y, bw_x, bw_y, lam=1e-2):
-    """Deterministic loss as a function of gate parameters (frozen noise/bandwidth)."""
-    tape, mu_x, mu_y, gated_x, gated_y, graphs = gated_graphs(
-        pair, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y
-    )
-    if mode == "shared":
-        p = shared_operator(tape, graphs.l_x, graphs.l_y)
-        loss, _, _ = shared_loss(tape, graphs.gram_x, graphs.gram_y, p, mu_x, mu_y, lam, lam)
-    else:
-        q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=0.1)
-        q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=0.1)
-        lx, _ = differential_loss(tape, gated_x, q_x, mu_x, 0.4)
-        ly, _ = differential_loss(tape, gated_y, q_y, mu_y, 0.4)
-        loss = tape.add(lx, ly)
-    return tape, loss, mu_x, mu_y
 
 
 def frozen_bandwidth_scores(pair, seed, learning_rate, epochs=40, scale=0.4):
@@ -359,6 +328,31 @@ class TestSharedFusedEpoch:
         assert_first_epoch_permutation_invariant("shared", seed, n, dx, dy, b)
 
 
+class TestSharedScoreSwap:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 14), d_x=st.integers(1, 5),
+           d_y=st.integers(1, 5))
+    def test_symmetric_under_swapping_x_and_y(self, seed, n, d_x, d_y):
+        """The shared objective of (Y, X) gives (score_y, score_x) of (X, Y)."""
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(n, d_x)), rng.normal(size=(n, d_y))
+        mu_x, mu_y = rng.uniform(-0.6, 0.6, d_x), rng.uniform(-0.6, 0.6, d_y)
+        cfg = RunConfig(mode="shared", lambda_x=0.3, lambda_y=0.3)
+
+        def scores(a, b, mu_a, mu_b):
+            tape = Tape()
+            z_a, z_b = (tape.constant(np.clip(0.5 + mu, 0.0, 1.0)) for mu in (mu_a, mu_b))
+            loss, s_a, s_b, _ = _objective(
+                tape, unit_norm_columns(a), unit_norm_columns(b), z_a, z_b,
+                tape.constant(mu_a), tape.constant(mu_b), cfg)
+            return [float(loss.value), float(s_a.value), float(s_b.value)]
+
+        loss, s_x, s_y = scores(x, y, mu_x, mu_y)
+        # atol: when one modality's gates are all closed, the other's score is 0 up to rounding
+        np.testing.assert_allclose(scores(y, x, mu_y, mu_x), [loss, s_y, s_x],
+                                   rtol=1e-12, atol=1e-15)
+
+
 class TestTapeReuse:
     """Tape(reuse=prev), as train chains it: the arrays change hands, the bits do not."""
 
@@ -498,6 +492,39 @@ class TestRunConfig:
 def no_epoch(gates):
     """Stands in for GateState.draw_noise where no epoch may start."""
     raise AssertionError("an epoch started")
+
+
+def degenerate_pair(case):
+    """n = 2 samples, or 10 rows that repeat 5 distinct ones."""
+    rng = np.random.default_rng(3)
+    if case == "n=2":
+        return ModalPair(x=rng.normal(size=(2, 3)), y=rng.normal(size=(2, 2)))
+    return ModalPair(x=np.tile(rng.normal(size=(5, 4)), (2, 1)),
+                     y=np.tile(rng.normal(size=(5, 3)), (2, 1)))
+
+
+class TestDegenerateInputs:
+    """The outcomes the README's "Degenerate inputs" paragraph documents."""
+
+    @pytest.mark.parametrize("mode", ["shared", "differential"])
+    @pytest.mark.parametrize("case", ["n=2", "duplicate-rows"])
+    def test_trains(self, mode, case):
+        res = train(degenerate_pair(case), RunConfig(mode=mode, epochs=30))
+        assert len(res.log) == 30
+        assert all(np.isfinite(v) for row in res.log for v in row.values())
+        assert np.isfinite(res.gates_x.mu).all() and np.isfinite(res.gates_y.mu).all()
+        assert res.bandwidth_x > 0 and res.bandwidth_y > 0
+
+    @pytest.mark.parametrize("mode", ["shared", "differential"])
+    def test_every_gate_closed_returns_normally(self, mode):
+        """At lambda 1e3 every gate closes, the score is 0 and the bandwidth is the fallback's."""
+        cfg = RunConfig(mode=mode, epochs=30, lambda_x=1e3, lambda_y=1e3)
+        res = train(gen_gaussian_mixture(0), cfg)
+        last = res.log[-1]
+        assert last["open_x"] == last["open_y"] == 0
+        assert last["score_x"] == last["score_y"] == 0.0
+        # all gated rows coincide, so median_bandwidth falls back to 1.0
+        assert res.bandwidth_x == res.bandwidth_y == cfg.bandwidth_scale * 1.0
 
 
 class TestTrain:
