@@ -72,6 +72,12 @@ class ModalPair:
             if v.size == 0:
                 raise IngestionError(f"{name} is empty")
             setattr(self, name, v)
+        for name in ("labels", "latent"):
+            v = getattr(self, name)
+            if v is not None and np.shape(v)[:1] != (self.n_samples,):
+                raise IngestionError(
+                    f"{name} has shape {np.shape(v)}, expected {self.n_samples} rows"
+                )
 
     @property
     def n_samples(self) -> int:

@@ -14,10 +14,9 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .datagen import IngestionError, read_matrix
-from .tape import ContractError
+from .tape import ContractError, normal_cdf
 
 __all__ = [
     "SIGMA",
@@ -60,7 +59,7 @@ class GateState:
 
 def expected_l0(state: GateState) -> float:
     """Exact expectation of the number of gates with z > 0."""
-    return float(ndtr((0.5 + state.mu) / SIGMA).sum())
+    return float(normal_cdf((0.5 + state.mu) / SIGMA).sum())
 
 
 def select_features(state: GateState, policy: str = "top-k", k: int | None = None) -> list[int]:

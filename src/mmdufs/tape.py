@@ -12,9 +12,9 @@ off-tape analysis utility.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.linalg.lapack
-from scipy.special import ndtr
 
 __all__ = [
     "Tape",
@@ -25,10 +25,12 @@ __all__ = [
     "ContractError",
     "eigh_descending",
     "pairwise_sq_dists",
+    "normal_cdf",
     "PRIMITIVES",
 ]
 
 _COND_LIMIT = 1e12
+_SQRT1_2 = math.sqrt(0.5)
 
 # inf/nan from a primitive ends in NumericalError (or the primitive's own
 # typed error), not a numpy warning: every primitive and backward run in this
@@ -59,6 +61,16 @@ def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     x @ x.T runs as a BLAS syrk and the result is exactly symmetric.
     """
     return _dists_from_gram(np.einsum("ij,ij->i", x, x), x @ x.T)
+
+
+def normal_cdf(t: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of each entry of a 1-D array: Phi(t) = erfc(-t/sqrt(2)) / 2.
+
+    Built on math.erfc, so importing this module loads no scipy. Callers pass
+    one entry per gate, so the Python-level map costs tens of microseconds.
+    """
+    arg = np.multiply(t, -_SQRT1_2)
+    return 0.5 * np.fromiter(map(math.erfc, arg.tolist()), np.float64, arg.size)
 
 
 def _dists_from_gram(sq: np.ndarray, g: np.ndarray, out=None, scratch=None) -> np.ndarray:
@@ -225,6 +237,9 @@ class Tape:
         np.copyto(work, av)
         work.flat[:: n + 1] += shift
         anorm = np.abs(work, out=scratch.T).sum(axis=0).max()
+        # Loaded at the first inverse: only differential mode pays for scipy.
+        import scipy.linalg.lapack
+
         potrf, potri = scipy.linalg.lapack.get_lapack_funcs(("potrf", "potri"), (work,))
         factor, info = potrf(work, lower=False, clean=True, overwrite_a=True)
         if info == 0:
@@ -288,7 +303,7 @@ class Tape:
         if sigma <= 0:
             raise ContractError("gate noise scale must be positive")
         t = (0.5 + mu.value) / sigma
-        val = float(ndtr(t).sum())
+        val = float(normal_cdf(t).sum())
         return self._record(val, "open_gate_expectation", (mu,), cache=(t, float(sigma)))
 
     # -- generic dispatch ------------------------------------------------

@@ -498,6 +498,12 @@ def _selection_not_json(tmp_path):
     return args
 
 
+def _short_labels(tmp_path):
+    args = _evaluate({"x": [0], "y": [1]})(tmp_path)
+    (tmp_path / "data" / "labels.csv").write_text("0\n1\n2\n")
+    return args
+
+
 def _bad_cell_in_first_row(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
@@ -546,6 +552,7 @@ def _dataset_without_manifest(tmp_path):
                  id="repeated-index"),
     pytest.param(_evaluate({"x": [0, 2**70], "y": [0]}), "sel.json: 'x' has indices outside",
                  id="huge-index"),
+    pytest.param(_short_labels, "labels has shape (3,), expected 6 rows", id="short-labels"),
     pytest.param(_selection_not_json, "sel.json: Expecting property name", id="selection-not-json"),
     pytest.param(_missing("train", "--data", "nope", "--out", "run"), "/nope/X.csv",
                  id="missing-data-train"),
@@ -579,12 +586,41 @@ def test_malformed_input_and_overwrite_exit_2(runner, tmp_path, setup, message):
 
 
 class TestImport:
-    def test_scipy_stats_not_imported(self):
-        """Importing the package stays clear of scipy.stats, which costs most of a second."""
+    """What each kind of run loads, each checked in a fresh interpreter."""
+
+    @staticmethod
+    def loaded_after(code):
+        """The modules of a fresh interpreter after it runs code, one name per line."""
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, mmdufs, mmdufs.cli; print('scipy.stats' in sys.modules)"
+        code += "\nimport sys; print('\\n'.join(sys.modules))"
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120)
-        assert out.stdout.strip() == "False"
+        return set(out.stdout.split())
+
+    def test_scipy_stats_not_imported(self):
+        """Importing the package stays clear of scipy.stats, which costs most of a second."""
+        assert "scipy.stats" not in self.loaded_after("import mmdufs, mmdufs.cli")
+
+    def test_import_loads_no_scipy(self):
+        loaded = self.loaded_after("import mmdufs, mmdufs.cli")
+        assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+
+    def test_shared_training_and_baselines_load_no_scipy(self):
+        loaded = self.loaded_after(
+            "from mmdufs import bench, datagen, trainer\n"
+            "pair = datagen.gen_gaussian_mixture(0)\n"
+            "trainer.train(pair, trainer.RunConfig(mode='shared', epochs=2))\n"
+            "rows = bench.run_experiment({'dataset': pair, 'methods': list(bench.BASELINES)})\n"
+            "assert all('error' not in r for r in rows), rows"
+        )
+        assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+
+    def test_differential_training_loads_lapack(self):
+        loaded = self.loaded_after(
+            "from mmdufs import datagen, trainer\n"
+            "trainer.train(datagen.gen_gaussian_mixture(0),"
+            " trainer.RunConfig(mode='differential', epochs=2))"
+        )
+        assert "scipy.linalg" in loaded

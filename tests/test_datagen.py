@@ -62,6 +62,17 @@ class TestModalPair:
         assert [None if t is None else list(t) for t in got] == list(expect)
         assert p.selection_sizes(mode) == sizes
 
+    @pytest.mark.parametrize("name, value", [
+        ("labels", np.arange(2)),
+        ("labels", np.arange(4)),
+        ("labels", np.int64(0)),
+        ("latent", np.zeros((1, 2))),
+        ("latent", np.zeros((4, 3))),
+    ])
+    def test_labels_and_latent_need_one_row_per_sample(self, name, value):
+        with pytest.raises(IngestionError, match=rf"{name} has shape .*, expected 3 rows"):
+            ModalPair(x=np.zeros((3, 2)), y=np.zeros((3, 2)), **{name: value})
+
     def test_unknown_truth_mode(self):
         with pytest.raises(ContractError, match="both"):
             ModalPair(x=np.zeros((3, 2)), y=np.zeros((3, 2))).truth("both")
@@ -276,6 +287,20 @@ class TestSaveLoad:
         np.testing.assert_array_equal(back.latent, p.latent)
         assert back.meta["l_s"] == p.meta["l_s"] == 2.0
         assert back.truth_shared_x is None
+
+    def test_tree_round_trip_keeps_labels_and_latent(self, tmp_path):
+        p = gen_tree(seed=0)
+        save_pair(p, tmp_path / "t")
+        back = load_pair(tmp_path / "t")
+        np.testing.assert_array_equal(back.labels, p.labels)
+        np.testing.assert_array_equal(back.latent, p.latent)
+
+    @pytest.mark.parametrize("name, text", [("labels", "0\n1\n2\n"), ("latent", "0.5,1.5\n")])
+    def test_load_rejects_labels_or_latent_of_the_wrong_length(self, tmp_path, name, text):
+        save_pair(gen_gaussian_mixture(seed=0), tmp_path / "d")
+        (tmp_path / "d" / f"{name}.csv").write_text(text)
+        with pytest.raises(IngestionError, match=rf"{name} has shape .*, expected 260 rows"):
+            load_pair(tmp_path / "d")
 
     @pytest.mark.parametrize("text", ["", "0\n0\n1\n", "-1\n", "0\n130\n"])
     def test_load_rejects_bad_truth_indices(self, tmp_path, text):

@@ -95,6 +95,12 @@ class TestExpectedL0:
         g = GateState(mu=mu)
         assert expected_l0(g) == pytest.approx(float(ndtr((0.5 + mu) / 0.5).sum()))
 
+    def test_equals_the_tape_value(self):
+        """One Phi: expected_l0 is the tape's open_gate_expectation at the same mu."""
+        mu = np.random.default_rng(8).uniform(-3.0, 3.0, 300)
+        t = Tape()
+        assert expected_l0(GateState(mu=mu)) == t.open_gate_expectation(t.constant(mu), SIGMA).value
+
     def test_matches_monte_carlo(self):
         g = GateState(mu=np.array([0.0]), seed=5)
         draws = np.clip(0.5 + np.random.default_rng(1).normal(0, 0.5, 200_000), 0, 1)

@@ -13,6 +13,7 @@ from mmdufs.tape import (
     SingularMatrixError,
     Tape,
     eigh_descending,
+    normal_cdf,
 )
 
 RNG = np.random.default_rng(1234)
@@ -127,6 +128,22 @@ class TestForwardValues:
         t = Tape()
         out = t.open_gate_expectation(t.constant(mu), 0.5)
         assert out.value == pytest.approx(float(ndtr((0.5 + mu) / 0.5).sum()))
+
+    def test_normal_cdf_against_ndtr(self):
+        """Phi on [-40, 40], with 0 and both sides of the edges at +-1/sqrt(2) and +-1."""
+        from scipy.special import ndtr
+
+        edges = [s * e for s in (1.0, -1.0) for e in (2**-0.5, 1.0)]
+        t = np.concatenate([
+            np.linspace(-40.0, 40.0, 80_001),
+            [0.0, -0.0, 5e-324, 1e-300, -1e-300],
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf * np.sign(edges)),
+        ])
+        got = normal_cdf(t)
+        assert got.shape == t.shape
+        assert np.abs(got - ndtr(t)).max() <= 1e-15
+        assert normal_cdf(np.array([0.0]))[0] == 0.5
+        assert normal_cdf(np.array([])).shape == (0,)
 
 
 class TestGradients:

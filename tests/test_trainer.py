@@ -353,6 +353,30 @@ class TestSharedScoreSwap:
                                    rtol=1e-12, atol=1e-15)
 
 
+class TestFeaturePermutation:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 14), d_x=st.integers(1, 6),
+           d_y=st.integers(1, 5), mode=st.sampled_from(["shared", "differential"]))
+    def test_gradient_is_equivariant(self, seed, n, d_x, d_y, mode):
+        """Permuting X's columns, with mu_x and noise_x alike, permutes the mu_x-gradient."""
+        rng = np.random.default_rng(seed)
+        pair = ModalPair(x=rng.normal(size=(n, d_x)), y=rng.normal(size=(n, d_y)))
+        mu_x, mu_y = rng.uniform(-0.6, 0.6, d_x), rng.uniform(-0.6, 0.6, d_y)
+        noise_x, noise_y = rng.normal(0, SIGMA, d_x), rng.normal(0, SIGMA, d_y)
+        perm = rng.permutation(d_x)
+
+        def grads(p, m_x, e_x):
+            tape, loss, leaf_x, leaf_y = loss_for_mu(p, m_x, mu_y, mode, e_x, noise_y, 0.7, 0.9)
+            g = tape.backward(loss)
+            return g[leaf_x.idx], g[leaf_y.idx]
+
+        g_x, g_y = grads(pair, mu_x, noise_x)
+        permuted = ModalPair(x=pair.x[:, perm], y=pair.y)
+        gp_x, gp_y = grads(permuted, mu_x[perm], noise_x[perm])
+        np.testing.assert_allclose(gp_x, g_x[perm], rtol=1e-10)
+        np.testing.assert_allclose(gp_y, g_y, rtol=1e-10)
+
+
 class TestTapeReuse:
     """Tape(reuse=prev), as train chains it: the arrays change hands, the bits do not."""
 
