@@ -102,7 +102,7 @@ def kernel_on_tape(tape: Tape, d2: Node, bandwidth: float) -> Node:
     """Gaussian kernel, on the tape, from d2 = tape.sq_dists(tape.gram(gated data))."""
     if bandwidth <= 0:
         raise ContractError("bandwidth must be positive")
-    return tape.exp(tape.scale(d2, -1.0 / (2.0 * bandwidth**2)))
+    return tape.exp(d2, -1.0 / (2.0 * bandwidth**2))
 
 
 def build_graph_pair(

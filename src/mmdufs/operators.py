@@ -47,8 +47,7 @@ class DifferentialOperator(NamedTuple):
 
     def score(self, tape: Tape, gated: Node) -> Node:
         """Tr[X~^T Q X~] = b * <L_target W, W> with W = A^{-1} X~."""
-        w = tape.matmul(self.inv, gated)
-        s = tape.inner(tape.matmul(self.l_target, w), w)
+        s = tape.quad_form(self.l_target, tape.matmul(self.inv, gated))
         return tape.scale(s, self.b) if self.b != 1.0 else s
 
 

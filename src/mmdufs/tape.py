@@ -1,9 +1,9 @@
 """Dense matrix arithmetic with a reverse-mode differentiation tape.
 
 The tape records a fixed set of coarse matrix primitives (matmul, kernels,
-normalization sandwiches, inverses, traces, gating, ...). Calling
-:meth:`Tape.backward` on a scalar node returns exact gradients with respect
-to every trainable leaf. Pooled arrays change hands only at
+normalization sandwiches, inverses, traces, quadratic forms, gating, ...).
+Calling :meth:`Tape.backward` on a scalar node returns exact gradients with
+respect to every trainable leaf. Pooled arrays change hands only at
 ``Tape(reuse=prev)``: every array a tape hands out stays its own until the
 next tape takes over the whole set, so a loop that records one tape per step
 allocates one buffer set in all. Eigendecomposition is provided as an
@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+_SYM_BLOCK = 8192  # entries per block of the symmetry check
 _SQRT1_2 = math.sqrt(0.5)
 
 # inf/nan from a primitive ends in NumericalError (or the primitive's own
@@ -98,14 +99,17 @@ def _sym_normalize(k: np.ndarray, out=None):
     return out, d, r
 
 
-def _check_symmetric(a: np.ndarray, scratch=None) -> None:
+def _check_symmetric(a: np.ndarray) -> None:
     """ContractError unless max|a - a^T| <= 1e-8 * max(max|a|, 1).
 
-    scratch, if given, is an array shaped like a to work in.
+    Works in blocks of rows, so the check takes no array as large as a.
     """
-    work = np.subtract(a, a.T, out=scratch)
-    asym = np.abs(work, out=work).max() if a.size else 0.0
-    if asym > 1e-8 * max(np.abs(a, out=work).max(), 1.0):
+    rows = max(1, _SYM_BLOCK // max(len(a), 1))
+    asym = max(
+        (np.abs(a[i : i + rows] - a[:, i : i + rows].T).max() for i in range(0, len(a), rows)),
+        default=0.0,
+    )
+    if asym > 1e-8 * max(a.max(initial=0.0), -a.min(initial=0.0), 1.0):
         raise ContractError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
 
 
@@ -203,9 +207,11 @@ class Tape:
         out = np.multiply(a.value, alpha, out=self._take(a.value.shape))
         return self._record(out, "scale", (a,), cache=alpha)
 
-    def exp(self, a: Node) -> Node:
-        out = np.exp(a.value, out=self._take(a.value.shape))
-        return self._record(out, "exp", (a,), cache=out)
+    def exp(self, a: Node, scale: float) -> Node:
+        """exp(scale * a), in one buffer."""
+        scale = float(scale)
+        out = np.multiply(a.value, scale, out=self._take(a.value.shape))
+        return self._record(np.exp(out, out=out), "exp", (a,), cache=scale)
 
     def transpose(self, a: Node) -> Node:
         if a.value.ndim != 2:
@@ -229,14 +235,15 @@ class Tape:
         if av.ndim != 2 or av.shape[0] != av.shape[1]:
             raise DimensionError("inverse needs a square matrix")
         n = av.shape[0]
-        # Scratch space: a C-order array (its transpose is F-order) and the
-        # F-order work array, a C-order take transposed, that potrf and potri
-        # overwrite in place.
-        scratch, work = self._take((n, n)), self._take((n, n)).T
-        _check_symmetric(av, scratch)
+        _check_symmetric(av)
+        # Two buffers: the result, scratch for the 1-norm until potri is done,
+        # and the F-order work array (a C-order take transposed) that potrf
+        # and potri overwrite in place, scratch once the result is formed.
+        inv, buf = self._take((n, n)), self._take((n, n))
+        work = buf.T
         np.copyto(work, av)
         work.flat[:: n + 1] += shift
-        anorm = np.abs(work, out=scratch.T).sum(axis=0).max()
+        anorm = np.abs(work, out=inv.T).sum(axis=0).max()
         # Loaded at the first inverse: only differential mode pays for scipy.
         import scipy.linalg.lapack
 
@@ -248,10 +255,10 @@ class Tape:
             raise SingularMatrixError(f"inverse: not positive definite (potrf/potri info {info})")
         # potri fills the upper triangle; clean=True left zeros below it.
         diag = upper.diagonal().copy()
-        inv = np.add(upper, upper.T, out=self._take((n, n)))
+        np.add(upper, upper.T, out=inv)
         np.fill_diagonal(inv, diag)
         # 1-norm condition estimate; cheap relative to the factorization.
-        cond = anorm * np.abs(inv, out=scratch).sum(axis=0).max()
+        cond = anorm * np.abs(inv, out=buf).sum(axis=0).max()
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularMatrixError(f"condition estimate {cond:.3e} exceeds {_COND_LIMIT:.0e}")
         return self._record(inv, "inverse", (a,), cache=inv)
@@ -273,6 +280,15 @@ class Tape:
         if a.value.ndim != 2 or a.value.shape != b.value.shape:
             raise DimensionError(f"inner: {a.value.shape} with {b.value.shape}")
         return self._record(np.vdot(a.value, b.value), "inner", (a, b))
+
+    def quad_form(self, l: Node, w: Node) -> Node:
+        """<l w, w> = Tr[w^T l w] for a symmetric l; the forward caches l w."""
+        lv, wv = l.value, w.value
+        if lv.ndim != 2 or wv.ndim != 2 or lv.shape != (wv.shape[0], wv.shape[0]):
+            raise DimensionError(f"quad_form: {lv.shape} with {wv.shape}")
+        _check_symmetric(lv)
+        lw = np.matmul(lv, wv, out=self._take(wv.shape))
+        return self._record(np.vdot(lw, wv), "quad_form", (l, w), cache=lw)
 
     def hard_sigmoid(self, a: Node) -> Node:
         """clamp01(0.5 + x); subgradient 1 strictly inside (0, 1), else 0."""
@@ -373,21 +389,25 @@ class Tape:
                 yield a, g
             if b.needs_grad:
                 yield b, g
-        elif op in ("scale", "exp"):
+        elif op == "scale":
             yield a, np.multiply(g, node.cache, out=take(g.shape))
+        elif op == "exp":  # d exp(s a) = s exp(s a) da
+            out = np.multiply(g, node.value, out=take(g.shape))
+            out *= node.cache
+            yield a, out
         elif op == "transpose":
             yield a, g.T
-        elif op == "sym_normalize":
+        elif op == "sym_normalize":  # L = r_i K_ij r_j with r = d^{-1/2}
             d, r = node.cache
-            k = a.value
-            gk = np.multiply(g, r[:, None], out=take(g.shape))
+            gk = np.multiply(g, node.value, out=take(g.shape))
+            w = gk.sum(axis=1)
+            w += gk.sum(axis=0)
+            w *= -0.5 / d
+            np.multiply(g, r[:, None], out=gk)
             gk *= r[None, :]
-            coef = -0.5 * d ** -1.5
-            u = coef * np.einsum("ij,ij,j->i", g, k, r)
-            v = coef * np.einsum("ij,ij,i->j", g, k, r)
             # Both degree corrections attach to the row index of K: d_i is a
             # row sum, so dK_pq perturbs only d_p, hence r_p, for every q.
-            gk += (u + v)[:, None]
+            gk += w[:, None]
             yield a, gk
         elif op == "inverse":  # inv is symmetric; -(inv g inv), negated exactly last
             inv = node.cache
@@ -406,6 +426,13 @@ class Tape:
                 yield a, np.multiply(b.value, g, out=take(b.value.shape))
             if b.needs_grad:
                 yield b, np.multiply(a.value, g, out=take(a.value.shape))
+        elif op == "quad_form":  # l symmetric: d/dl = g w w^T, d/dw = 2g l w
+            w, g = node.inputs[1], float(g)
+            if a.needs_grad:
+                out = np.matmul(w.value, w.value.T, out=take(a.value.shape))
+                yield a, np.multiply(out, g, out=out)
+            if w.needs_grad:
+                yield w, np.multiply(node.cache, 2.0 * g, out=take(w.value.shape))
         elif op == "hard_sigmoid":
             yield a, g * node.cache
         elif op == "col_gate":
@@ -438,6 +465,7 @@ PRIMITIVES = (
     "trace",
     "gram",
     "inner",
+    "quad_form",
     "hard_sigmoid",
     "col_gate",
     "sq_dists",

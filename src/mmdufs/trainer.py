@@ -12,6 +12,7 @@ scores the same objective at deterministic gates.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 from itertools import count, islice
@@ -59,6 +60,11 @@ class RunConfig:
             is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             if not (is_int or (name == "batch_size" and value is None)):
                 raise ContractError(f"{name} must be an integer, got {value!r}")
+        for name in ("lambda_x", "lambda_y", "c", "b", "learning_rate", "bandwidth_scale"):
+            value = getattr(self, name)
+            is_real = isinstance(value, (int, float, np.integer, np.floating))
+            if isinstance(value, bool) or not (is_real and math.isfinite(value)):
+                raise ContractError(f"{name} must be a finite number, got {value!r}")
         if self.mode not in ("shared", "differential"):
             raise ContractError(f"unknown mode '{self.mode}'")
         if self.epochs < 1:
@@ -311,10 +317,9 @@ def warmup_tune(
     if not grid:
         raise ContractError("lambda grid must be nonempty")
 
-    records = []
-    for lam in grid:
-        cfg = replace(cfg_template, lambda_x=lam, lambda_y=lam, epochs=warmup_epochs)
-        records.append(warmup_record(pair, cfg, train(pair, cfg)))
+    # Every config is checked before the first run trains.
+    cfgs = [replace(cfg_template, lambda_x=lam, lambda_y=lam, epochs=warmup_epochs) for lam in grid]
+    records = [warmup_record(pair, cfg, train(pair, cfg)) for cfg in cfgs]
 
     if cfg_template.mode == "shared":
         lam = best_lambda(records, "score_shared")

@@ -1,10 +1,27 @@
 """Oracle of the training objective: the gated graphs and the loss on a fresh tape, at frozen
-gate noise and bandwidths, built from the package's primitives without trainer._objective."""
+gate noise and bandwidths, built from the package's primitives without trainer._objective.
+
+The differential score is built from matmul and inner here, not by DifferentialOperator.score
+(Tape.quad_form), so that gradients checked against this oracle check that reverse rule against
+an independent one."""
+
+from typing import NamedTuple
 
 from mmdufs.graph import build_graph_pair
-from mmdufs.operators import differential_operator, shared_operator
+from mmdufs.operators import DifferentialOperator, differential_operator, shared_operator
 from mmdufs.tape import Tape
 from mmdufs.trainer import differential_loss, shared_loss, unit_norm_columns
+
+
+class ChainScore(NamedTuple):
+    """q_op with its score b <L_target W, W>, W = A^{-1} X~, as matmul -> matmul -> inner."""
+
+    q_op: DifferentialOperator
+
+    def score(self, tape, gated):
+        w = tape.matmul(self.q_op.inv, gated)
+        s = tape.inner(tape.matmul(self.q_op.l_target, w), w)
+        return tape.scale(s, self.q_op.b) if self.q_op.b != 1.0 else s
 
 
 def gated_graphs(pair, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y):
@@ -35,7 +52,7 @@ def loss_for_mu(pair, mu_x_val, mu_y_val, mode, noise_x, noise_y, bw_x, bw_y, la
     else:
         q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=0.1)
         q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=0.1)
-        lx, _ = differential_loss(tape, gated_x, q_x, mu_x, 0.4)
-        ly, _ = differential_loss(tape, gated_y, q_y, mu_y, 0.4)
+        lx, _ = differential_loss(tape, gated_x, ChainScore(q_x), mu_x, 0.4)
+        ly, _ = differential_loss(tape, gated_y, ChainScore(q_y), mu_y, 0.4)
         loss = tape.add(lx, ly)
     return tape, loss, mu_x, mu_y

@@ -208,6 +208,18 @@ class TestTrain:
         assert "must be an integer" in res.output
         assert not (out / "train_log.csv").exists()
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_config_value_is_usage_error(self, runner, dataset, tmp_path, value):
+        """json reads NaN and Infinity; a non-finite hyperparameter exits 2 before training."""
+        cfg = tmp_path / "non_finite.json"
+        cfg.write_text('{"lambda_x": %s, "epochs": 2}' % value)
+        out = tmp_path / "run"
+        res = runner.invoke(main, ["train", "--data", str(dataset), "--config", str(cfg),
+                                   "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "lambda_x must be a finite number" in res.output
+        assert not (out / "train_log.csv").exists()
+
     def test_non_integer_config_seed_is_usage_error(self, runner, dataset, tmp_path):
         cfg = tmp_path / "bad_seed.json"
         cfg.write_text(json.dumps({"mode": "shared", "epochs": 1, "seed": "7"}))

@@ -73,7 +73,8 @@ class TestForwardValues:
         a = RNG.normal(size=(4, 3))
         t = Tape()
         na = t.constant(a)
-        np.testing.assert_allclose(t.exp(na).value, np.exp(a))
+        np.testing.assert_allclose(t.exp(na, 1.0).value, np.exp(a))
+        np.testing.assert_allclose(t.exp(na, -0.4).value, np.exp(-0.4 * a))
         np.testing.assert_allclose(t.transpose(na).value, a.T)
         sq = RNG.normal(size=(3, 3))
         np.testing.assert_allclose(t.trace(t.constant(sq)).value, np.trace(sq))
@@ -164,11 +165,13 @@ class TestGradients:
         )
 
     def test_exp(self):
+        """exp(scale * x) for each sign and size of scale."""
         b = RNG.normal(size=(3, 3))
-        check_grad(
-            lambda t, x: t.trace(t.matmul(t.exp(x), t.constant(b))),
-            0.3 * RNG.normal(size=(3, 3)),
-        )
+        for scale in (1.0, -0.7, 2.5):
+            check_grad(
+                lambda t, x: t.trace(t.matmul(t.exp(x, scale), t.constant(b))),
+                0.3 * RNG.normal(size=(3, 3)),
+            )
 
     def test_transpose(self):
         w = RNG.normal(size=(3, 3))
@@ -264,7 +267,7 @@ class TestGradients:
 
         def build(t, z):
             gated = t.col_gate(t.constant(x0), z)
-            k = t.exp(t.scale(t.sq_dists(t.gram(gated)), -0.5))
+            k = t.exp(t.sq_dists(t.gram(gated)), -0.5)
             l = t.sym_normalize(k)
             return t.trace(t.matmul(l, l))
 
@@ -384,6 +387,72 @@ class TestQuadTrace:
             t.sq_dists(t.constant(np.ones((4, 3))))
 
 
+def quad_form_chain(t, l, w):
+    """<l w, w> as inner(matmul(l, w), w), the chain that quad_form replaces."""
+    return t.inner(t.matmul(l, w), w)
+
+
+def symmetric(rng, n):
+    m = rng.normal(size=(n, n))
+    return m + m.T
+
+
+class TestQuadForm:
+    """<l w, w> for a symmetric l, against finite differences and the matmul -> inner chain."""
+
+    def test_fd_wrt_operator(self):
+        # quad_form accepts symmetric l only, so finite differences go through l = x + x^T
+        w0 = RNG.normal(size=(4, 3))
+        check_grad(
+            lambda t, x: t.scale(t.quad_form(t.add(x, t.transpose(x)), t.constant(w0)), -0.7),
+            RNG.normal(size=(4, 4)),
+        )
+
+    def test_fd_wrt_data(self):
+        l0 = symmetric(RNG, 4)
+        check_grad(
+            lambda t, w: t.scale(t.quad_form(t.constant(l0), w), -0.7), RNG.normal(size=(4, 6))
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 7), d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    @example(n=2, d=1, seed=0)
+    @example(n=3, d=8, seed=1)
+    def test_matches_matmul_inner_chain(self, n, d, seed):
+        """Value and both gradients equal the chain's, at a symmetric l."""
+        rng = np.random.default_rng(seed)
+        l0, w0 = symmetric(rng, n), rng.normal(size=(n, d))
+        out = []
+        for build in (Tape.quad_form, quad_form_chain):
+            t = Tape()
+            l, w = t.leaf(l0, trainable=True), t.leaf(w0, trainable=True)
+            score = t.scale(build(t, l, w), -0.7)
+            grads = t.backward(score)
+            out.append((float(score.value), grads[l.idx], grads[w.idx]))
+        (val, gl, gw), (val_ref, gl_ref, gw_ref) = out
+        assert val == pytest.approx(val_ref, rel=1e-12)
+        # atol only for entries that cancel to near zero, where rtol alone is meaningless
+        for got, want in ((gl, gl_ref), (gw, gw_ref)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+        assert np.array_equal(gl, gl.T)
+
+    def test_rejects_non_symmetric(self):
+        l0 = symmetric(RNG, 4)
+        l0[0, 3] += 0.5
+        t = Tape()
+        with pytest.raises(ContractError, match="not symmetric"):
+            t.quad_form(t.constant(l0), t.constant(RNG.normal(size=(4, 2))))
+
+    def test_dimension_errors(self):
+        t = Tape()
+        w = t.constant(np.ones((4, 2)))
+        for l in (np.ones((4, 3)), np.ones((3, 3)), np.ones(4)):
+            with pytest.raises(DimensionError):
+                t.quad_form(t.constant(l), w)
+        with pytest.raises(DimensionError):
+            t.quad_form(t.constant(np.eye(4)), t.constant(np.ones(4)))
+
+
 class TestSqDistsFromGram:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -433,13 +502,13 @@ class TestErrors:
             t.constant(np.array([1.0, np.nan]))
         big = t.constant(np.full((2, 2), 800.0))
         with pytest.raises(NumericalError):
-            t.exp(big)  # overflow -> inf
+            t.exp(big, 1.0)  # overflow -> inf
 
     def test_overflow_is_a_typed_error_without_a_warning(self):
         """Primitives run under their own errstate: no caller has to set one."""
         t = Tape()
         with pytest.raises(NumericalError):
-            t.exp(t.constant(800.0))
+            t.exp(t.constant(800.0), 1.0)
 
     def test_singular_inverse(self):
         t = Tape()

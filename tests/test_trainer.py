@@ -29,7 +29,7 @@ from mmdufs.operators import (
     shared_operator_array,
 )
 from mmdufs.tape import ContractError, NumericalError, Tape, pairwise_sq_dists
-from objective import gated_graphs, loss_for_mu
+from objective import ChainScore, gated_graphs, loss_for_mu
 from mmdufs import trainer
 from mmdufs.trainer import (
     RunConfig,
@@ -151,14 +151,15 @@ class TestGradientCheck:
 
 
 def coupled_differential(pair, cfg, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y):
-    """Both differential losses on one tape, each Q built from both Laplacian nodes."""
+    """Both differential losses on one tape, each Q built from both Laplacian nodes, each
+    score by matmul and inner rather than Tape.quad_form."""
     tape, mu_x, mu_y, gated_x, gated_y, graphs = gated_graphs(
         pair, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y
     )
     q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=cfg.c, b=cfg.b)
     q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=cfg.c, b=cfg.b)
-    lx, _ = differential_loss(tape, gated_x, q_x, mu_x, cfg.lambda_x)
-    ly, _ = differential_loss(tape, gated_y, q_y, mu_y, cfg.lambda_y)
+    lx, _ = differential_loss(tape, gated_x, ChainScore(q_x), mu_x, cfg.lambda_x)
+    ly, _ = differential_loss(tape, gated_y, ChainScore(q_y), mu_y, cfg.lambda_y)
     return tape, lx, ly, mu_x, mu_y
 
 
@@ -433,31 +434,30 @@ class TestTapeReuse:
         assert handed[2] == handed[1] and handed[3] == handed[2]
 
 
-# A short shared run on the gaussian preset (n=260, large enough for BLAS to
-# split work across threads); saves mu and the top-k selections to argv[1].
+# Short runs of both modes on the gaussian presets (n=260, large enough for BLAS
+# to split work across threads); saves each mode's mu and top-k selections to argv[1].
 _THREADED_RUN = """
 import sys
 from dataclasses import replace
 import numpy as np
-from mmdufs.bench import SHARED_HYPERPARAMS
+from mmdufs.bench import DIFFERENTIAL_HYPERPARAMS, SHARED_HYPERPARAMS
 from mmdufs.datagen import gen_gaussian_mixture
 from mmdufs.gates import select_features
 from mmdufs.trainer import train
 pair = gen_gaussian_mixture(0)
-res = train(pair, replace(SHARED_HYPERPARAMS["gaussian"], epochs=30))
-np.savez(
-    sys.argv[1],
-    mu_x=res.gates_x.mu,
-    mu_y=res.gates_y.mu,
-    sel_x=select_features(res.gates_x, "top-k", k=len(pair.truth_shared_x)),
-    sel_y=select_features(res.gates_y, "top-k", k=len(pair.truth_shared_y)),
-)
+saved = {}
+for mode, table in (("shared", SHARED_HYPERPARAMS), ("differential", DIFFERENTIAL_HYPERPARAMS)):
+    res = train(pair, replace(table["gaussian"], epochs=30))
+    for key, gates, truth in zip("xy", (res.gates_x, res.gates_y), pair.truth(mode)):
+        saved[f"{mode}_mu_{key}"] = gates.mu
+        saved[f"{mode}_sel_{key}"] = select_features(gates, "top-k", k=len(truth))
+np.savez(sys.argv[1], **saved)
 """
 
 
 class TestBlasThreadDeterminism:
     def test_one_and_two_threads_agree(self, tmp_path):
-        """Equal top-k and |delta mu| <= 1e-12 at OPENBLAS_NUM_THREADS=1 and =2."""
+        """Equal top-k and |delta mu| <= 1e-12 at OPENBLAS_NUM_THREADS=1 and =2, in both modes."""
         src = str(Path(__file__).resolve().parent.parent / "src")
         runs = []
         for threads in ("1", "2"):
@@ -470,10 +470,12 @@ class TestBlasThreadDeterminism:
             with np.load(out) as saved:
                 runs.append(dict(saved))
         one, two = runs
-        for key in ("sel_x", "sel_y"):
-            np.testing.assert_array_equal(one[key], two[key])
-        for key in ("mu_x", "mu_y"):
-            np.testing.assert_allclose(one[key], two[key], rtol=0, atol=1e-12)
+        assert len(one) == 8 and one.keys() == two.keys()
+        for key in one:
+            if "_sel_" in key:
+                np.testing.assert_array_equal(one[key], two[key], err_msg=key)
+            else:
+                np.testing.assert_allclose(one[key], two[key], rtol=0, atol=1e-12, err_msg=key)
 
 
 class TestRunConfig:
@@ -498,6 +500,17 @@ class TestRunConfig:
                 with pytest.raises(ContractError, match=f"{field} must be an integer"):
                     RunConfig(**{field: value})
             assert getattr(RunConfig(**{field: np.int64(4)}), field) == 4
+
+    @pytest.mark.parametrize(
+        "field", ["lambda_x", "lambda_y", "c", "b", "learning_rate", "bandwidth_scale"]
+    )
+    def test_non_finite_hyperparameter(self, field):
+        """nan and inf name the field, in either mode, before any epoch could run on them."""
+        for mode in ("shared", "differential"):
+            for value in (np.nan, np.inf, -np.inf, "0.1", True):
+                with pytest.raises(ContractError, match=f"{field} must be a finite number"):
+                    RunConfig(mode=mode, **{field: value})
+        assert getattr(RunConfig(**{field: np.float64(0.5)}), field) == 0.5
 
     def test_readme_config_table_lists_every_field(self):
         """README's `train --config` table names each RunConfig field exactly once."""
@@ -731,6 +744,12 @@ class TestWarmupTune:
     def test_empty_grid(self):
         with pytest.raises(ContractError):
             warmup_tune(tiny_pair(), RunConfig(epochs=1), [])
+
+    def test_non_finite_grid_value_fails_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(trainer, "train", lambda pair, cfg: pytest.fail("a grid run trained"))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ContractError, match="lambda_x must be a finite number"):
+                warmup_tune(tiny_pair(), RunConfig(), [1e-4, 1e-3, bad], warmup_epochs=2)
 
     def test_differential_mode_separate_lambdas(self):
         pair = tuning_pair(seed=6)
