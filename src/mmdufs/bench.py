@@ -119,13 +119,13 @@ def run_experiment(spec: dict) -> list[dict]:
       mode:    "shared" (default) or "differential": the truth set that sets
                every row's k and F1, and the operator mmDUFS trains against
       epochs:  optional override of the preset epoch count
-    mmDUFS trains with the mode's preset (RunConfig() if none; a ModalPair
-    takes "gaussian") and selects its top-k mu. A cell's wall_time is its
-    selection's; selection_f1 scores it once, against the mode's truth.
-    Numerical and contract failures (ArithmeticError, ValueError,
-    ContractError) are recorded per cell, as the message in "error" and the
-    exception's class name in "error_type", and the experiment continues;
-    any other exception propagates.
+    mmDUFS trains with the mode's preset (a ModalPair takes "gaussian") and
+    selects its top-k mu. A cell's wall_time is its selection's;
+    selection_f1 scores it once, against the mode's truth. Numerical and
+    contract failures (ArithmeticError, ValueError, ContractError, also a
+    dataset with no mmDUFS preset for the mode) are recorded per cell, as the
+    message in "error" and the exception's class name in "error_type", and
+    the experiment continues; any other exception propagates.
 
     mmKS and mmKP of one seed share its two Laplacians' products with the
     data (_modality_products), built by the first of them to run: in the
@@ -143,7 +143,7 @@ def run_experiment(spec: dict) -> list[dict]:
     else:
         raise ContractError(f"unknown dataset preset '{dataset}'")
     table = SHARED_HYPERPARAMS if mode == "shared" else DIFFERENTIAL_HYPERPARAMS
-    preset = table.get(dataset if isinstance(dataset, str) else "gaussian", RunConfig())
+    preset = table.get(dataset if isinstance(dataset, str) else "gaussian")
     overrides = {"epochs": spec["epochs"]} if "epochs" in spec else {}
 
     rows = []
@@ -157,7 +157,9 @@ def run_experiment(spec: dict) -> list[dict]:
             try:
                 start = time.perf_counter()
                 if method == "mmDUFS":
-                    result = train(pair, replace(preset, mode=mode, seed=seed, **overrides))
+                    if preset is None:
+                        raise ContractError(f"no {mode} mmDUFS preset for dataset '{name}'")
+                    result = train(pair, replace(preset, seed=seed, **overrides))
                     selected = top_k(result.gates_x.mu, k_x), top_k(result.gates_y.mu, k_y)
                 else:
                     selected = baseline_select(pair, method, k_x, k_y, products=products)

@@ -342,7 +342,7 @@ def _reproduce_lambda_grid(outdir: Path, seed: int, jobs: int, epochs: int | Non
 @click.option("--seed", type=int, default=None)
 @click.option("--jobs", type=int, default=None,
               help="worker processes for the tables and lambda-grid (default: logical cores)")
-@click.option("--epochs", type=int, default=None, help="override training epochs (smoke runs)")
+@click.option("--epochs", type=click.IntRange(min=1), help="override training epochs (smoke runs)")
 @click.option("--force", is_flag=True)
 @_exit_codes
 def reproduce(target, outdir, seed, jobs, epochs, force) -> None:

@@ -64,11 +64,18 @@ def median_bandwidth(d2: np.ndarray) -> float:
     return float((np.sqrt(upper[:mid].max()) + hi) / 2)
 
 
-def gaussian_kernel(d2: np.ndarray, bandwidth: float) -> np.ndarray:
-    """K_ij = exp(-d2_ij / (2 sigma^2)) from pairwise squared distances d2.
+def _kernel_factor(bandwidth: float) -> float:
+    """-1/(2 sigma^2): the one factor both kernels multiply the squared distances by."""
+    if bandwidth <= 0:
+        raise ContractError("bandwidth must be positive")
+    return -1.0 / (2.0 * bandwidth**2)
 
-    Plain-array version of kernel_on_tape; d2 is made by pairwise_sq_dists,
-    which is exactly symmetric, and so is K.
+
+def gaussian_kernel(d2: np.ndarray, bandwidth: float) -> np.ndarray:
+    """K_ij = exp(d2_ij * (-1/(2 sigma^2))) from pairwise squared distances d2.
+
+    Plain-array version of kernel_on_tape, bit for bit; d2 is made by
+    pairwise_sq_dists, which is exactly symmetric, and so is K.
     """
     d2 = np.asarray(d2, dtype=np.float64)
     if not np.isfinite(d2).all():
@@ -77,9 +84,7 @@ def gaussian_kernel(d2: np.ndarray, bandwidth: float) -> np.ndarray:
         raise DimensionError(f"kernel needs a square distance matrix, got {d2.shape}")
     if d2.shape[0] < 2:
         raise ContractError("kernel needs at least two rows")
-    if bandwidth <= 0:
-        raise ContractError("bandwidth must be positive")
-    k = np.divide(d2, -2.0 * bandwidth**2)
+    k = np.multiply(d2, _kernel_factor(bandwidth))
     return np.exp(k, out=k)
 
 
@@ -100,9 +105,7 @@ def data_laplacian(data: np.ndarray, scale: float) -> np.ndarray:
 
 def kernel_on_tape(tape: Tape, d2: Node, bandwidth: float) -> Node:
     """Gaussian kernel, on the tape, from d2 = tape.sq_dists(tape.gram(gated data))."""
-    if bandwidth <= 0:
-        raise ContractError("bandwidth must be positive")
-    return tape.exp(d2, -1.0 / (2.0 * bandwidth**2))
+    return tape.exp(d2, _kernel_factor(bandwidth))
 
 
 def build_graph_pair(
@@ -126,12 +129,9 @@ def build_graph_pair(
     d2_x, d2_y = tape.sq_dists(gram_x), tape.sq_dists(gram_y)
     bw_x = bandwidth_x if bandwidth_x is not None else scale * median_bandwidth(d2_x.value)
     bw_y = bandwidth_y if bandwidth_y is not None else scale * median_bandwidth(d2_y.value)
-
-    k_x = kernel_on_tape(tape, d2_x, bw_x)
-    k_y = kernel_on_tape(tape, d2_y, bw_y)
     return GraphPair(
-        l_x=tape.sym_normalize(k_x),
-        l_y=tape.sym_normalize(k_y),
+        l_x=tape.sym_normalize(kernel_on_tape(tape, d2_x, bw_x)),
+        l_y=tape.sym_normalize(kernel_on_tape(tape, d2_y, bw_y)),
         gram_x=gram_x,
         gram_y=gram_y,
         bandwidth_x=bw_x,

@@ -29,7 +29,7 @@ def shared_operator(tape: Tape, l_x: Node, l_y: Node, b: float = 1.0) -> Node:
     if l_x.value.shape != l_y.value.shape:
         raise DimensionError("Laplacians must share shape")
     # L_y L_x = (L_x L_y)^T for symmetric Laplacians: one product, and P is
-    # exactly symmetric.
+    # exactly symmetric. Every shared preset has b = 1, which skips an n x n pass.
     m = tape.matmul(l_x, l_y)
     p = tape.add(m, tape.transpose(m))
     return tape.scale(p, b) if b != 1.0 else p
@@ -47,8 +47,7 @@ class DifferentialOperator(NamedTuple):
 
     def score(self, tape: Tape, gated: Node) -> Node:
         """Tr[X~^T Q X~] = b * <L_target W, W> with W = A^{-1} X~."""
-        s = tape.quad_form(self.l_target, tape.matmul(self.inv, gated))
-        return tape.scale(s, self.b) if self.b != 1.0 else s
+        return tape.scale(tape.quad_form(self.l_target, tape.matmul(self.inv, gated)), self.b)
 
 
 def differential_operator(

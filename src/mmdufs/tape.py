@@ -58,10 +58,10 @@ class ContractError(RuntimeError):
 def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     """All pairwise squared Euclidean distances between rows of a 2-D array.
 
-    Clamped at zero with an exactly zero diagonal. For a contiguous x,
-    x @ x.T runs as a BLAS syrk and the result is exactly symmetric.
+    Clamped at zero, with a zero diagonal; for a contiguous x, x @ x.T is one BLAS
+    syrk, so d is exactly symmetric and equal to Tape.sq_dists(Tape.gram(x)).
     """
-    return _dists_from_gram(np.einsum("ij,ij->i", x, x), x @ x.T)
+    return _dists_from_gram(x @ x.T)
 
 
 def normal_cdf(t: np.ndarray) -> np.ndarray:
@@ -74,10 +74,12 @@ def normal_cdf(t: np.ndarray) -> np.ndarray:
     return 0.5 * np.fromiter(map(math.erfc, arg.tolist()), np.float64, arg.size)
 
 
-def _dists_from_gram(sq: np.ndarray, g: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """sq_i + sq_j - 2 g_ij, clamped; out and scratch are optional arrays shaped like g."""
+def _dists_from_gram(g: np.ndarray, out=None) -> np.ndarray:
+    """(g_ii + g_jj) - g_ij - g_ij, clamped, in out if given; as symmetric as g is."""
+    sq = np.diag(g)
     d = np.add(sq[:, None], sq[None, :], out=out)
-    d -= np.multiply(g, 2.0, out=scratch)
+    d -= g
+    d -= g
     np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
     return d
@@ -308,9 +310,7 @@ class Tape:
         """Pairwise squared distances between the rows of x, from g = gram(x)."""
         if g.value.ndim != 2 or g.value.shape[0] != g.value.shape[1]:
             raise DimensionError("sq_dists needs a square Gram matrix")
-        shape = g.value.shape
-        out = _dists_from_gram(np.diag(g.value), g.value, self._take(shape), self._take(shape))
-        return self._record(out, "sq_dists", (g,))
+        return self._record(_dists_from_gram(g.value, self._take(g.value.shape)), "sq_dists", (g,))
 
     def open_gate_expectation(self, mu: Node, sigma: float) -> Node:
         """Sum over i of Phi((0.5 + mu_i)/sigma): expected count of open gates."""
@@ -442,8 +442,7 @@ class Tape:
             if z.needs_grad:
                 yield z, np.einsum("ij,ij->j", g, x.value)
         elif op == "sq_dists":  # d_ij = G_ii + G_jj - 2 G_ij
-            out = np.multiply(g, 2.0, out=take(g.shape))
-            np.subtract(0.0, out, out=out)  # diag(...) - 2g: 0 - 2g off the diagonal
+            out = np.multiply(g, -2.0, out=take(g.shape))
             out.flat[:: g.shape[0] + 1] += g.sum(axis=1) + g.sum(axis=0)
             yield a, out
         elif op == "open_gate_expectation":

@@ -275,6 +275,18 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="a bug in training"):
             run_experiment({"dataset": "gaussian", "methods": ["mmDUFS"], "epochs": 1})
 
+    def test_no_preset_for_mode_is_a_cell_error(self):
+        """A differential mmDUFS cell on a dataset with no differential preset fails,
+        naming the dataset and the mode; the baseline rows of the spec still succeed."""
+        rows = run_experiment(
+            {"dataset": "gaussian+10", "methods": ["MC", "mmDUFS"], "mode": "differential",
+             "epochs": 1}
+        )
+        mc, mmdufs = rows
+        assert mc["f1_x"] is not None and "error" not in mc
+        assert mmdufs["error_type"] == "ContractError" and mmdufs["f1_x"] is None
+        assert "gaussian+10" in mmdufs["error"] and "differential" in mmdufs["error"]
+
     def test_modal_pair_dataset_takes_name(self):
         """A ModalPair is used as given for every seed; its rows carry spec["name"]."""
         spec = {"dataset": gen_gaussian_mixture(0), "methods": ["mmKS"], "seeds": [0, 1]}

@@ -445,6 +445,16 @@ class TestReproduce:
         assert "epochs" in res.output
         assert runs == [] and not (out / "lambda_grid.csv").exists()
 
+    def test_table_zero_epochs_exits_2_before_any_work(self, runner, tmp_path, monkeypatch):
+        cells = []
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: cells.append(spec))
+        out = tmp_path / "tree"
+        res = runner.invoke(main, ["reproduce", "tree-table", "--out", str(out),
+                                   "--epochs", "0", "--jobs", "1"])
+        assert res.exit_code == 2, res.output
+        assert "epochs" in res.output
+        assert cells == [] and not (out / "tree_table.csv").exists()
+
     def test_unknown_target(self, runner, tmp_path):
         res = runner.invoke(main, ["reproduce", "mnist-figure", "--out", str(tmp_path / "o")])
         assert res.exit_code == 2

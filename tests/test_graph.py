@@ -16,6 +16,7 @@ from mmdufs.graph import (
     median_bandwidth,
     normalized_laplacian,
 )
+from mmdufs.operators import shared_operator, shared_operator_array
 from mmdufs.tape import ContractError, DimensionError, NumericalError, Tape, pairwise_sq_dists
 
 RNG = np.random.default_rng(7)
@@ -162,13 +163,13 @@ class TestOnTape:
         x = RNG.normal(size=(8, 3))
         t = Tape()
         node = kernel_on_tape(t, t.sq_dists(t.gram(t.constant(x))), 1.1)
-        np.testing.assert_allclose(node.value, kernel(x, 1.1), atol=1e-12)
+        np.testing.assert_array_equal(node.value, kernel(x, 1.1))
 
     def test_laplacian_on_tape_matches_array(self):
         x = RNG.normal(size=(8, 3))
         t = Tape()
         node = t.sym_normalize(kernel_on_tape(t, t.sq_dists(t.gram(t.constant(x))), 0.9))
-        np.testing.assert_allclose(node.value, normalized_laplacian(kernel(x, 0.9)), atol=1e-12)
+        np.testing.assert_array_equal(node.value, normalized_laplacian(kernel(x, 0.9)))
 
     def test_gradient_reaches_gates(self):
         """d||L||_F^2/d mu nonzero for a gate on a varying feature."""
@@ -187,12 +188,17 @@ class TestOnTape:
         t = Tape()
         gp = build_graph_pair(t, t.constant(x), t.constant(y), 0.5)
         assert isinstance(gp, GraphPair)
-        assert gp.bandwidth_x == pytest.approx(0.5 * median_bandwidth(pairwise_sq_dists(x)))
-        assert gp.bandwidth_y == pytest.approx(0.5 * median_bandwidth(pairwise_sq_dists(y)))
-        np.testing.assert_allclose(gp.l_x.value, data_laplacian(x, 0.5), atol=1e-12)
-        np.testing.assert_allclose(gp.l_y.value, data_laplacian(y, 0.5), atol=1e-12)
-        np.testing.assert_allclose(gp.gram_x.value, x @ x.T, atol=1e-12)
-        np.testing.assert_allclose(gp.gram_y.value, y @ y.T, atol=1e-12)
+        assert gp.bandwidth_x == 0.5 * median_bandwidth(pairwise_sq_dists(x))
+        assert gp.bandwidth_y == 0.5 * median_bandwidth(pairwise_sq_dists(y))
+        l_x, l_y = data_laplacian(x, 0.5), data_laplacian(y, 0.5)
+        np.testing.assert_array_equal(gp.l_x.value, l_x)
+        np.testing.assert_array_equal(gp.l_y.value, l_y)
+        np.testing.assert_array_equal(gp.gram_x.value, x @ x.T)
+        np.testing.assert_array_equal(gp.gram_y.value, y @ y.T)
+        for b in (1.0, 0.3):  # the tape's P is the plain-array operator, bit for bit
+            np.testing.assert_array_equal(
+                shared_operator(t, gp.l_x, gp.l_y, b).value, shared_operator_array(l_x, l_y, b)
+            )
 
     def test_build_graph_pair_frozen_bandwidth(self):
         x, y = RNG.normal(size=(8, 3)), RNG.normal(size=(8, 2))

@@ -481,6 +481,14 @@ class TestSqDistsFromGram:
             grad, 2.0 * (h.sum(axis=1)[:, None] * x0 - h @ x0), rtol=1e-10, atol=1e-12
         )
 
+    def test_takes_one_pooled_array(self):
+        """The distances are built in their own output buffer, with no n x n scratch."""
+        t = Tape()
+        g = t.gram(t.constant(RNG.normal(size=(6, 3))))
+        taken = len(t._taken)
+        d2 = t.sq_dists(g)
+        assert [id(arr) for arr in t._taken[taken:]] == [id(d2.value)]
+
 
 class TestErrors:
     def test_dimension_errors(self):
