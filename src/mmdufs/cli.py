@@ -340,7 +340,7 @@ def _reproduce_lambda_grid(outdir: Path, seed: int, jobs: int, epochs: int | Non
     ["gaussian-table", "tree-table", "cube-figure", "lambda-grid"]))
 @click.option("--out", "outdir", required=True, type=click.Path(path_type=Path))
 @click.option("--seed", type=int, default=None)
-@click.option("--jobs", type=int, default=None,
+@click.option("--jobs", type=click.IntRange(min=1), default=None,
               help="worker processes for the tables and lambda-grid (default: logical cores)")
 @click.option("--epochs", type=click.IntRange(min=1), help="override training epochs (smoke runs)")
 @click.option("--force", is_flag=True)

@@ -3,11 +3,13 @@
 The tape records a fixed set of coarse matrix primitives (matmul, kernels,
 normalization sandwiches, inverses, traces, quadratic forms, gating, ...).
 Calling :meth:`Tape.backward` on a scalar node returns exact gradients with
-respect to every trainable leaf. Pooled arrays change hands only at
-``Tape(reuse=prev)``: every array a tape hands out stays its own until the
-next tape takes over the whole set, so a loop that records one tape per step
-allocates one buffer set in all. Eigendecomposition is provided as an
-off-tape analysis utility.
+respect to every trainable leaf. Pooled arrays change hands at
+``Tape(reuse=prev)``, where the next tape takes over the whole set, and inside
+the reverse sweep, which returns each gradient buffer to the free list once
+no pending gradient needs it. Node values, caches and returned gradients stay
+a tape's own until the next tape takes over, so a loop that records one tape
+per step allocates one buffer set in all. Eigendecomposition is provided as
+an off-tape analysis utility.
 """
 
 from __future__ import annotations
@@ -149,31 +151,48 @@ class Tape:
     Nodes do not point back at their tape, so a tape and its arrays are freed
     as soon as the last reference to it goes, without the cyclic collector.
 
-    Arrays change hands only here: Tape(reuse=prev) takes over every array
-    prev handed out — its nodes' values and caches, its scratch space and the
-    gradients of its backward — and the new tape writes its array results,
-    forward and backward, into them; no tape hands out one array twice. prev
-    is emptied: backward on one of its nodes raises ContractError, and any
-    array read from its nodes or returned by its backward may be overwritten.
+    Tape(reuse=prev) takes over every array prev handed out — its nodes'
+    values and caches, its scratch space and the gradients of its backward —
+    and the new tape writes its array results, forward and backward, into
+    them. prev is emptied: backward on one of its nodes raises ContractError,
+    and any array read from its nodes or returned by its backward may be
+    overwritten. Within one tape, backward hands a gradient buffer out again
+    once it is spent (see _give_back); no array is handed out twice at once.
     """
 
     def __init__(self, reuse: Tape | None = None):
         self.nodes: list[Node] = []
-        # Pooled C-order arrays: free to hand out (by shape), and handed out.
+        # Pooled C-order arrays: free to hand out (by shape), and handed out (by id).
         self._free: dict[tuple, list[np.ndarray]] = {}
-        self._taken: list[np.ndarray] = []
+        self._taken: dict[int, np.ndarray] = {}
         if reuse is not None:
             self._free = reuse._free
-            for arr in reuse._taken:
+            for arr in reuse._taken.values():
                 self._free.setdefault(arr.shape, []).append(arr)
-            reuse.nodes, reuse._free, reuse._taken = [], {}, []
+            reuse.nodes, reuse._free, reuse._taken = [], {}, {}
 
     def _take(self, shape: tuple) -> np.ndarray:
         """An uninitialized array from the free list (a new one if it has none)."""
         free = self._free.get(shape)
         arr = free.pop() if free else np.empty(shape)
-        self._taken.append(arr)
+        self._taken[id(arr)] = arr
         return arr
+
+    def _give_back(self, spent, pending) -> None:
+        """Return to the free list each pooled buffer under an array of spent
+        that no pending gradient is or views.
+
+        spent holds gradients a reverse rule has finished reading; a transpose
+        view is traced to its buffer through .base. add passes g to both
+        inputs and transpose passes g.T, so one buffer can back several.
+        """
+        for arr in spent:
+            buf = arr if arr.base is None else arr.base
+            if self._taken.get(id(buf)) is buf and not any(
+                p is buf or p.base is buf for p in pending
+            ):
+                del self._taken[id(buf)]
+                self._free.setdefault(buf.shape, []).append(buf)
 
     def _record(self, value, op, inputs, cache=None, trainable=False) -> Node:
         value = np.asarray(value, dtype=np.float64)
@@ -337,6 +356,12 @@ class Tape:
         Returns a map from leaf node index to gradient array; trainable
         leaves the loss never touches get zeros. Nodes without a trainable
         ancestor are skipped, so constant subgraphs cost nothing here.
+
+        Once a node's rule has run, the buffers of the gradients it read are
+        handed out again to the rules after it, unless a pending gradient is
+        or views one of them. Only this sweep's gradients are ever spent (see
+        _vjp), and the ones returned here stay pending, so node values,
+        caches, an earlier sweep's gradients and this one's stay this tape's.
         """
         if not (loss.idx < len(self.nodes) and self.nodes[loss.idx] is loss):
             raise ContractError("loss node belongs to a different tape")
@@ -350,13 +375,17 @@ class Tape:
                 if g is not None:
                     grads[node.idx] = g  # keep leaf grads
                 continue
+            spent = [g]
             for inp, contrib in self._vjp(node, g):
                 acc = grads.get(inp.idx)
                 if acc is not None:
                     # Into a new buffer: acc or contrib may alias a value or
                     # another entry (add passes g to both inputs, transpose a view).
+                    spent += (acc, contrib)
                     contrib = np.add(acc, contrib, out=self._take(acc.shape))
                 grads[inp.idx] = contrib
+            # Only now: the rule reads g until its last contribution is out.
+            self._give_back(spent, grads.values())
 
         out = {}
         for node in self.nodes:
@@ -365,14 +394,21 @@ class Tape:
         return out
 
     def grad(self, loss: Node, leaf: Node) -> np.ndarray:
+        """Gradient of a scalar node w.r.t. one trainable leaf of this tape."""
+        if not (leaf.trainable and leaf.idx < len(self.nodes) and self.nodes[leaf.idx] is leaf):
+            raise ContractError(
+                f"grad: node #{leaf.idx} ({leaf.op}, shape {leaf.shape}) is not a trainable leaf"
+                " of this tape"
+            )
         return self.backward(loss)[leaf.idx]
 
     def _vjp(self, node: Node, g: np.ndarray):
         """(input, contribution) pairs for the inputs that need a gradient.
 
         A one-input node needs a gradient only if its input does, so only the
-        two-input rules check their operands. Array contributions are written
-        into buffers from _take; g itself is never written to.
+        two-input rules check their operands. A contribution is g, g.T or a
+        new array (most are written into buffers from _take), never a node's
+        value or cache, which backward relies on; g itself is never written to.
         """
         op = node.op
         a = node.inputs[0]

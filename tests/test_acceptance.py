@@ -75,6 +75,7 @@ def gaussian_preset_run():
     return pair, cfg, result, time.perf_counter() - start
 
 
+@pytest.mark.slow
 class TestCriterion1SharedGaussian:
     def test_clean_mixture_recovers_shared_features(self, gaussian_preset_run):
         pair, cfg, result, elapsed = gaussian_preset_run
@@ -87,6 +88,7 @@ class TestCriterion1SharedGaussian:
         assert elapsed < 600.0
 
 
+@pytest.mark.slow
 class TestCriterion2NoisyGaussian:
     def test_plus50_mean_f1_over_three_seeds(self):
         rows = run_experiment(
@@ -228,6 +230,7 @@ class TestCriterion8GateStatistics:
         assert abs(p_hat - p) <= 3 * se, (mu, p_hat, p, se)
 
 
+@pytest.mark.slow
 class TestCriterion9WarmupTuning:
     def test_chosen_lambda_is_near_grid_optimal(self, monkeypatch, gaussian_preset_run):
         pair, cfg, preset_result, _ = gaussian_preset_run
@@ -259,6 +262,7 @@ class TestCriterion9WarmupTuning:
         assert full[lam_x] >= max(full.values()) - 0.02 - FLOAT_SLACK, (lam_x, full)
 
 
+@pytest.mark.slow
 class TestCriterion10Tree:
     def test_beats_best_baseline_by_margin(self):
         rows = run_experiment({"dataset": "tree", "seeds": [0, 1, 2]})
@@ -298,6 +302,7 @@ class TestCriterion11Determinism:
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
 
 
+@pytest.mark.slow
 class TestCriterion12DifferentialGaussian:
     def test_recovers_modality_specific_features(self):
         """Differential mode selects each modality's own cluster features, above every baseline.
@@ -317,6 +322,7 @@ class TestCriterion12DifferentialGaussian:
             assert ours >= best + 0.05, (mod, ours, best, means)
 
 
+@pytest.mark.slow
 class TestCriterion13TreeDifferential:
     def test_beats_best_baseline_by_margin(self):
         """Differential mode selects tree's modality-specific block, above every baseline.

@@ -455,6 +455,18 @@ class TestReproduce:
         assert "epochs" in res.output
         assert cells == [] and not (out / "tree_table.csv").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_table_jobs_below_one_exits_2_before_any_work(self, runner, tmp_path, monkeypatch,
+                                                           jobs):
+        cells = []
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: cells.append(spec))
+        out = tmp_path / "tree"
+        res = runner.invoke(main, ["reproduce", "tree-table", "--out", str(out),
+                                   "--epochs", "1", "--jobs", jobs])
+        assert res.exit_code == 2, res.output
+        assert "jobs" in res.output
+        assert cells == [] and not (out / "tree_table.csv").exists()
+
     def test_unknown_target(self, runner, tmp_path):
         res = runner.invoke(main, ["reproduce", "mnist-figure", "--out", str(tmp_path / "o")])
         assert res.exit_code == 2

@@ -40,19 +40,39 @@ def fd_grad(fn, x, h=1e-6):
     return g
 
 
-def check_grad(build, x0, rtol=1e-5, atol=1e-7):
-    """build(tape, leaf) -> scalar node; compares tape grad with FD."""
+def pool(tape):
+    """Every array the tape's pool holds: handed out, then free."""
+    return [*tape._taken.values(), *(arr for arrs in tape._free.values() for arr in arrs)]
+
+
+def assert_no_live_array_free(tape, grads):
+    """No node value or cache, and no returned gradient, is on the free list, and no
+    array is both free and handed out."""
+    free = {id(arr) for arrs in tape._free.values() for arr in arrs}
+    assert free.isdisjoint(tape._taken)
+    live = list(grads.values())
+    for node in tape.nodes:
+        live += [node.value, *(node.cache if isinstance(node.cache, tuple) else (node.cache,))]
+    for arr in live:
+        if isinstance(arr, np.ndarray):
+            assert id(arr if arr.base is None else arr.base) not in free
+
+
+def check_grad(build, *x0, rtol=1e-5, atol=1e-7):
+    """build(tape, *leaves) -> scalar node; compares each leaf's tape grad with FD."""
     tape = Tape()
-    leaf = tape.leaf(x0, trainable=True)
-    loss = build(tape, leaf)
-    g = tape.grad(loss, leaf)
+    leaves = [tape.leaf(x, trainable=True) for x in x0]
+    grads = tape.backward(build(tape, *leaves))
+    assert_no_live_array_free(tape, grads)
 
-    def scalar(x):
-        t = Tape()
-        lf = t.leaf(x, trainable=True)
-        return float(build(t, lf).value)
+    for i, leaf in enumerate(leaves):
 
-    np.testing.assert_allclose(g, fd_grad(scalar, x0), rtol=rtol, atol=atol)
+        def scalar(x):
+            t = Tape()
+            args = [t.leaf(x if j == i else v, trainable=True) for j, v in enumerate(x0)]
+            return float(build(t, *args).value)
+
+        np.testing.assert_allclose(grads[leaf.idx], fd_grad(scalar, x0[i]), rtol=rtol, atol=atol)
 
 
 class TestForwardValues:
@@ -316,6 +336,78 @@ class TestGradients:
         check_grad(build, x0)
 
 
+class TestGradientBufferRecycling:
+    """backward hands a spent gradient buffer out again, never one a pending gradient is or
+    views, nor a node value or a gradient it returns."""
+
+    def test_add_feeding_two_nodes_that_take_buffers(self):
+        """add passes g to both inputs, whose exp and scale rules each take a buffer of g's
+        shape: neither may be g's while the other rule has still to read it. Both feed x, so
+        its gradient also accumulates."""
+        w = RNG.normal(size=(4, 4))
+        check_grad(
+            lambda t, x: t.trace(t.matmul(t.add(t.scale(x, 1.5), t.exp(x, -0.4)), t.constant(w))),
+            0.5 * RNG.normal(size=(4, 4)),
+        )
+
+    def test_transpose_pass_through(self):
+        """transpose passes g.T, a view of g's buffer, to x; the scale rules that run after it
+        take buffers of g's shape, and none may be that one while x's gradient views it."""
+        w = RNG.normal(size=(4, 4))
+        check_grad(
+            lambda t, x, y: t.trace(t.matmul(
+                t.add(t.scale(t.scale(y, 0.5), 3.0), t.transpose(x)), t.constant(w))),
+            RNG.normal(size=(4, 4)),
+            RNG.normal(size=(4, 4)),
+        )
+
+    def test_accumulation_into_a_trainable_leaf(self):
+        """x feeds four nodes, so its gradient is summed three times, each sum in a new
+        buffer while the summands' buffers go back to the free list."""
+        w = RNG.normal(size=(4, 4))
+
+        def build(t, x):
+            s = t.add(t.add(t.matmul(x, x), t.scale(x, -0.7)), t.add(t.exp(x, 0.3), t.transpose(x)))
+            return t.trace(t.matmul(s, t.constant(w)))
+
+        check_grad(build, 0.5 * RNG.normal(size=(4, 4)))
+
+    def test_a_chain_runs_in_two_gradient_buffers(self):
+        """Ten scales in a row, a transpose after the fifth: each rule's input gradient is
+        spent once it has run, the transpose's view with it, so the sweep alternates
+        between two buffers of the chain's shape."""
+        w = RNG.normal(size=(3, 3))
+        t = Tape()
+        x = t.leaf(RNG.normal(size=(3, 3)), trainable=True)
+        node = x
+        for i in range(10):
+            node = t.scale(t.transpose(node) if i == 5 else node, 1.1)
+        loss = t.trace(t.matmul(node, t.constant(w)))
+        forward = len(pool(t))  # ten scales and the product; a transpose takes none
+        grads = t.backward(loss)
+        assert len(pool(t)) == forward + 2
+        np.testing.assert_allclose(grads[x.idx], 1.1**10 * w, rtol=1e-13)
+        assert_no_live_array_free(t, grads)
+
+    def test_second_backward_leaves_the_first_gradients_intact(self):
+        """Arrays handed out before a sweep stay out of its free list: the first sweep's
+        gradient survives a second sweep and the nodes recorded between the two."""
+        w = RNG.normal(size=(4, 4))
+        x0 = 0.5 * RNG.normal(size=(4, 4))
+        t = Tape()
+        x = t.leaf(x0, trainable=True)
+        first = t.backward(t.trace(t.matmul(t.exp(t.scale(x, 2.0), 0.3), t.constant(w))))
+        kept = first[x.idx].copy()
+        second = t.backward(
+            t.scale(t.trace(t.matmul(t.scale(t.exp(x, -0.2), 1.5), t.constant(w))), 2.0)
+        )
+        assert np.array_equal(first[x.idx], kept)
+        np.testing.assert_allclose(kept, 0.6 * np.exp(0.6 * x0) * w.T, rtol=1e-13)
+        np.testing.assert_allclose(second[x.idx], -0.6 * np.exp(-0.2 * x0) * w.T, rtol=1e-13)
+        assert_no_live_array_free(t, first)
+        assert_no_live_array_free(t, second)
+
+
 def quad_trace_chain(t, a, x):
     """Tr[x^T a x] as the transpose -> matmul -> matmul -> trace chain."""
     return t.trace(t.matmul(t.transpose(x), t.matmul(a, x)))
@@ -487,7 +579,7 @@ class TestSqDistsFromGram:
         g = t.gram(t.constant(RNG.normal(size=(6, 3))))
         taken = len(t._taken)
         d2 = t.sq_dists(g)
-        assert [id(arr) for arr in t._taken[taken:]] == [id(d2.value)]
+        assert list(t._taken)[taken:] == [id(d2.value)]  # keyed by id, in order taken
 
 
 class TestErrors:
@@ -568,6 +660,20 @@ class TestErrors:
         s = other.trace(other.constant(np.eye(2)))
         with pytest.raises(ContractError):
             t.backward(s)  # wrong tape
+
+    def test_grad_names_a_node_that_is_not_a_trainable_leaf(self):
+        t = Tape()
+        mu = t.leaf(np.zeros(3), trainable=True)
+        noise = t.constant(np.full(3, 0.1))
+        shifted = t.add(mu, noise)
+        loss = t.open_gate_expectation(shifted, 0.5)
+        assert t.grad(loss, mu).shape == (3,)
+        other = Tape()
+        stranger = other.leaf(np.zeros(3), trainable=True)
+        for node in (noise, shifted, stranger):
+            msg = rf"grad: node #{node.idx} \({node.op}, shape \(3,\)\) is not a trainable leaf"
+            with pytest.raises(ContractError, match=msg):
+                t.grad(loss, node)
 
     def test_apply_dispatch(self):
         t = Tape()

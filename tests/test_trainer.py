@@ -378,6 +378,26 @@ class TestFeaturePermutation:
         np.testing.assert_allclose(gp_y, g_y, rtol=1e-10)
 
 
+DEGENERATE_CASES = ["n=2", "duplicate-rows", "d=1", "d=n", "d>n", "constant-column"]
+
+
+def degenerate_pair(case):
+    """n = 2 samples; 10 rows that repeat 5 distinct ones; or 8 rows with one feature,
+    as many features as rows (n x d and n x n arrays then share a free-list key), more
+    features than rows, or a constant column."""
+    rng = np.random.default_rng(3)
+    if case == "n=2":
+        return ModalPair(x=rng.normal(size=(2, 3)), y=rng.normal(size=(2, 2)))
+    if case == "duplicate-rows":
+        return ModalPair(x=np.tile(rng.normal(size=(5, 4)), (2, 1)),
+                         y=np.tile(rng.normal(size=(5, 3)), (2, 1)))
+    d_x = {"d=1": 1, "d=n": 8, "d>n": 11, "constant-column": 4}[case]
+    x = rng.normal(size=(8, d_x))
+    if case == "constant-column":
+        x[:, 1] = 3.0
+    return ModalPair(x=x, y=rng.normal(size=(8, 3)))
+
+
 class TestTapeReuse:
     """Tape(reuse=prev), as train chains it: the arrays change hands, the bits do not."""
 
@@ -413,25 +433,76 @@ class TestTapeReuse:
             if prev is not None:
                 # every array the tape handed out came from the superseded tape ...
                 pooled = {id(arr) for arr in pool}
-                assert all(id(arr) in pooled for arr in tape._taken)
+                assert all(id(arr) in pooled for arr in tape._taken.values())
                 # ... which no longer differentiates
                 with pytest.raises(ContractError, match="different tape"):
                     prev.backward(prev_loss)
 
     @pytest.mark.parametrize("mode", ["shared", "differential"])
     def test_buffer_set_stops_growing(self, mode):
-        """From the third chained tape on, a tape hands out exactly its predecessor's arrays:
-        each one it takes comes from that tape, and none of that tape's sits idle."""
+        """From the third chained tape on, the pool (handed out plus free) is one set of
+        arrays: the same set each epoch, no array in it twice, and of a pinned size.
+
+        The sizes are the peak count of arrays alive at once; a sweep that kept every
+        gradient it formed would hold 49 and 55."""
         pair = tiny_pair(seed=4, n=12, dx=6, dy=14)
         cfg = RunConfig(mode=mode, lambda_x=0.2, lambda_y=0.1, b=0.7, c=0.2)
-        tape, handed = None, []
-        for _ in range(4):
+        tape, pools = None, []
+        for _ in range(5):
             tape = Tape(reuse=tape)
             self.record(tape, pair, cfg)
-            ids = [id(arr) for arr in tape._taken]
-            assert len(set(ids)) == len(ids)  # no array handed out twice by one tape
-            handed.append(set(ids))
-        assert handed[2] == handed[1] and handed[3] == handed[2]
+            pool = [*tape._taken.values(), *(arr for arrs in tape._free.values() for arr in arrs)]
+            ids = {id(arr) for arr in pool}
+            assert len(ids) == len(pool)
+            pools.append(ids)
+        assert pools[2] == pools[3] == pools[4]
+        assert len(pools[2]) == {"shared": 34, "differential": 42}[mode]
+
+    @pytest.mark.parametrize("mode", ["shared", "differential"])
+    @pytest.mark.parametrize("case", DEGENERATE_CASES)
+    def test_chained_tapes_match_finite_differences(self, mode, case):
+        """Gate gradients on three chained tapes, each against central differences of
+        fresh tapes' losses, at frozen bandwidths and gates inside (0, 1). In differential
+        mode each gate vector follows its own loss, built by the chain oracle."""
+        pair = degenerate_pair(case)
+        cfg = RunConfig(mode=mode, lambda_x=0.2, lambda_y=0.1, b=0.7, c=0.2)
+        xb, yb = unit_norm_columns(pair.x), unit_norm_columns(pair.y)
+        bws = (0.8, 1.3)
+        rng = np.random.default_rng(11)
+        mu = [rng.uniform(-0.3, 0.3, d) for d in (xb.shape[1], yb.shape[1])]
+        noise = [rng.uniform(-0.1, 0.1, d) for d in (xb.shape[1], yb.shape[1])]
+
+        def objective(tape, mu_x_val, mu_y_val):
+            mu_x, mu_y = tape.leaf(mu_x_val, trainable=True), tape.leaf(mu_y_val, trainable=True)
+            z_x, z_y = (tape.hard_sigmoid(tape.add(leaf, tape.constant(e)))
+                        for leaf, e in zip((mu_x, mu_y), noise))
+            loss, _, _, _ = _objective(tape, xb, yb, z_x, z_y, mu_x, mu_y, cfg, bws)
+            return loss, mu_x, mu_y
+
+        def own_loss(which, mu_x_val, mu_y_val):
+            if mode == "shared":
+                return float(objective(Tape(), mu_x_val, mu_y_val)[0].value)
+            _, lx, ly, _, _ = coupled_differential(pair, cfg, mu_x_val, mu_y_val, *noise, *bws)
+            return float((lx, ly)[which].value)
+
+        h, want = 1e-6, []
+        for which, base in enumerate(mu):
+            fd = np.empty_like(base)
+            for i in range(base.size):
+                ends = []
+                for step in (h, -h):
+                    args = [m.copy() for m in mu]
+                    args[which][i] += step
+                    ends.append(own_loss(which, *args))
+                fd[i] = (ends[0] - ends[1]) / (2 * h)
+            want.append(fd)
+        tape = None
+        for _ in range(3):
+            tape = Tape(reuse=tape)
+            loss, mu_x, mu_y = objective(tape, *mu)
+            grads = tape.backward(loss)
+            for leaf, fd in zip((mu_x, mu_y), want):
+                np.testing.assert_allclose(grads[leaf.idx], fd, rtol=1e-5, atol=1e-8)
 
 
 # Short runs of both modes on the gaussian presets (n=260, large enough for BLAS
@@ -529,15 +600,6 @@ class TestRunConfig:
 def no_epoch(gates):
     """Stands in for GateState.draw_noise where no epoch may start."""
     raise AssertionError("an epoch started")
-
-
-def degenerate_pair(case):
-    """n = 2 samples, or 10 rows that repeat 5 distinct ones."""
-    rng = np.random.default_rng(3)
-    if case == "n=2":
-        return ModalPair(x=rng.normal(size=(2, 3)), y=rng.normal(size=(2, 2)))
-    return ModalPair(x=np.tile(rng.normal(size=(5, 4)), (2, 1)),
-                     y=np.tile(rng.normal(size=(5, 3)), (2, 1)))
 
 
 class TestDegenerateInputs:
