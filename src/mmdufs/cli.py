@@ -49,9 +49,12 @@ def _seed(seed: int | None) -> int:
         return seed
     env = os.environ.get("MMDUFS_SEED", "0")
     try:
-        return int(env)
+        value = int(env)
     except ValueError:
-        raise click.UsageError(f"MMDUFS_SEED must be an integer, got '{env}'")
+        value = None
+    if value is None or value < 0:
+        raise click.UsageError(f"MMDUFS_SEED must be a non-negative integer, got '{env}'")
+    return value
 
 
 def _guard_overwrite(paths: list[Path], force: bool) -> None:
@@ -110,7 +113,8 @@ def main() -> None:
 @main.command()
 @click.option("--preset", type=click.Choice(list(GENERATOR_PRESETS)), required=True)
 @click.option("--out", "outdir", required=True, type=click.Path(path_type=Path))
-@click.option("--seed", type=int, default=None, help="generator seed (default: MMDUFS_SEED or 0)")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="generator seed (default: MMDUFS_SEED or 0)")
 @click.option("--force", is_flag=True, help="overwrite existing artifacts")
 @_exit_codes
 def generate(preset: str, outdir: Path, seed: int | None, force: bool) -> None:
@@ -129,7 +133,7 @@ def generate(preset: str, outdir: Path, seed: int | None, force: bool) -> None:
 @click.option("--config", "config_path", type=click.Path(path_type=Path), default=None,
               help="RunConfig JSON (see `mmdufs train --help`)")
 @click.option("--out", "outdir", required=True, type=click.Path(path_type=Path))
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--epochs", type=int, default=None, help="override config epochs")
 @click.option("--mode", type=click.Choice(["shared", "differential"]), default=None)
 @click.option("--force", is_flag=True)
@@ -167,7 +171,7 @@ def train_cmd(datadir, config_path, outdir, seed, epochs, mode, force) -> None:
 @click.option("--grid", default=",".join(map(str, LAMBDA_GRID)),
               help="comma-separated lambda grid")
 @click.option("--warmup-epochs", type=int, default=WARMUP_EPOCHS)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--force", is_flag=True)
 @_exit_codes
 def tune(datadir, config_path, outdir, grid, warmup_epochs, seed, force) -> None:
@@ -339,7 +343,7 @@ def _reproduce_lambda_grid(outdir: Path, seed: int, jobs: int, epochs: int | Non
 @click.argument("target", type=click.Choice(
     ["gaussian-table", "tree-table", "cube-figure", "lambda-grid"]))
 @click.option("--out", "outdir", required=True, type=click.Path(path_type=Path))
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--jobs", type=click.IntRange(min=1), default=None,
               help="worker processes for the tables and lambda-grid (default: logical cores)")
 @click.option("--epochs", type=click.IntRange(min=1), help="override training epochs (smoke runs)")
@@ -347,10 +351,10 @@ def _reproduce_lambda_grid(outdir: Path, seed: int, jobs: int, epochs: int | Non
 @_exit_codes
 def reproduce(target, outdir, seed, jobs, epochs, force) -> None:
     """One-command reproduction of a desk-scale result."""
+    s = _seed(seed)
     outdir.mkdir(parents=True, exist_ok=True)
     stem = target.replace("-", "_")  # each target's main artifact is <stem>.csv
     _guard_overwrite([outdir / f"{stem}.csv"], force)
-    s = _seed(seed)
     n_jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     if stem in _TABLE_DATASETS:
         _reproduce_table(outdir, stem, s, n_jobs, epochs)

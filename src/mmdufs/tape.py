@@ -3,13 +3,14 @@
 The tape records a fixed set of coarse matrix primitives (matmul, kernels,
 normalization sandwiches, inverses, traces, quadratic forms, gating, ...).
 Calling :meth:`Tape.backward` on a scalar node returns exact gradients with
-respect to every trainable leaf. Pooled arrays change hands at
-``Tape(reuse=prev)``, where the next tape takes over the whole set, and inside
-the reverse sweep, which returns each gradient buffer to the free list once
-no pending gradient needs it. Node values, caches and returned gradients stay
-a tape's own until the next tape takes over, so a loop that records one tape
-per step allocates one buffer set in all. Eigendecomposition is provided as
-an off-tape analysis utility.
+respect to every trainable leaf. Every pooled array has one owner: a node
+value, a cache, a scratch buffer or one gradient. Arrays change hands at
+``Tape(reuse=prev)``, where the next tape takes over the whole set, and go
+back to the free list when their owner is done with them: scratch once its
+primitive returns, a gradient once the rule that read it has run. Node values,
+caches and returned gradients stay a tape's own until the next tape takes
+over, so a loop that records one tape per step allocates one buffer set in
+all. Eigendecomposition is provided as an off-tape analysis utility.
 """
 
 from __future__ import annotations
@@ -74,6 +75,11 @@ def normal_cdf(t: np.ndarray) -> np.ndarray:
     """
     arg = np.multiply(t, -_SQRT1_2)
     return 0.5 * np.fromiter(map(math.erfc, arg.tolist()), np.float64, arg.size)
+
+
+def _owner(arr: np.ndarray) -> np.ndarray:
+    """The array that owns arr's memory: arr itself, or the array it views."""
+    return arr if arr.base is None else arr.base
 
 
 def _dists_from_gram(g: np.ndarray, out=None) -> np.ndarray:
@@ -156,8 +162,8 @@ class Tape:
     and the new tape writes its array results, forward and backward, into
     them. prev is emptied: backward on one of its nodes raises ContractError,
     and any array read from its nodes or returned by its backward may be
-    overwritten. Within one tape, backward hands a gradient buffer out again
-    once it is spent (see _give_back); no array is handed out twice at once.
+    overwritten. Within one tape each handed-out array has one owner, which
+    releases it when done (see _release); no array is handed out twice at once.
     """
 
     def __init__(self, reuse: Tape | None = None):
@@ -178,21 +184,11 @@ class Tape:
         self._taken[id(arr)] = arr
         return arr
 
-    def _give_back(self, spent, pending) -> None:
-        """Return to the free list each pooled buffer under an array of spent
-        that no pending gradient is or views.
-
-        spent holds gradients a reverse rule has finished reading; a transpose
-        view is traced to its buffer through .base. add passes g to both
-        inputs and transpose passes g.T, so one buffer can back several.
-        """
-        for arr in spent:
-            buf = arr if arr.base is None else arr.base
-            if self._taken.get(id(buf)) is buf and not any(
-                p is buf or p.base is buf for p in pending
-            ):
-                del self._taken[id(buf)]
-                self._free.setdefault(buf.shape, []).append(buf)
+    def _release(self, arr: np.ndarray) -> None:
+        """Put the pooled buffer that owns arr back on the free list, if pooled."""
+        buf = _owner(arr)
+        if self._taken.pop(id(buf), None) is not None:
+            self._free.setdefault(buf.shape, []).append(buf)
 
     def _record(self, value, op, inputs, cache=None, trainable=False) -> Node:
         value = np.asarray(value, dtype=np.float64)
@@ -259,7 +255,7 @@ class Tape:
         _check_symmetric(av)
         # Two buffers: the result, scratch for the 1-norm until potri is done,
         # and the F-order work array (a C-order take transposed) that potrf
-        # and potri overwrite in place, scratch once the result is formed.
+        # and potri overwrite in place, scratch again until it is released.
         inv, buf = self._take((n, n)), self._take((n, n))
         work = buf.T
         np.copyto(work, av)
@@ -282,6 +278,7 @@ class Tape:
         cond = anorm * np.abs(inv, out=buf).sum(axis=0).max()
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularMatrixError(f"condition estimate {cond:.3e} exceeds {_COND_LIMIT:.0e}")
+        self._release(buf)
         return self._record(inv, "inverse", (a,), cache=inv)
 
     def trace(self, a: Node) -> Node:
@@ -357,11 +354,11 @@ class Tape:
         leaves the loss never touches get zeros. Nodes without a trainable
         ancestor are skipped, so constant subgraphs cost nothing here.
 
-        Once a node's rule has run, the buffers of the gradients it read are
-        handed out again to the rules after it, unless a pending gradient is
-        or views one of them. Only this sweep's gradients are ever spent (see
-        _vjp), and the ones returned here stay pending, so node values,
-        caches, an earlier sweep's gradients and this one's stay this tape's.
+        Each gradient owns its buffer, so no two returned gradients share
+        memory: a contribution to an input that already has a gradient is
+        added into it in place, and once a node's rule has run, the node's
+        gradient buffer goes back to the free list unless the rule passed it
+        on. Node values, caches and returned gradients are never released.
         """
         if not (loss.idx < len(self.nodes) and self.nodes[loss.idx] is loss):
             raise ContractError("loss node belongs to a different tape")
@@ -375,17 +372,19 @@ class Tape:
                 if g is not None:
                     grads[node.idx] = g  # keep leaf grads
                 continue
-            spent = [g]
+            passed_on = False
             for inp, contrib in self._vjp(node, g):
+                # A double transpose passes on a view of a view: compare owners.
+                passed_on = passed_on or _owner(contrib) is _owner(g)
                 acc = grads.get(inp.idx)
-                if acc is not None:
-                    # Into a new buffer: acc or contrib may alias a value or
-                    # another entry (add passes g to both inputs, transpose a view).
-                    spent += (acc, contrib)
-                    contrib = np.add(acc, contrib, out=self._take(acc.shape))
-                grads[inp.idx] = contrib
+                if acc is None:
+                    grads[inp.idx] = contrib
+                else:
+                    acc += contrib
+                    self._release(contrib)
             # Only now: the rule reads g until its last contribution is out.
-            self._give_back(spent, grads.values())
+            if not passed_on:
+                self._release(g)
 
         out = {}
         for node in self.nodes:
@@ -406,9 +405,10 @@ class Tape:
         """(input, contribution) pairs for the inputs that need a gradient.
 
         A one-input node needs a gradient only if its input does, so only the
-        two-input rules check their operands. A contribution is g, g.T or a
-        new array (most are written into buffers from _take), never a node's
-        value or cache, which backward relies on; g itself is never written to.
+        two-input rules check their operands. Each contribution owns its buffer:
+        g or g.T at most once per rule, else a new array (most from _take),
+        never a node's value or cache. A rule never writes to g and yields it
+        last, since backward may add into it or release it.
         """
         op = node.op
         a = node.inputs[0]
@@ -419,12 +419,11 @@ class Tape:
                 yield a, np.matmul(g, b.value.T, out=take(a.value.shape))
             if b.needs_grad:
                 yield b, np.matmul(a.value.T, g, out=take(b.value.shape))
-        elif op == "add":
+        elif op == "add":  # g to one input; a copy first if both need one
             b = node.inputs[1]
-            if a.needs_grad:
-                yield a, g
-            if b.needs_grad:
-                yield b, g
+            if a.needs_grad and b.needs_grad:
+                yield b, np.positive(g, out=take(g.shape))
+            yield (a if a.needs_grad else b), g
         elif op == "scale":
             yield a, np.multiply(g, node.cache, out=take(g.shape))
         elif op == "exp":  # d exp(s a) = s exp(s a) da

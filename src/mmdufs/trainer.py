@@ -67,6 +67,8 @@ class RunConfig:
                 raise ContractError(f"{name} must be a finite number, got {value!r}")
         if self.mode not in ("shared", "differential"):
             raise ContractError(f"unknown mode '{self.mode}'")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1:
             raise ContractError("epochs must be >= 1")
         if self.lambda_x < 0 or self.lambda_y < 0:

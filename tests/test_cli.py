@@ -20,6 +20,14 @@ from mmdufs.gates import f1, select_features
 from mmdufs.trainer import train, warmup_tune
 
 
+# A negative seed from --seed and from MMDUFS_SEED: (extra args, environment, message).
+NEGATIVE_SEEDS = [
+    pytest.param(["--seed", "-1"], {}, "-1 is not in the range x>=0", id="option"),
+    pytest.param([], {"MMDUFS_SEED": "-3"}, "MMDUFS_SEED must be a non-negative integer, got '-3'",
+                 id="env"),
+]
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -93,6 +101,21 @@ class TestGenerate:
         res = runner.invoke(main, ["generate", "--preset", "gaussian", "--out", str(tmp_path / "d")],
                             env={"MMDUFS_SEED": "seven"})
         assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "tune", "reproduce"])
+@pytest.mark.parametrize("args, env, message", NEGATIVE_SEEDS)
+def test_negative_seed_exits_2_before_any_write(runner, dataset, tmp_path, command, args, env,
+                                                message):
+    head = {"generate": ["generate", "--preset", "gaussian"],
+            "train": ["train", "--data", str(dataset), "--epochs", "1"],
+            "tune": ["tune", "--data", str(dataset)],
+            "reproduce": ["reproduce", "cube-figure"]}[command]
+    out = tmp_path / "out"
+    res = runner.invoke(main, [*head, "--out", str(out), *args], env=env)
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert not out.exists()
 
 
 class TestTrain:
@@ -227,6 +250,17 @@ class TestTrain:
                                    "--out", str(tmp_path / "run")])
         assert res.exit_code == 2
         assert "seed" in res.output
+
+    def test_negative_config_seed_is_usage_error_before_any_write(self, runner, dataset,
+                                                                  tmp_path):
+        cfg = tmp_path / "bad_seed.json"
+        cfg.write_text(json.dumps({"mode": "shared", "epochs": 1, "seed": -1}))
+        out = tmp_path / "run"
+        res = runner.invoke(main, ["train", "--data", str(dataset), "--config", str(cfg),
+                                   "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "seed must be >= 0, got -1" in res.output
+        assert not out.exists()
 
     def test_constant_modality_is_usage_error(self, runner, dataset, tmp_path):
         pair = load_pair(dataset)
@@ -586,6 +620,7 @@ def _dataset_without_manifest(tmp_path):
                  id="repeated-index"),
     pytest.param(_evaluate({"x": [0, 2**70], "y": [0]}), "sel.json: 'x' has indices outside",
                  id="huge-index"),
+    pytest.param(_evaluate({}), "nothing to evaluate", id="no-matching-entry"),
     pytest.param(_short_labels, "labels has shape (3,), expected 6 rows", id="short-labels"),
     pytest.param(_selection_not_json, "sel.json: Expecting property name", id="selection-not-json"),
     pytest.param(_missing("train", "--data", "nope", "--out", "run"), "/nope/X.csv",

@@ -123,6 +123,11 @@ class TestDifferentialOperator:
         basis = top_eigenspace(q, n_x)
         assert principal_angle_degrees(basis, v_x) < 5.0
 
+    def test_shape_mismatch(self):
+        t = Tape()
+        with pytest.raises(DimensionError, match="Laplacians must share shape"):
+            differential_operator(t, t.constant(np.eye(3)), t.constant(np.eye(4)), c=0.1)
+
     def test_c_validation(self):
         t = Tape()
         with pytest.raises(ContractError):

@@ -1,10 +1,14 @@
 """Tape primitives: values against NumPy, gradients against central finite differences."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mmdufs import tape as tape_module
 from mmdufs.tape import (
     ContractError,
     DimensionError,
@@ -58,12 +62,20 @@ def assert_no_live_array_free(tape, grads):
             assert id(arr if arr.base is None else arr.base) not in free
 
 
+def assert_one_owner_each(grads):
+    """No two returned gradients share memory."""
+    arrays = list(grads.values())
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
+
 def check_grad(build, *x0, rtol=1e-5, atol=1e-7):
     """build(tape, *leaves) -> scalar node; compares each leaf's tape grad with FD."""
     tape = Tape()
     leaves = [tape.leaf(x, trainable=True) for x in x0]
     grads = tape.backward(build(tape, *leaves))
     assert_no_live_array_free(tape, grads)
+    assert_one_owner_each(grads)
 
     for i, leaf in enumerate(leaves):
 
@@ -337,8 +349,8 @@ class TestGradients:
 
 
 class TestGradientBufferRecycling:
-    """backward hands a spent gradient buffer out again, never one a pending gradient is or
-    views, nor a node value or a gradient it returns."""
+    """Each gradient owns its buffer: backward hands a spent one out again, never one a
+    pending gradient is or views, nor a node value or a gradient it returns."""
 
     def test_add_feeding_two_nodes_that_take_buffers(self):
         """add passes g to both inputs, whose exp and scale rules each take a buffer of g's
@@ -362,8 +374,8 @@ class TestGradientBufferRecycling:
         )
 
     def test_accumulation_into_a_trainable_leaf(self):
-        """x feeds four nodes, so its gradient is summed three times, each sum in a new
-        buffer while the summands' buffers go back to the free list."""
+        """x feeds four nodes, so its gradient is summed three times, each sum into the
+        gradient already there while the added buffer goes back to the free list."""
         w = RNG.normal(size=(4, 4))
 
         def build(t, x):
@@ -406,6 +418,113 @@ class TestGradientBufferRecycling:
         np.testing.assert_allclose(second[x.idx], -0.6 * np.exp(-0.2 * x0) * w.T, rtol=1e-13)
         assert_no_live_array_free(t, first)
         assert_no_live_array_free(t, second)
+
+    def test_add_of_two_leaves_returns_two_buffers(self):
+        """add gives g to one input and a copy to the other: scaling one returned gradient in
+        place leaves the other as it was."""
+        t = Tape()
+        x = t.leaf(RNG.normal(size=(3, 3)), trainable=True)
+        y = t.leaf(RNG.normal(size=(3, 3)), trainable=True)
+        grads = t.backward(t.trace(t.add(x, y)))
+        assert not np.shares_memory(grads[x.idx], grads[y.idx])
+        grads[x.idx] *= 0.5
+        assert np.array_equal(grads[x.idx], 0.5 * np.eye(3))
+        assert np.array_equal(grads[y.idx], np.eye(3))
+
+    def test_double_transpose_passes_on_its_buffer(self):
+        """The inner transpose's rule passes on g.T of a g that is itself a view: the buffer
+        both view stays a's pending gradient while c's rule, which runs next, takes a
+        buffer of the same shape."""
+        w = RNG.normal(size=(3, 3))
+
+        def build(t, x):
+            a, c = t.scale(x, 2.0), t.scale(x, 3.0)
+            return t.inner(t.add(t.transpose(t.transpose(a)), c), t.constant(w))
+
+        check_grad(build, RNG.normal(size=(3, 3)))
+
+
+def one_owner_graph(program):
+    """build(tape, *leaves) for the graph program describes: each (op, i, j, p) appends
+    op applied to nodes i and j (modulo the node count) to the leaves; the loss is the
+    inner product of the last node with a fixed matrix."""
+    w = np.random.default_rng(3).normal(size=(3, 3))
+
+    def build(t, *leaves):
+        nodes = list(leaves)
+        for op, i, j, p in program:
+            a, b = nodes[i % len(nodes)], nodes[j % len(nodes)]
+            nodes.append({
+                "add": lambda: t.add(a, b),
+                "transpose": lambda: t.transpose(a),
+                "matmul": lambda: t.matmul(a, b),
+                "scale": lambda: t.scale(a, p),
+                "exp": lambda: t.exp(a, p / 4),
+            }[op]())
+        return t.inner(nodes[-1], t.constant(w))
+
+    return build
+
+
+# Scale, scale, transpose of the first scale, transpose of that, add of it and the second
+# scale: a double transpose whose consumer's other input takes a buffer in its rule.
+DOUBLE_TRANSPOSE = [("scale", 0, 0, 2.0), ("scale", 0, 0, 3.0), ("transpose", 1, 0, 0.0),
+                    ("transpose", 3, 0, 0.0), ("add", 4, 2, 0.0)]
+
+
+class TestOneOwnerProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        program=st.lists(
+            st.tuples(st.sampled_from(["add", "transpose", "matmul", "scale", "exp"]),
+                      st.integers(0, 9), st.integers(0, 9), st.floats(-1.5, 1.5)),
+            min_size=1, max_size=6),
+        two_leaves=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(program=DOUBLE_TRANSPOSE, two_leaves=False, seed=0)
+    @example(program=[("add", 0, 0, 0.0)], two_leaves=False, seed=0)
+    @example(program=[("add", 0, 1, 0.0)], two_leaves=True, seed=0)
+    def test_gradients_match_fd_and_own_their_buffers(self, program, two_leaves, seed):
+        """Random graphs of add (add(x, x) too), transpose, matmul, scale and exp into one
+        or two trainable leaves."""
+        rng = np.random.default_rng(seed)
+        x0 = [rng.uniform(-0.3, 0.3, size=(3, 3)) for _ in range(1 + two_leaves)]
+        build = one_owner_graph(program)
+        t = Tape()
+        leaves = [t.leaf(x, trainable=True) for x in x0]
+        grads = t.backward(build(t, *leaves))
+        assert_no_live_array_free(t, grads)
+        assert_one_owner_each(grads)
+        for i, leaf in enumerate(leaves):
+
+            def scalar(x):
+                tt = Tape()
+                args = [tt.leaf(x if j == i else v, trainable=True) for j, v in enumerate(x0)]
+                return float(build(tt, *args).value)
+
+            fd = fd_grad(scalar, x0[i])
+            scale = max(1.0, np.abs(fd).max())
+            np.testing.assert_allclose(grads[leaf.idx], fd, rtol=1e-5, atol=1e-6 * scale)
+
+
+def vjp_branches() -> set[str]:
+    """The op names Tape._vjp tests with `op == "..."`, read from tape.py's source."""
+    tree = ast.parse(Path(tape_module.__file__).read_text())
+    tape_cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Tape")
+    vjp = next(n for n in tape_cls.body if isinstance(n, ast.FunctionDef) and n.name == "_vjp")
+    return {
+        node.comparators[0].value
+        for node in ast.walk(vjp)
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Name) and node.left.id == "op"
+        and isinstance(node.comparators[0], ast.Constant)
+    }
+
+
+def test_every_primitive_has_a_reverse_rule():
+    """A primitive added without a branch in Tape._vjp fails here, not mid-run."""
+    assert vjp_branches() == set(PRIMITIVES)
 
 
 def quad_trace_chain(t, a, x):
@@ -595,6 +714,12 @@ class TestErrors:
             t.sym_normalize(a)
         with pytest.raises(DimensionError):
             t.col_gate(a, t.constant(np.ones(2)))
+        with pytest.raises(DimensionError, match=r"add: \(2, 3\) vs \(3, 2\)"):
+            t.add(a, t.constant(np.ones((3, 2))))
+        with pytest.raises(DimensionError, match="transpose needs a 2-D matrix"):
+            t.transpose(t.constant(np.ones(3)))
+        with pytest.raises(DimensionError, match="open_gate_expectation needs a vector"):
+            t.open_gate_expectation(a, 1.0)
 
     def test_nonfinite_rejected(self):
         t = Tape()
@@ -675,6 +800,12 @@ class TestErrors:
             with pytest.raises(ContractError, match=msg):
                 t.grad(loss, node)
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.5])
+    def test_open_gate_expectation_needs_positive_sigma(self, sigma):
+        t = Tape()
+        with pytest.raises(ContractError, match="gate noise scale must be positive"):
+            t.open_gate_expectation(t.leaf(np.zeros(3), trainable=True), sigma)
+
     def test_apply_dispatch(self):
         t = Tape()
         node = t.apply("scale", t.constant(np.ones(2)), 3.0)
@@ -700,3 +831,7 @@ class TestEigh:
     def test_rejects_asymmetric(self):
         with pytest.raises(ContractError):
             eigh_descending(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionError, match="needs a square matrix"):
+            eigh_descending(np.ones((2, 3)))

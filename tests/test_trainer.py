@@ -444,7 +444,8 @@ class TestTapeReuse:
         arrays: the same set each epoch, no array in it twice, and of a pinned size.
 
         The sizes are the peak count of arrays alive at once; a sweep that kept every
-        gradient it formed would hold 49 and 55."""
+        gradient it formed would hold 49 and 55, and one that shared a buffer between
+        gradients (add's two inputs) and summed fan-in into new buffers 34 and 42."""
         pair = tiny_pair(seed=4, n=12, dx=6, dy=14)
         cfg = RunConfig(mode=mode, lambda_x=0.2, lambda_y=0.1, b=0.7, c=0.2)
         tape, pools = None, []
@@ -456,7 +457,7 @@ class TestTapeReuse:
             assert len(ids) == len(pool)
             pools.append(ids)
         assert pools[2] == pools[3] == pools[4]
-        assert len(pools[2]) == {"shared": 34, "differential": 42}[mode]
+        assert len(pools[2]) == {"shared": 31, "differential": 37}[mode]
 
     @pytest.mark.parametrize("mode", ["shared", "differential"])
     @pytest.mark.parametrize("case", DEGENERATE_CASES)
@@ -565,6 +566,8 @@ class TestRunConfig:
             RunConfig(batch_size=1)
         with pytest.raises(ContractError):
             RunConfig(bandwidth_scale=0.0)
+        with pytest.raises(ContractError, match="seed must be >= 0, got -1"):
+            RunConfig(seed=-1)
         # a float, bool or string count is a contract error, not a TypeError mid-run
         for field in ("seed", "epochs", "batch_size"):
             for value in ("7", 7.0, 2.5, True):
