@@ -43,15 +43,15 @@ BASELINE_BANDWIDTH_FACTOR = 0.3
 def _modality_products(pair: ModalPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Z, L_x Z, L_y Z) with Z = zscore_columns([X Y]): what mmKS and mmKP score from.
 
-    Both Laplacians are built before Z and the products, so the second one's
-    temporaries never sit beside the products; L_x is dropped once P_x exists.
+    Z is built first, then L_x, P_x = L_x Z, and L_x is dropped before L_y is
+    built, so a pass holds one n x n Laplacian at a time (data_laplacian
+    builds each in one n x n buffer).
     """
-    l_x = data_laplacian(pair.x, BASELINE_BANDWIDTH_FACTOR)
-    l_y = data_laplacian(pair.y, BASELINE_BANDWIDTH_FACTOR)
     z = zscore_columns(np.hstack([pair.x, pair.y]))
+    l_x = data_laplacian(pair.x, BASELINE_BANDWIDTH_FACTOR)
     p_x = l_x @ z
     del l_x
-    return z, p_x, l_y @ z
+    return z, p_x, data_laplacian(pair.y, BASELINE_BANDWIDTH_FACTOR) @ z
 
 
 def baseline_select(

@@ -35,7 +35,7 @@ from .graph import data_laplacian
 from .operators import shared_operator_array
 from .tape import ContractError, NumericalError, SingularMatrixError, eigh_descending
 from .trainer import (LAMBDA_GRID, WARMUP_EPOCHS, RunConfig, TrainingDiverged, best_lambda, run,
-                      train, warmup_record, warmup_tune)
+                      train, warmup_configs, warmup_record, warmup_tune)
 
 GENERATOR_PRESETS = {**DATASET_PRESETS, "cube": gen_cube}
 
@@ -181,6 +181,7 @@ def tune(datadir, config_path, outdir, grid, warmup_epochs, seed, force) -> None
     except ValueError:
         raise click.UsageError(f"bad --grid '{grid}'")
     cfg = _load_config(config_path, seed, {})
+    warmup_configs(cfg, values, warmup_epochs)  # a bad grid or epoch count fails before --out exists
     pair = load_pair(datadir)
     outdir.mkdir(parents=True, exist_ok=True)
     _guard_overwrite([outdir / "lambda_grid.csv", outdir / "chosen_lambda.json"], force)

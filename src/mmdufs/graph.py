@@ -71,11 +71,13 @@ def _kernel_factor(bandwidth: float) -> float:
     return -1.0 / (2.0 * bandwidth**2)
 
 
-def gaussian_kernel(d2: np.ndarray, bandwidth: float) -> np.ndarray:
+def gaussian_kernel(d2: np.ndarray, bandwidth: float, out=None) -> np.ndarray:
     """K_ij = exp(d2_ij * (-1/(2 sigma^2))) from pairwise squared distances d2.
 
     Plain-array version of kernel_on_tape, bit for bit; d2 is made by
-    pairwise_sq_dists, which is exactly symmetric, and so is K.
+    pairwise_sq_dists, which is exactly symmetric, and so is K. out, if
+    given, receives K and may be d2 itself; every check runs before it is
+    written.
     """
     d2 = np.asarray(d2, dtype=np.float64)
     if not np.isfinite(d2).all():
@@ -84,23 +86,31 @@ def gaussian_kernel(d2: np.ndarray, bandwidth: float) -> np.ndarray:
         raise DimensionError(f"kernel needs a square distance matrix, got {d2.shape}")
     if d2.shape[0] < 2:
         raise ContractError("kernel needs at least two rows")
-    k = np.multiply(d2, _kernel_factor(bandwidth))
+    k = np.multiply(d2, _kernel_factor(bandwidth), out=out)
     return np.exp(k, out=k)
 
 
-def normalized_laplacian(k: np.ndarray) -> np.ndarray:
-    """L = D^{-1/2} K D^{-1/2}. Plain-array version of Tape.sym_normalize."""
-    return _sym_normalize(np.asarray(k, dtype=np.float64))[0]
+def normalized_laplacian(k: np.ndarray, out=None) -> np.ndarray:
+    """L = D^{-1/2} K D^{-1/2}. Plain-array version of Tape.sym_normalize.
+
+    out, if given, receives L and may be k itself; the row sums are taken and
+    checked before it is written.
+    """
+    return _sym_normalize(np.asarray(k, dtype=np.float64), out)[0]
 
 
 def data_laplacian(data: np.ndarray, scale: float) -> np.ndarray:
     """Normalized Laplacian of the data's Gaussian kernel at scale x median bandwidth.
 
-    The squared distances are computed once and feed both the bandwidth and
-    the kernel. Plain-array version, for baselines and analysis.
+    Plain-array version, for baselines and analysis. d2, K and L are built in
+    turn in the one n x n buffer that data @ data.T returned, so the call
+    holds one n x n array beside the median's upper-triangle copy, and L is
+    bit for bit normalized_laplacian(gaussian_kernel(d2, bandwidth)). The
+    squared distances feed both the bandwidth and the kernel.
     """
     d2 = pairwise_sq_dists(np.asarray(data, dtype=np.float64))
-    return normalized_laplacian(gaussian_kernel(d2, scale * median_bandwidth(d2)))
+    k = gaussian_kernel(d2, scale * median_bandwidth(d2), out=d2)
+    return normalized_laplacian(k, out=k)
 
 
 def kernel_on_tape(tape: Tape, d2: Node, bandwidth: float) -> Node:

@@ -34,6 +34,7 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _SYM_BLOCK = 8192  # entries per block of the symmetry check
+_DIST_BLOCK = 1 << 16  # entries per scratch block of the in-place distances
 _SQRT1_2 = math.sqrt(0.5)
 
 # inf/nan from a primitive ends in NumericalError (or the primitive's own
@@ -58,13 +59,18 @@ class ContractError(RuntimeError):
     """An operation was called outside its contract."""
 
 
+@_typed_errors_only
 def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     """All pairwise squared Euclidean distances between rows of a 2-D array.
 
     Clamped at zero, with a zero diagonal; for a contiguous x, x @ x.T is one BLAS
-    syrk, so d is exactly symmetric and equal to Tape.sq_dists(Tape.gram(x)).
+    syrk, so d is exactly symmetric. d is written over that Gram matrix in place,
+    so the call holds one n x n array, and it equals Tape.sq_dists(Tape.gram(x))
+    bit for bit. Like the tape, it lets a non-finite entry through without a
+    numpy warning, for the kernel's check to raise NumericalError.
     """
-    return _dists_from_gram(x @ x.T)
+    g = x @ x.T
+    return _dists_from_gram(g, g)
 
 
 def normal_cdf(t: np.ndarray) -> np.ndarray:
@@ -82,15 +88,28 @@ def _owner(arr: np.ndarray) -> np.ndarray:
     return arr if arr.base is None else arr.base
 
 
-def _dists_from_gram(g: np.ndarray, out=None) -> np.ndarray:
-    """(g_ii + g_jj) - g_ij - g_ij, clamped, in out if given; as symmetric as g is."""
-    sq = np.diag(g)
-    d = np.add(sq[:, None], sq[None, :], out=out)
-    d -= g
-    d -= g
-    np.maximum(d, 0.0, out=d)
-    np.fill_diagonal(d, 0.0)
-    return d
+def _dists_from_gram(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(g_ii + g_jj) - g_ij - g_ij, clamped at zero with a zero diagonal, written to out.
+
+    Works a block of at most _DIST_BLOCK entries at a time. out may be g
+    itself: each block's sums are then formed in one scratch block, so no
+    second n x n array is made. Either way each entry sees the same operations
+    in the same order, so d is as symmetric as g is and the same bit for bit.
+    """
+    n = len(g)
+    rows = max(1, _DIST_BLOCK // max(n, 1))
+    sq, scratch = g.diagonal(), None
+    if out is g:  # the rows overwrite the diagonal, and the sums need a block of their own
+        sq, scratch = sq.copy(), np.empty((min(rows, n), n))
+    for i in range(0, n, rows):
+        g_rows, d_rows = g[i : i + rows], out[i : i + rows]
+        s = d_rows if scratch is None else scratch[: len(d_rows)]
+        np.add(sq[i : i + rows, None], sq[None, :], out=s)
+        s -= g_rows
+        np.subtract(s, g_rows, out=d_rows)
+        np.maximum(d_rows, 0.0, out=d_rows)
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def _sym_normalize(k: np.ndarray, out=None):

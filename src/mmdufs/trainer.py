@@ -34,6 +34,7 @@ __all__ = [
     "run",
     "train",
     "warmup_record",
+    "warmup_configs",
     "warmup_tune",
     "best_lambda",
 ]
@@ -298,6 +299,18 @@ def warmup_record(pair: ModalPair, cfg: RunConfig, result: TrainResult) -> dict:
     return {"lambda": cfg.lambda_x, "score_x": tr_x / (d_x * n), "score_y": tr_y / (d_y * n)}
 
 
+def warmup_configs(cfg_template: RunConfig, lambda_grid, warmup_epochs: int) -> list[RunConfig]:
+    """The checked warm-up config of each grid lambda, in ascending order of lambda.
+
+    A ContractError for an empty grid, and RunConfig's for a bad lambda or
+    epoch count, come before anything trains or is written.
+    """
+    grid = sorted(float(v) for v in lambda_grid)
+    if not grid:
+        raise ContractError("lambda grid must be nonempty")
+    return [replace(cfg_template, lambda_x=lam, lambda_y=lam, epochs=warmup_epochs) for lam in grid]
+
+
 def warmup_tune(
     pair: ModalPair,
     cfg_template: RunConfig,
@@ -315,12 +328,7 @@ def warmup_tune(
 
     Returns (lambda_x, lambda_y, per-grid-point records).
     """
-    grid = sorted(float(v) for v in lambda_grid)
-    if not grid:
-        raise ContractError("lambda grid must be nonempty")
-
-    # Every config is checked before the first run trains.
-    cfgs = [replace(cfg_template, lambda_x=lam, lambda_y=lam, epochs=warmup_epochs) for lam in grid]
+    cfgs = warmup_configs(cfg_template, lambda_grid, warmup_epochs)
     records = [warmup_record(pair, cfg, train(pair, cfg)) for cfg in cfgs]
 
     if cfg_template.mode == "shared":

@@ -1,9 +1,8 @@
 """Baselines, F1, and the experiment harness."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
+from memory import MIB, traced_peak
 
 from mmdufs import bench
 from mmdufs.bench import (
@@ -238,17 +237,17 @@ class TestRunExperiment:
         pair = gen_tree(0)
         k_x, k_y = pair.selection_sizes("shared")
         spec = {"dataset": pair, "methods": list(BASELINES), "seeds": [0, 1]}
-
-        def traced_peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         grid = traced_peak(lambda: run_experiment(spec))
         assert grid <= 1.01 * traced_peak(lambda: baseline_select(pair, "mmKS", k_x, k_y))
+
+    def test_one_laplacian_at_a_time(self):
+        """One seed of MC, mmKS and mmKP on the tree pair (n = 1000, n^2 float64 = 7.63 MiB)
+        peaks under 23 MiB: Z, P_x and one Laplacian in one n x n buffer, with the median's
+        upper-triangle copy. Both Laplacians held at once would read 30.6 MiB."""
+        pair = gen_tree(0)
+        spec = {"dataset": pair, "methods": list(BASELINES), "seeds": [0]}
+        peak = traced_peak(lambda: run_experiment(spec))
+        assert peak <= 23 * MIB, peak / MIB
 
     @pytest.mark.parametrize(
         "exc", [SingularMatrixError("singular"), ValueError("bad value"), ContractError("contract")]

@@ -404,9 +404,13 @@ class TestTune:
         assert len(grid_lines) == 3
 
     def test_bad_grid(self, runner, dataset, tmp_path):
-        res = runner.invoke(main, ["tune", "--data", str(dataset),
-                                   "--out", str(tmp_path / "t"), "--grid", "abc"])
-        assert res.exit_code == 2
+        """A bad grid or warm-up epoch count exits 2 before --out is created."""
+        cases = [["--grid", "abc"], ["--grid=-1,0.1"], ["--grid", ","], ["--warmup-epochs", "0"]]
+        for i, args in enumerate(cases):
+            out = tmp_path / f"t{i}"
+            res = runner.invoke(main, ["tune", "--data", str(dataset), "--out", str(out), *args])
+            assert res.exit_code == 2, (args, res.output)
+            assert not out.exists(), args
 
 
 class TestReproduce:

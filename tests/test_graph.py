@@ -1,12 +1,12 @@
 """Kernels, median bandwidth, and normalized Laplacians."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from memory import MIB, traced_peak
 
+from mmdufs.datagen import gen_tree
 from mmdufs.graph import (
     GraphPair,
     build_graph_pair,
@@ -59,12 +59,7 @@ class TestMedianBandwidth:
         distances, partitioned in place, and no n x n mask or second copy."""
         n = 260
         d2 = pairwise_sq_dists(RNG.normal(size=(n, 5)))
-        tracemalloc.start()
-        try:
-            median_bandwidth(d2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: median_bandwidth(d2))
         assert peak <= 0.6 * n * n * 8, peak / (n * n * 8)
 
     def test_ignores_zero_distances(self):
@@ -157,8 +152,52 @@ class TestDataLaplacian:
         with pytest.raises(ContractError):
             data_laplacian(RNG.normal(size=(6, 2)), 0.0)
 
+    @pytest.mark.parametrize("n", [2, 9, 300])
+    def test_in_place_build_is_the_composition(self, n):
+        """Built in one buffer, L is bit for bit the composition of the public steps, and
+        the data is not written; n = 300 ends the distances in a partial row block."""
+        x = RNG.normal(size=(n, 4))
+        before = x.copy()
+        for scale in (1.0, 0.3):
+            d2 = pairwise_sq_dists(x)
+            expect = normalized_laplacian(gaussian_kernel(d2, scale * median_bandwidth(d2)))
+            np.testing.assert_array_equal(data_laplacian(x, scale), expect)
+        np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_data(self, bad):
+        x = RNG.normal(size=(6, 2))
+        x[2, 1] = bad
+        with pytest.raises(NumericalError):
+            data_laplacian(x, 1.0)
+
+    def test_one_n_by_n_buffer(self):
+        """On the tree pair (n = 1000, n^2 float64 = 7.63 MiB), d2, K and L share the Gram
+        matrix's buffer: the peak is that buffer plus the median's upper-triangle copy, where
+        three separate n x n arrays would read 23 MiB."""
+        x = gen_tree(0).x
+        peak = traced_peak(lambda: data_laplacian(x, 0.3))
+        assert peak <= 12 * MIB, peak / MIB
+
 
 class TestOnTape:
+    @pytest.mark.parametrize("n", [2, 8, 300])
+    def test_sq_dists_match_array(self, n):
+        """pairwise_sq_dists, written over its Gram matrix a row block at a time (n = 300
+        ends in a partial block), is the tape's d2 and the one-shot formula bit for bit."""
+        x = RNG.normal(size=(n, 3))
+        before = x.copy()
+        t = Tape()
+        on_tape = t.sq_dists(t.gram(t.constant(x))).value
+        g = x @ x.T
+        sq = np.diag(g)
+        one_shot = np.maximum(sq[:, None] + sq[None, :] - g - g, 0.0)
+        np.fill_diagonal(one_shot, 0.0)
+        d2 = pairwise_sq_dists(x)
+        np.testing.assert_array_equal(d2, on_tape)
+        np.testing.assert_array_equal(d2, one_shot)
+        np.testing.assert_array_equal(x, before)
+
     def test_kernel_on_tape_matches_array(self):
         x = RNG.normal(size=(8, 3))
         t = Tape()
