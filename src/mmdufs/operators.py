@@ -56,7 +56,8 @@ def differential_operator(
     """b * (L_other + cI)^{-1} L_target (L_other + cI)^{-1}, on tape, in factored form.
 
     L_other + cI is symmetric positive definite (the normalized Gaussian
-    kernel is PSD and c > 0), so one Cholesky inverse is all the n^3 work.
+    kernel is PSD and c > 0), so one SPD inverse (Tape.inverse, numpy's
+    Cholesky on its smallest blocks) is all the n^3 work.
     Gradients flow into both Laplacian nodes; pass l_other as a tape constant
     to differentiate with respect to the target modality only.
     """

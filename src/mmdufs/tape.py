@@ -10,7 +10,9 @@ back to the free list when their owner is done with them: scratch once its
 primitive returns, a gradient once the rule that read it has run. Node values,
 caches and returned gradients stay a tape's own until the next tape takes
 over, so a loop that records one tape per step allocates one buffer set in
-all. Eigendecomposition is provided as an off-tape analysis utility.
+all. The symmetric positive-definite inverse is numpy's own (a recursive
+Schur-complement block inverse), so no primitive loads scipy.
+Eigendecomposition is provided as an off-tape analysis utility.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ _COND_LIMIT = 1e12
 _SYM_BLOCK = 8192  # entries per block of the symmetry check
 _DIST_BLOCK = 1 << 16  # entries per scratch block of the in-place distances
 _SQRT1_2 = math.sqrt(0.5)
+_LEAF_ROWS = 64  # largest block _spd_inverse inverts from its Cholesky factor
 
 # inf/nan from a primitive ends in NumericalError (or the primitive's own
 # typed error), not a numpy warning: every primitive and backward run in this
@@ -140,6 +143,45 @@ def _check_symmetric(a: np.ndarray) -> None:
     )
     if asym > 1e-8 * max(a.max(initial=0.0), -a.min(initial=0.0), 1.0):
         raise ContractError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+
+
+def _spd_inverse(a: np.ndarray, out: np.ndarray) -> None:
+    """Write the inverse of the symmetric positive-definite a to out, overwriting a.
+
+    a is read from its upper triangle. With A11 the leading half of a, A12 the
+    block to its right and T = A11^{-1} A12, a is positive definite exactly
+    when A11 and S = A22 - T^T A12 are, and
+
+        a^{-1} = [[A11^{-1} + T S^{-1} T^T, -T S^{-1}], [-S^{-1} T^T, S^{-1}]].
+
+    Blocks of at most _LEAF_ROWS rows are inverted from their Cholesky factor,
+    so a block that is not positive definite raises LinAlgError there. Every
+    intermediate lives in a block of a or out that is free at that step, and
+    the inputs of each product sit in other rows or in the other array than
+    its output, so numpy copies none of them: the only arrays allocated are
+    those of the leaves. out comes out exactly symmetric.
+    """
+    n = len(a)
+    if n <= _LEAF_ROWS:
+        li = np.linalg.inv(np.linalg.cholesky(a.T))  # a = L L^T, a^{-1} = L^-T L^-1
+        np.matmul(li.T, li, out=out)  # one syrk: exactly symmetric
+        return
+    k = n // 2  # k <= n - k, so T S^-1 T^T fits in the first k columns of out's (1,2) block
+    a11, a12, a21, a22 = a[:k, :k], a[:k, k:], a[k:, :k], a[k:, k:]
+    o11, o12, o21, o22 = out[:k, :k], out[:k, k:], out[k:, :k], out[k:, k:]
+    _spd_inverse(a11, o11)
+    t_t = np.matmul(a12.T, o11, out=a21)  # T^T = A12^T A11^{-1}; A21 is A12^T, never read
+    np.matmul(t_t, a12, out=o22)
+    np.subtract(a22, o22, out=o22)
+    s = np.add(o22, o22.T, out=a22)
+    s *= 0.5
+    _spd_inverse(s, o22)
+    ts = np.matmul(t_t.T, o22, out=a12)  # T S^{-1}
+    o11 += np.matmul(ts, t_t, out=o12[:, :k])
+    np.add(o11, o11.T, out=a11)
+    np.multiply(a11, 0.5, out=o11)
+    np.negative(ts, out=o12)
+    np.negative(ts.T, out=o21)
 
 
 class Node:
@@ -263,41 +305,32 @@ class Tape:
     def inverse(self, a: Node, shift: float = 0.0) -> Node:
         """(a + shift*I)^{-1} for a symmetric positive-definite a + shift*I.
 
-        Cholesky factorization (potrf) and inversion from the factor (potri).
-        shift moves the diagonal of a working copy, so no identity matrix is
-        recorded; the gradient with respect to a is the one without it.
+        A recursive Schur-complement block inverse in numpy (_spd_inverse),
+        read from the upper triangle of a, exactly symmetric. shift moves the
+        diagonal of a working copy, so no identity matrix is recorded; the
+        gradient with respect to a is the one without it.
         """
         av = a.value
         if av.ndim != 2 or av.shape[0] != av.shape[1]:
             raise DimensionError("inverse needs a square matrix")
         n = av.shape[0]
         _check_symmetric(av)
-        # Two buffers: the result, scratch for the 1-norm until potri is done,
-        # and the F-order work array (a C-order take transposed) that potrf
-        # and potri overwrite in place, scratch again until it is released.
-        inv, buf = self._take((n, n)), self._take((n, n))
-        work = buf.T
+        # Two buffers: the result, scratch for the 1-norm until the inversion
+        # writes it, and the work copy that the inversion overwrites, scratch
+        # again until it is released.
+        inv, work = self._take((n, n)), self._take((n, n))
         np.copyto(work, av)
         work.flat[:: n + 1] += shift
-        anorm = np.abs(work, out=inv.T).sum(axis=0).max()
-        # Loaded at the first inverse: only differential mode pays for scipy.
-        import scipy.linalg.lapack
-
-        potrf, potri = scipy.linalg.lapack.get_lapack_funcs(("potrf", "potri"), (work,))
-        factor, info = potrf(work, lower=False, clean=True, overwrite_a=True)
-        if info == 0:
-            upper, info = potri(factor, lower=False, overwrite_c=True)
-        if info != 0:
-            raise SingularMatrixError(f"inverse: not positive definite (potrf/potri info {info})")
-        # potri fills the upper triangle; clean=True left zeros below it.
-        diag = upper.diagonal().copy()
-        np.add(upper, upper.T, out=inv)
-        np.fill_diagonal(inv, diag)
-        # 1-norm condition estimate; cheap relative to the factorization.
-        cond = anorm * np.abs(inv, out=buf).sum(axis=0).max()
+        anorm = np.abs(work, out=inv).sum(axis=0).max()
+        try:
+            _spd_inverse(work, inv)
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError("inverse: not positive definite") from None
+        # 1-norm condition estimate; cheap relative to the inversion.
+        cond = anorm * np.abs(inv, out=work).sum(axis=0).max()
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularMatrixError(f"condition estimate {cond:.3e} exceeds {_COND_LIMIT:.0e}")
-        self._release(buf)
+        self._release(work)
         return self._record(inv, "inverse", (a,), cache=inv)
 
     def trace(self, a: Node) -> Node:

@@ -11,7 +11,8 @@ import pytest
 
 import mmdufs
 
-MODULES = sorted(p for p in Path(mmdufs.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(mmdufs.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 PERFBENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
 # Public functions whose only callers are tests: independent references for them.
 ORACLES = {"differential_operator_array"}
@@ -60,6 +61,32 @@ def test_all_names_resolve(path):
 
 def test_package_all_names_resolve():
     assert [name for name in mmdufs.__all__ if not hasattr(mmdufs, name)] == []
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Lines of the import statements that load scipy or one of its submodules."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scipy_scanner_finds_nested_imports():
+    source = "import os\ndef f():\n    import scipy.linalg.lapack\nfrom scipy import special\n"
+    assert scipy_imports(source) == [3, 4]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    """The package runs on numpy alone; scipy is a test-only reference."""
+    assert scipy_imports(path.read_text()) == []
 
 
 def named_in(source: str) -> set[str]:

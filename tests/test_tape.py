@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from memory import traced_peak
 from mmdufs import tape as tape_module
 from mmdufs.tape import (
     ContractError,
@@ -133,6 +134,37 @@ class TestForwardValues:
         shifted = t.inverse(node, shift=0.3).value
         np.testing.assert_allclose(shifted, np.linalg.inv(orig + 0.3 * np.eye(4)))
         assert np.array_equal(node.value, orig) and len(t.nodes) == 3
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 260, 1000])
+    def test_inverse_matches_lapack_and_numpy(self, n):
+        """Leaf-sized, one split past a leaf, and several levels of Schur complements:
+        the block inverse agrees with LAPACK's potrf + potri and with numpy's LU inverse,
+        is exactly symmetric and inverts a."""
+        from scipy.linalg import lapack
+
+        a = spd(n, np.random.default_rng(n))
+        t = Tape()
+        inv = t.inverse(t.constant(a)).value
+        factor, info = lapack.dpotrf(a, lower=False, clean=True)
+        upper, info2 = lapack.dpotri(factor, lower=False)
+        assert info == info2 == 0
+        potri = np.triu(upper) + np.triu(upper, 1).T
+        assert np.array_equal(inv, inv.T)
+        for ref in (potri, np.linalg.inv(a)):
+            assert np.abs(inv - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(inv @ a - np.eye(n)).max() <= 1e-13
+
+    def test_inverse_allocates_only_leaf_blocks(self):
+        """On a warm pool the inversion writes into its two pooled buffers. What else it
+        makes, the leaves' blocks and the record's n x n finiteness mask (n^2 bytes), stays
+        under a quarter of one n x n array, less than one half-size block of its own."""
+        n = 1000
+        a = spd(n)
+        prev = Tape()
+        prev.inverse(prev.constant(a))
+        t = Tape(reuse=prev)
+        node = t.constant(a)
+        assert traced_peak(lambda: t.inverse(node)) < n * n * 8 / 4
 
     def test_hard_sigmoid(self):
         x = np.array([-2.0, -0.4, 0.0, 0.3, 0.6, 5.0])
@@ -762,6 +794,13 @@ class TestErrors:
         # a shift that leaves an eigenvalue negative
         with pytest.raises(SingularMatrixError, match="not positive definite"):
             t.inverse(t.constant(np.diag([2.0, -1.0, 3.0])), shift=0.5)
+        # positive definite in its leading half, indefinite in the Schur complement
+        # of it: the failure comes from a block below the first split
+        a = spd(100, np.random.default_rng(3))
+        a[-1, -1] -= 10.0
+        assert np.linalg.eigvalsh(a[:50, :50]).min() > 0 > np.linalg.eigvalsh(a).min()
+        with pytest.raises(SingularMatrixError, match="not positive definite"):
+            t.inverse(t.constant(a))
 
     def test_inverse_rejects_ill_conditioned_spd(self):
         """Positive definite and factorizable, but past the condition limit."""
