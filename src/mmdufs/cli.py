@@ -34,8 +34,8 @@ from .gates import f1, load_gates_csv, save_gates_csv, select_features, selectio
 from .graph import data_laplacian
 from .operators import shared_operator_array
 from .tape import ContractError, NumericalError, SingularMatrixError, eigh_descending
-from .trainer import (LAMBDA_GRID, WARMUP_EPOCHS, RunConfig, TrainingDiverged, best_lambda, run,
-                      train, warmup_configs, warmup_record, warmup_tune)
+from .trainer import (LAMBDA_GRID, WARMUP_EPOCHS, RunConfig, TrainingDiverged, best_lambda,
+                      check_pair, run, train, warmup_configs, warmup_record, warmup_tune)
 
 GENERATOR_PRESETS = {**DATASET_PRESETS, "cube": gen_cube}
 
@@ -142,6 +142,7 @@ def train_cmd(datadir, config_path, outdir, seed, epochs, mode, force) -> None:
     """Train gate vectors; write gates, train log, selection, and manifest."""
     cfg = _load_config(config_path, seed, {"epochs": epochs, "mode": mode})
     pair = load_pair(datadir)
+    check_pair(pair, cfg)  # a pair the config cannot train on fails before --out exists
     outdir.mkdir(parents=True, exist_ok=True)
     artifacts = [outdir / n for n in ("gates_x.csv", "gates_y.csv", "train_log.csv",
                                       "selection.json", "run_manifest.json")]
@@ -183,6 +184,7 @@ def tune(datadir, config_path, outdir, grid, warmup_epochs, seed, force) -> None
     cfg = _load_config(config_path, seed, {})
     warmup_configs(cfg, values, warmup_epochs)  # a bad grid or epoch count fails before --out exists
     pair = load_pair(datadir)
+    check_pair(pair, cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     _guard_overwrite([outdir / "lambda_grid.csv", outdir / "chosen_lambda.json"], force)
 
@@ -203,7 +205,9 @@ def tune(datadir, config_path, outdir, grid, warmup_epochs, seed, force) -> None
 @click.option("--force", is_flag=True)
 @_exit_codes
 def select(gates_path, policy, k, out_path, force) -> None:
-    """Feature selection from a saved gates CSV."""
+    """Feature selection from a saved gates CSV; --k is top-k's count."""
+    if policy == "converged" and k is not None:
+        raise click.UsageError("--k applies to --policy top-k only; converged takes no count")
     chosen = select_features(load_gates_csv(gates_path), policy, k=k)
     _emit(json.dumps({"policy": policy, "k": k, "selected": chosen}, indent=2), out_path, force)
 

@@ -1,27 +1,29 @@
-"""Stochastic feature gates.
+"""Stochastic feature gates, the one home of the gate relaxation.
 
 A gate for feature i is z_i = clamp01(0.5 + mu_i + eps_i) with
 eps_i ~ N(0, sigma^2) during training and eps_i = 0 at evaluation time;
 sigma is fixed at SIGMA = 0.5, as in the stochastic-gate relaxation.
 The expected number of open gates, sum_i Phi((0.5 + mu_i)/sigma), serves as
-a differentiable sparsity regularizer. Selections made from the gates are
-scored against ground-truth index sets by F1.
+a differentiable sparsity regularizer (expected_l0, expected_l0_grad).
+Selections made from the gates are scored against ground-truth index sets by F1.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .datagen import IngestionError, read_matrix
-from .tape import ContractError, normal_cdf
+from .tape import ContractError
 
 __all__ = [
     "SIGMA",
     "GateState",
     "expected_l0",
+    "expected_l0_grad",
     "select_features",
     "top_k",
     "f1",
@@ -32,6 +34,7 @@ __all__ = [
 
 CONVERGED_TOL = 1e-6
 SIGMA = 0.5
+_SQRT1_2 = math.sqrt(0.5)
 
 
 @dataclass
@@ -53,13 +56,37 @@ class GateState:
     def draw_noise(self) -> np.ndarray:
         return self._rng.normal(0.0, SIGMA, size=self.mu.size)
 
+    def sample(self, noise: np.ndarray | float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(z, mask) at noise, by default a fresh draw_noise: z = clamp01(0.5 + mu + noise), and
+        the mask 0 < 0.5 + mu + noise < 1 is dz/dmu, the subgradient of the clamp."""
+        if noise is None:
+            noise = self.draw_noise()
+        shifted = 0.5 + (self.mu + noise)
+        return np.clip(shifted, 0.0, 1.0), (shifted > 0.0) & (shifted < 1.0)
+
     def eval_gates(self) -> np.ndarray:
-        return np.clip(0.5 + self.mu, 0.0, 1.0)
+        return self.sample(0.0)[0]
+
+
+def normal_cdf(t: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of each entry of a 1-D array: Phi(t) = erfc(-t/sqrt(2)) / 2.
+
+    Built on math.erfc, without scipy. Callers pass one entry per gate, so the
+    Python-level map costs tens of microseconds.
+    """
+    arg = np.multiply(t, -_SQRT1_2)
+    return 0.5 * np.fromiter(map(math.erfc, arg.tolist()), np.float64, arg.size)
 
 
 def expected_l0(state: GateState) -> float:
     """Exact expectation of the number of gates with z > 0."""
     return float(normal_cdf((0.5 + state.mu) / SIGMA).sum())
+
+
+def expected_l0_grad(state: GateState) -> np.ndarray:
+    """d expected_l0 / d mu_i = phi((0.5 + mu_i)/SIGMA) / SIGMA, phi the standard normal density."""
+    t = (0.5 + state.mu) / SIGMA
+    return np.exp(-0.5 * t * t) / (np.sqrt(2.0 * np.pi) * SIGMA)
 
 
 def select_features(state: GateState, policy: str = "top-k", k: int | None = None) -> list[int]:

@@ -1,7 +1,8 @@
 """Dense matrix arithmetic with a reverse-mode differentiation tape.
 
 The tape records a fixed set of coarse matrix primitives (matmul, kernels,
-normalization sandwiches, inverses, traces, quadratic forms, gating, ...).
+normalization sandwiches, inverses, inner products, quadratic forms, column
+scaling, ...).
 Calling :meth:`Tape.backward` on a scalar node returns exact gradients with
 respect to every trainable leaf. Every pooled array has one owner: a node
 value, a cache, a scratch buffer or one gradient. Arrays change hands at
@@ -17,8 +18,6 @@ Eigendecomposition is provided as an off-tape analysis utility.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -30,14 +29,12 @@ __all__ = [
     "ContractError",
     "eigh_descending",
     "pairwise_sq_dists",
-    "normal_cdf",
     "PRIMITIVES",
 ]
 
 _COND_LIMIT = 1e12
 _SYM_BLOCK = 8192  # entries per block of the symmetry check
 _DIST_BLOCK = 1 << 16  # entries per scratch block of the in-place distances
-_SQRT1_2 = math.sqrt(0.5)
 _LEAF_ROWS = 64  # largest block _spd_inverse inverts from its Cholesky factor
 
 # inf/nan from a primitive ends in NumericalError (or the primitive's own
@@ -74,16 +71,6 @@ def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     """
     g = x @ x.T
     return _dists_from_gram(g, g)
-
-
-def normal_cdf(t: np.ndarray) -> np.ndarray:
-    """Standard normal CDF of each entry of a 1-D array: Phi(t) = erfc(-t/sqrt(2)) / 2.
-
-    Built on math.erfc, so importing this module loads no scipy. Callers pass
-    one entry per gate, so the Python-level map costs tens of microseconds.
-    """
-    arg = np.multiply(t, -_SQRT1_2)
-    return 0.5 * np.fromiter(map(math.erfc, arg.tolist()), np.float64, arg.size)
 
 
 def _owner(arr: np.ndarray) -> np.ndarray:
@@ -333,11 +320,6 @@ class Tape:
         self._release(work)
         return self._record(inv, "inverse", (a,), cache=inv)
 
-    def trace(self, a: Node) -> Node:
-        if a.value.ndim != 2 or a.value.shape[0] != a.value.shape[1]:
-            raise DimensionError("trace needs a square matrix")
-        return self._record(np.trace(a.value), "trace", (a,))
-
     def gram(self, x: Node) -> Node:
         """x x^T: one BLAS syrk for a contiguous x, so exactly symmetric."""
         if x.value.ndim != 2:
@@ -360,17 +342,10 @@ class Tape:
         lw = np.matmul(lv, wv, out=self._take(wv.shape))
         return self._record(np.vdot(lw, wv), "quad_form", (l, w), cache=lw)
 
-    def hard_sigmoid(self, a: Node) -> Node:
-        """clamp01(0.5 + x); subgradient 1 strictly inside (0, 1), else 0."""
-        shifted = 0.5 + a.value
-        out = np.clip(shifted, 0.0, 1.0)
-        mask = ((shifted > 0.0) & (shifted < 1.0)).astype(np.float64)
-        return self._record(out, "hard_sigmoid", (a,), cache=mask)
-
     def col_gate(self, x: Node, z: Node) -> Node:
         """Scale column j of x by z[j]."""
         if x.value.ndim != 2 or z.value.ndim != 1 or x.value.shape[1] != z.value.shape[0]:
-            raise DimensionError(f"col_gate: {x.value.shape} with gates {z.value.shape}")
+            raise DimensionError(f"col_gate: {x.value.shape} with scales {z.value.shape}")
         out = np.multiply(x.value, z.value[None, :], out=self._take(x.value.shape))
         return self._record(out, "col_gate", (x, z))
 
@@ -379,16 +354,6 @@ class Tape:
         if g.value.ndim != 2 or g.value.shape[0] != g.value.shape[1]:
             raise DimensionError("sq_dists needs a square Gram matrix")
         return self._record(_dists_from_gram(g.value, self._take(g.value.shape)), "sq_dists", (g,))
-
-    def open_gate_expectation(self, mu: Node, sigma: float) -> Node:
-        """Sum over i of Phi((0.5 + mu_i)/sigma): expected count of open gates."""
-        if mu.value.ndim != 1:
-            raise DimensionError("open_gate_expectation needs a vector")
-        if sigma <= 0:
-            raise ContractError("gate noise scale must be positive")
-        t = (0.5 + mu.value) / sigma
-        val = float(normal_cdf(t).sum())
-        return self._record(val, "open_gate_expectation", (mu,), cache=(t, float(sigma)))
 
     # -- generic dispatch ------------------------------------------------
 
@@ -501,9 +466,6 @@ class Tape:
             half = np.matmul(inv, g, out=take(g.shape))
             out = np.matmul(half, inv, out=take(g.shape))
             yield a, np.negative(out, out=out)
-        elif op == "trace":
-            n = a.value.shape[0]
-            yield a, float(g) * np.eye(n)
         elif op == "gram":
             h = np.add(g, g.T, out=take(g.shape))
             yield a, np.matmul(h, a.value, out=take(a.value.shape))
@@ -520,8 +482,6 @@ class Tape:
                 yield a, np.multiply(out, g, out=out)
             if w.needs_grad:
                 yield w, np.multiply(node.cache, 2.0 * g, out=take(w.value.shape))
-        elif op == "hard_sigmoid":
-            yield a, g * node.cache
         elif op == "col_gate":
             x, z = node.inputs
             if x.needs_grad:
@@ -532,10 +492,6 @@ class Tape:
             out = np.multiply(g, -2.0, out=take(g.shape))
             out.flat[:: g.shape[0] + 1] += g.sum(axis=1) + g.sum(axis=0)
             yield a, out
-        elif op == "open_gate_expectation":
-            t, sigma = node.cache
-            pdf = np.exp(-0.5 * t * t) / (np.sqrt(2.0 * np.pi) * sigma)
-            yield a, float(g) * pdf
         else:  # pragma: no cover
             raise ContractError(f"no backward rule for '{op}'")
 
@@ -548,14 +504,11 @@ PRIMITIVES = (
     "transpose",
     "sym_normalize",
     "inverse",
-    "trace",
     "gram",
     "inner",
     "quad_form",
-    "hard_sigmoid",
     "col_gate",
     "sq_dists",
-    "open_gate_expectation",
 )
 
 for _name in PRIMITIVES + ("backward",):

@@ -1,11 +1,12 @@
 """Training loop for gate optimization with the shared and differential losses.
 
-Each epoch samples stochastic gates, evaluates the mode's objective on a new
-tape (kernels, Laplacians and graph operators rebuilt from the gated data),
-and backpropagates to the gate parameters. The new tape is built with
-Tape(reuse=) of the previous epoch's, so it writes into that tape's arrays
-and a run allocates one buffer set. run yields after every epoch; train stops
-it at cfg.epochs. A warm-up grid search over the sparsity weight lambda
+Each epoch samples stochastic gates z, evaluates the mode's score loss on a
+new tape whose trainable leaves are z (kernels, Laplacians and graph operators
+rebuilt from the gated data), and backpropagates to z; _regularized adds the
+expected-L0 term and forms the step on the gate parameters. The new tape is
+built with Tape(reuse=) of the previous epoch's, so it writes into that tape's
+arrays and a run allocates one buffer set. run yields after every epoch; train
+stops it at cfg.epochs. A warm-up grid search over the sparsity weight lambda
 scores the same objective at deterministic gates.
 """
 
@@ -19,10 +20,10 @@ from itertools import count, islice
 
 import numpy as np
 
-from .gates import SIGMA, GateState, expected_l0, f1, select_features
+from .gates import GateState, expected_l0, expected_l0_grad, f1, select_features
 from .graph import build_graph_pair
 from .operators import DifferentialOperator, differential_operator, shared_operator, zscore_columns
-from .tape import ContractError, Node, Tape
+from .tape import ContractError, Node, NumericalError, Tape
 from .datagen import ModalPair
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "TrainingDiverged",
     "shared_loss",
     "differential_loss",
+    "check_pair",
     "run",
     "train",
     "warmup_record",
@@ -105,52 +107,33 @@ class TrainingDiverged(ArithmeticError):
         super().__init__(f"non-finite gates after epoch {epoch}; last record: {last_record}")
 
 
-def shared_loss(
-    tape: Tape,
-    gram_x: Node,
-    gram_y: Node,
-    p_shared: Node,
-    mu_x: Node,
-    mu_y: Node,
-    lambda_x: float,
-    lambda_y: float,
-) -> tuple[Node, Node, Node]:
-    """-(1/n)Tr[X~T P X~] - (1/n)Tr[Y~T P Y~] + lam_x E|z_x|_0 + lam_y E|z_y|_0.
+def shared_loss(tape: Tape, gram_x: Node, gram_y: Node, p_shared: Node) -> tuple[Node, Node, Node]:
+    """Score loss -(1/n)Tr[X~T P X~] - (1/n)Tr[Y~T P Y~].
 
+    The full shared objective adds lam_x E|z_x|_0 + lam_y E|z_y|_0 (_regularized).
     Returns (loss, score_x, score_y): the raw traces, as <P, gram> of each modality.
     """
     n = gram_x.value.shape[0]
     score_x = tape.inner(p_shared, gram_x)
     score_y = tape.inner(p_shared, gram_y)
     loss = tape.add(tape.scale(score_x, -1.0 / n), tape.scale(score_y, -1.0 / n))
-    loss = tape.add(loss, tape.scale(tape.open_gate_expectation(mu_x, SIGMA), lambda_x))
-    loss = tape.add(loss, tape.scale(tape.open_gate_expectation(mu_y, SIGMA), lambda_y))
     return loss, score_x, score_y
 
 
-def differential_loss(
-    tape: Tape,
-    gated: Node,
-    q_op: DifferentialOperator,
-    mu: Node,
-    lam: float,
-) -> tuple[Node, Node]:
-    """(1/n)(-Tr[D~T Q D~] + lam E|z|_0), the trace by q_op.score. Returns (loss, score).
+def differential_loss(tape: Tape, gated: Node, q_op: DifferentialOperator) -> tuple[Node, Node]:
+    """Score loss -(1/n)Tr[D~T Q D~], the trace by q_op.score. Returns (loss, score).
 
-    Unlike the shared objective, the whole differential objective — including
-    the regularizer — is normalized per sample. The published regularization
-    strengths for differential runs are calibrated against score terms that
-    grow with the sample count; keeping the regularizer on the same per-sample
-    scale preserves that balance for any n and yields gradual gate dynamics
-    instead of a first-step collapse.
+    Unlike the shared objective, the whole differential objective,
+    (1/n)(-Tr[D~T Q D~] + lam E|z|_0), is normalized per sample: its
+    regularizer weight is lam / n (_regularized). The published
+    regularization strengths for differential runs are calibrated against
+    score terms that grow with the sample count; keeping the regularizer on
+    the same per-sample scale preserves that balance for any n and yields
+    gradual gate dynamics instead of a first-step collapse.
     """
     n = gated.value.shape[0]
     score = q_op.score(tape, gated)
-    loss = tape.add(
-        tape.scale(score, -1.0 / n),
-        tape.scale(tape.open_gate_expectation(mu, SIGMA), lam / n),
-    )
-    return loss, score
+    return tape.scale(score, -1.0 / n), score
 
 
 def unit_norm_columns(data: np.ndarray) -> np.ndarray:
@@ -164,31 +147,59 @@ def unit_norm_columns(data: np.ndarray) -> np.ndarray:
     return z / np.sqrt(data.shape[0])
 
 
-def _objective(tape, xb, yb, z_x, z_y, mu_x, mu_y, cfg, bandwidths=(None, None)):
-    """(loss, score_x, score_y, graphs) of cfg's mode on arrays xb, yb gated by nodes z_x, z_y.
+def _objective(tape, xb, yb, z_x, z_y, cfg, bandwidths=(None, None)):
+    """(score loss, score_x, score_y, graphs) of cfg's mode on xb, yb gated by nodes z_x, z_y.
 
-    mu_x, mu_y are the gate-parameter nodes of the regularizer. bandwidths
-    freezes the kernel bandwidths; None takes each from the gated data, as
-    build_graph_pair does. In differential mode each Q takes the other modality's Laplacian as
-    a constant: loss_x then reaches only mu_x and loss_y only mu_y, so one
-    sweep of their sum skips the inverses and the other modality's kernel chain.
+    bandwidths freezes the kernel bandwidths; None takes each from the gated
+    data, as build_graph_pair does. In differential mode each Q takes the
+    other modality's Laplacian as a constant: loss_x then reaches only z_x
+    and loss_y only z_y, so one sweep of their sum skips the inverses and the
+    other modality's kernel chain.
     """
     gated_x = tape.col_gate(tape.constant(xb), z_x)
     gated_y = tape.col_gate(tape.constant(yb), z_y)
     graphs = build_graph_pair(tape, gated_x, gated_y, cfg.bandwidth_scale, *bandwidths)
     if cfg.mode == "shared":
         p = shared_operator(tape, graphs.l_x, graphs.l_y, b=cfg.b)
-        loss, s_x, s_y = shared_loss(
-            tape, graphs.gram_x, graphs.gram_y, p, mu_x, mu_y, cfg.lambda_x, cfg.lambda_y
-        )
+        loss, s_x, s_y = shared_loss(tape, graphs.gram_x, graphs.gram_y, p)
         return loss, s_x, s_y, graphs
     const_l_x = tape.constant(graphs.l_x.value)
     const_l_y = tape.constant(graphs.l_y.value)
     q_x = differential_operator(tape, graphs.l_x, const_l_y, c=cfg.c, b=cfg.b)
     q_y = differential_operator(tape, graphs.l_y, const_l_x, c=cfg.c, b=cfg.b)
-    loss_x, s_x = differential_loss(tape, gated_x, q_x, mu_x, cfg.lambda_x)
-    loss_y, s_y = differential_loss(tape, gated_y, q_y, mu_y, cfg.lambda_y)
+    loss_x, s_x = differential_loss(tape, gated_x, q_x)
+    loss_y, s_y = differential_loss(tape, gated_y, q_y)
     return tape.add(loss_x, loss_y), s_x, s_y, graphs
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a step to inf/nan ends in TrainingDiverged
+def _regularized(cfg, n, gates, samples, scores, z_grads):
+    """(loss, (grad_x, grad_y)): the full objective and the mu-gradients that run applies.
+
+    gates are both GateStates before the step, samples their (z, mask) pairs, scores the
+    raw traces of an n-row batch and z_grads the score loss's gradients w.r.t. z. The
+    weight w of E|z|_0 is lambda in shared mode and lambda / n in differential mode, and
+    the loss sums its terms in the order of shared_loss and differential_loss.
+    """
+    shared = cfg.mode == "shared"
+    weights = [float(lam) / (1 if shared else n) for lam in (cfg.lambda_x, cfg.lambda_y)]
+    t_x, t_y = (s * (-1.0 / n) for s in scores)
+    r_x, r_y = (w * expected_l0(g) for w, g in zip(weights, gates))
+    loss = t_x + t_y + r_x + r_y if shared else (t_x + r_x) + (t_y + r_y)
+    if not math.isfinite(loss):
+        raise NumericalError(f"the regularized loss is non-finite ({loss})")
+    # the clamp passes dS/dz where the gate is open; w * d E|z|_0 / d mu comes on top
+    return loss, tuple(mask * g_z + w * expected_l0_grad(g)
+                       for g, (_, mask), g_z, w in zip(gates, samples, z_grads, weights))
+
+
+def check_pair(pair: ModalPair, cfg: RunConfig) -> None:
+    """ContractError for a batch larger than the sample count or a constant modality."""
+    if cfg.batch_size is not None and cfg.batch_size > pair.n_samples:
+        raise ContractError(f"batch size {cfg.batch_size} exceeds sample count {pair.n_samples}")
+    for name, data in (("x", pair.x), ("y", pair.y)):
+        if np.all(data == data[0]):
+            raise ContractError(f"modality {name} is constant: every sample has the same values")
 
 
 def run(pair: ModalPair, cfg: RunConfig, truth: tuple | None = None) -> Iterator[TrainResult]:
@@ -203,15 +214,12 @@ def run(pair: ModalPair, cfg: RunConfig, truth: tuple | None = None) -> Iterator
 
     In differential mode each modality's gates follow only their own loss:
     the other modality's Laplacian enters Q_x (and Q_y) as a constant, so one
-    reverse sweep of loss_x + loss_y gives both gradients. A step that makes
-    the gate parameters non-finite raises TrainingDiverged.
+    reverse sweep of loss_x + loss_y gives both gradients. check_pair's
+    errors come before the first epoch; a step that makes the gate parameters
+    non-finite raises TrainingDiverged.
     """
+    check_pair(pair, cfg)
     n = pair.n_samples
-    if cfg.batch_size is not None and cfg.batch_size > n:
-        raise ContractError(f"batch size {cfg.batch_size} exceeds sample count {n}")
-    for name, data in (("x", pair.x), ("y", pair.y)):
-        if np.all(data == data[0]):
-            raise ContractError(f"modality {name} is constant: every sample has the same values")
 
     data_x, data_y = unit_norm_columns(pair.x), unit_norm_columns(pair.y)
 
@@ -230,22 +238,23 @@ def run(pair: ModalPair, cfg: RunConfig, truth: tuple | None = None) -> Iterator
             xb, yb = data_x[idx], data_y[idx]
 
         tape = Tape(reuse=tape)
-        mu_x = tape.leaf(gates_x.mu, trainable=True)
-        mu_y = tape.leaf(gates_y.mu, trainable=True)
-        z_x = tape.hard_sigmoid(tape.add(mu_x, tape.constant(gates_x.draw_noise())))
-        z_y = tape.hard_sigmoid(tape.add(mu_y, tape.constant(gates_y.draw_noise())))
-        loss, s_x, s_y, graphs = _objective(tape, xb, yb, z_x, z_y, mu_x, mu_y, cfg)
-        grads = tape.backward(loss)
+        samples = gates_x.sample(), gates_y.sample()
+        z_x, z_y = (tape.leaf(z, trainable=True) for z, _ in samples)
+        score_loss, s_x, s_y, graphs = _objective(tape, xb, yb, z_x, z_y, cfg)
+        z_grads = tape.backward(score_loss)
+        loss, (grad_x, grad_y) = _regularized(
+            cfg, len(xb), (gates_x, gates_y), samples, (float(s_x.value), float(s_y.value)),
+            (z_grads[z_x.idx], z_grads[z_y.idx]))
         # A step to inf/nan ends in TrainingDiverged, not a numpy warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            gates_x.mu -= cfg.learning_rate * grads[mu_x.idx]
-            gates_y.mu -= cfg.learning_rate * grads[mu_y.idx]
+            gates_x.mu -= cfg.learning_rate * grad_x
+            gates_y.mu -= cfg.learning_rate * grad_y
         if not (np.isfinite(gates_x.mu).all() and np.isfinite(gates_y.mu).all()):
             raise TrainingDiverged(epoch, log[-1] if log else None)
 
         record = {
             "epoch": epoch,
-            "loss": float(loss.value),
+            "loss": loss,
             "score_x": float(s_x.value),
             "score_y": float(s_y.value),
             "reg_x": expected_l0(gates_x),
@@ -272,12 +281,10 @@ def _eval_scores(pair: ModalPair, cfg: RunConfig, result: TrainResult) -> tuple[
     The run's objective, at its deterministic gates and final bandwidths.
     """
     tape = Tape()
-    gates = (result.gates_x, result.gates_y)
-    z_x, z_y = (tape.constant(g.eval_gates()) for g in gates)
-    mu_x, mu_y = (tape.constant(g.mu) for g in gates)
+    z_x, z_y = (tape.constant(g.eval_gates()) for g in (result.gates_x, result.gates_y))
     data_x, data_y = unit_norm_columns(pair.x), unit_norm_columns(pair.y)
     bandwidths = (result.bandwidth_x, result.bandwidth_y)
-    _, s_x, s_y, _ = _objective(tape, data_x, data_y, z_x, z_y, mu_x, mu_y, cfg, bandwidths)
+    _, s_x, s_y, _ = _objective(tape, data_x, data_y, z_x, z_y, cfg, bandwidths)
     return float(s_x.value), float(s_y.value)
 
 

@@ -1,16 +1,29 @@
-"""Oracle of the training objective: the gated graphs and the loss on a fresh tape, at frozen
-gate noise and bandwidths, built from the package's primitives without trainer._objective.
+"""Oracle of the training objective: the loss as a forward-only function of the gate parameters mu,
+at frozen gate noise and bandwidths, built from the package's primitives without trainer._objective,
+GateState or gates.expected_l0; and the mu-gradients that trainer.run applies at the same point.
 
-The differential score is built from matmul and inner here, not by DifferentialOperator.score
-(Tape.quad_form), so that gradients checked against this oracle check that reverse rule against
-an independent one."""
+The oracle's gates are np.clip(0.5 + mu + noise, 0, 1) and its regularizer scipy's ndtr, so central
+differences of loss_for_mu check the gate's clamp, open mask and expected-L0 derivative against code
+of their own. Its differential score is built from matmul and inner, not by
+DifferentialOperator.score (Tape.quad_form)."""
 
 from typing import NamedTuple
 
+import numpy as np
+from scipy.special import ndtr
+
+from mmdufs.gates import SIGMA, GateState
 from mmdufs.graph import build_graph_pair
 from mmdufs.operators import DifferentialOperator, differential_operator, shared_operator
 from mmdufs.tape import Tape
-from mmdufs.trainer import differential_loss, shared_loss, unit_norm_columns
+from mmdufs.trainer import RunConfig, _objective, _regularized, unit_norm_columns
+
+# The configs of the gradient checks: both regularizers at 1e-2 in shared mode; c = 0.1 and
+# lambda 0.4 per modality in differential mode.
+CONFIGS = {
+    "shared": RunConfig(mode="shared", lambda_x=1e-2, lambda_y=1e-2),
+    "differential": RunConfig(mode="differential", lambda_x=0.4, lambda_y=0.4, c=0.1),
+}
 
 
 class ChainScore(NamedTuple):
@@ -24,35 +37,60 @@ class ChainScore(NamedTuple):
         return tape.scale(s, self.q_op.b) if self.q_op.b != 1.0 else s
 
 
-def gated_graphs(pair, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y):
-    """Gate leaves, gated data and Laplacians on a fresh tape (frozen noise/bandwidth)."""
+def gated_graphs(pair, z_x_val, z_y_val, bw_x, bw_y):
+    """Gate leaves z, gated data and Laplacians on a fresh tape (frozen bandwidths)."""
     tape = Tape()
-    mu_x = tape.leaf(mu_x_val, trainable=True)
-    mu_y = tape.leaf(mu_y_val, trainable=True)
-    z_x = tape.hard_sigmoid(tape.add(mu_x, tape.constant(noise_x)))
-    z_y = tape.hard_sigmoid(tape.add(mu_y, tape.constant(noise_y)))
+    z_x = tape.leaf(z_x_val, trainable=True)
+    z_y = tape.leaf(z_y_val, trainable=True)
     gated_x = tape.col_gate(tape.constant(unit_norm_columns(pair.x)), z_x)
     gated_y = tape.col_gate(tape.constant(unit_norm_columns(pair.y)), z_y)
     graphs = build_graph_pair(tape, gated_x, gated_y, 1.0, bandwidth_x=bw_x, bandwidth_y=bw_y)
-    return tape, mu_x, mu_y, gated_x, gated_y, graphs
+    return tape, z_x, z_y, gated_x, gated_y, graphs
 
 
-def loss_for_mu(pair, mu_x_val, mu_y_val, mode, noise_x, noise_y, bw_x, bw_y, lam=1e-2):
-    """Deterministic loss as a function of gate parameters (frozen noise/bandwidth).
+def coupled_scores(pair, cfg, z_x_val, z_y_val, bw_x, bw_y):
+    """Both differential scores on one tape, each Q built from both Laplacian nodes, each
+    score by matmul and inner rather than Tape.quad_form. Returns (tape, s_x, s_y, z_x, z_y)."""
+    tape, z_x, z_y, gated_x, gated_y, graphs = gated_graphs(pair, z_x_val, z_y_val, bw_x, bw_y)
+    q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=cfg.c, b=cfg.b)
+    q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=cfg.c, b=cfg.b)
+    s_x = ChainScore(q_x).score(tape, gated_x)
+    s_y = ChainScore(q_y).score(tape, gated_y)
+    return tape, s_x, s_y, z_x, z_y
 
-    Shared mode weighs both regularizers by lam; differential mode uses c = 0.1 and
-    lambda 0.4 per modality. Returns (tape, loss, mu_x, mu_y).
+
+def loss_for_mu(pair, mu_x, mu_y, cfg, noise_x, noise_y, bw_x, bw_y):
+    """(loss seen by mu_x, loss seen by mu_y) at frozen noise and bandwidths, forward only.
+
+    Shared mode: both are -(1/n)(Tr[X~T P X~] + Tr[Y~T P Y~]) + lam_x E|z_x|_0 + lam_y E|z_y|_0.
+    Differential mode: each modality's own (1/n)(-Tr[D~T Q D~] + lam E|z|_0), the loss its
+    gates follow in training.
     """
-    tape, mu_x, mu_y, gated_x, gated_y, graphs = gated_graphs(
-        pair, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y
-    )
-    if mode == "shared":
-        p = shared_operator(tape, graphs.l_x, graphs.l_y)
-        loss, _, _ = shared_loss(tape, graphs.gram_x, graphs.gram_y, p, mu_x, mu_y, lam, lam)
-    else:
-        q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=0.1)
-        q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=0.1)
-        lx, _ = differential_loss(tape, gated_x, ChainScore(q_x), mu_x, 0.4)
-        ly, _ = differential_loss(tape, gated_y, ChainScore(q_y), mu_y, 0.4)
-        loss = tape.add(lx, ly)
-    return tape, loss, mu_x, mu_y
+    n = pair.n_samples
+    z_x, z_y = (np.clip(0.5 + mu + e, 0.0, 1.0) for mu, e in ((mu_x, noise_x), (mu_y, noise_y)))
+    reg_x, reg_y = (float(ndtr((0.5 + mu) / SIGMA).sum()) for mu in (mu_x, mu_y))
+    if cfg.mode == "shared":
+        tape, _, _, _, _, graphs = gated_graphs(pair, z_x, z_y, bw_x, bw_y)
+        p = shared_operator(tape, graphs.l_x, graphs.l_y, b=cfg.b)
+        s_x, s_y = (float(tape.inner(p, g).value) for g in (graphs.gram_x, graphs.gram_y))
+        loss = -(s_x + s_y) / n + cfg.lambda_x * reg_x + cfg.lambda_y * reg_y
+        return loss, loss
+    _, s_x, s_y, _, _ = coupled_scores(pair, cfg, z_x, z_y, bw_x, bw_y)
+    return ((-float(s_x.value) + cfg.lambda_x * reg_x) / n,
+            (-float(s_y.value) + cfg.lambda_y * reg_y) / n)
+
+
+def run_step(pair, mu_x, mu_y, cfg, noise_x, noise_y, bandwidths, tape=None):
+    """(loss, (grad_x, grad_y)) as run computes them at gate parameters mu and this noise:
+    trainer._objective on tape (a new one by default) differentiated w.r.t. the gates that
+    GateState.sample gives, then trainer._regularized. bandwidths is an (x, y) pair; None
+    takes each from the gated data."""
+    tape = Tape() if tape is None else tape
+    gates = (GateState(mu=mu_x), GateState(mu=mu_y))
+    samples = tuple(g.sample(e) for g, e in zip(gates, (noise_x, noise_y)))
+    z_x, z_y = (tape.leaf(z, trainable=True) for z, _ in samples)
+    xb, yb = unit_norm_columns(pair.x), unit_norm_columns(pair.y)
+    loss, s_x, s_y, _ = _objective(tape, xb, yb, z_x, z_y, cfg, bandwidths)
+    z_grads = tape.backward(loss)
+    return _regularized(cfg, len(xb), gates, samples, (float(s_x.value), float(s_y.value)),
+                        (z_grads[z_x.idx], z_grads[z_y.idx]))

@@ -35,7 +35,7 @@ from mmdufs.operators import (
     shared_operator_array,
 )
 from mmdufs.tape import Tape, eigh_descending
-from objective import loss_for_mu
+from objective import CONFIGS, loss_for_mu, run_step
 from subspace import block_laplacian, principal_angle_degrees, top_eigenspace
 from mmdufs.trainer import (
     RunConfig,
@@ -195,11 +195,11 @@ class TestCriterion7GradientCheck:
             noise_y = rng.normal(0, 0.5, dy)
             bw_x = median_bandwidth(pairwise_sq_dists(unit_norm_columns(pair.x)))
             bw_y = median_bandwidth(pairwise_sq_dists(unit_norm_columns(pair.y)))
-            args = (pair, mu_x0, mu_y0, mode, noise_x, noise_y, bw_x, bw_y)
-            tape, loss, mu_x, mu_y = loss_for_mu(*args)
-            grads = tape.backward(loss)
-            for leaf, base, which in ((mu_x, mu_x0, 0), (mu_y, mu_y0, 1)):
-                g = grads[leaf.idx]
+            cfg = CONFIGS[mode]
+            args = (pair, mu_x0, mu_y0, cfg, noise_x, noise_y, bw_x, bw_y)
+            # the step run applies, against differences of the loss each gate vector follows
+            _, grads = run_step(pair, mu_x0, mu_y0, cfg, noise_x, noise_y, (bw_x, bw_y))
+            for g, base, which in ((grads[0], mu_x0, 0), (grads[1], mu_y0, 1)):
                 fd = np.zeros_like(base)
                 for j in range(base.size):
                     for sign in (+1, -1):
@@ -207,8 +207,7 @@ class TestCriterion7GradientCheck:
                         mu[j] += sign * h
                         shifted = list(args)
                         shifted[1 + which] = mu
-                        _, l2, _, _ = loss_for_mu(*shifted)
-                        fd[j] += sign * float(l2.value)
+                        fd[j] += sign * loss_for_mu(*shifted)[which]
                 fd /= 2 * h
                 scale = max(np.abs(fd).max(), np.abs(g).max(), 1e-12)
                 rel = np.abs(g - fd).max() / scale
@@ -221,9 +220,7 @@ class TestCriterion8GateStatistics:
         n_samples = 100_000
         sigma = 0.5
         state = GateState(mu=np.full(n_samples, mu), seed=123)
-        # the sampler training uses: hard_sigmoid(mu + eps) on a tape
-        tape = Tape()
-        z = tape.hard_sigmoid(tape.add(tape.leaf(state.mu), tape.constant(state.draw_noise()))).value
+        z, _ = state.sample()  # the sampler training uses
         p_hat = float(np.mean(z > 0))
         p = float(ndtr((0.5 + mu) / sigma))
         se = np.sqrt(p * (1 - p) / n_samples)

@@ -118,6 +118,29 @@ def test_negative_seed_exits_2_before_any_write(runner, dataset, tmp_path, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "tune"])
+@pytest.mark.parametrize("case", ["batch", "constant"])
+def test_pair_the_config_cannot_train_exits_2_before_any_write(runner, dataset, tmp_path,
+                                                                command, case):
+    """A batch larger than the sample count, or a constant modality, fails before --out exists."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 1, "batch_size": 1000 if case == "batch" else None}))
+    data = dataset
+    if case == "constant":
+        pair = load_pair(dataset)
+        data = tmp_path / "const"
+        save_pair(ModalPair(x=pair.x, y=np.ones_like(pair.y)), data)
+    extra = ["--grid", "1e-4", "--warmup-epochs", "1"] if command == "tune" else []
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--data", str(data), "--config", str(cfg),
+                               "--out", str(out), *extra])
+    assert res.exit_code == 2, res.output
+    message = {"batch": "batch size 1000 exceeds sample count 260",
+               "constant": "modality y is constant"}[case]
+    assert message in res.output
+    assert not out.exists()
+
+
 class TestTrain:
     def test_artifacts(self, runner, dataset, tmp_path):
         cfg = write_config(tmp_path)
@@ -266,10 +289,12 @@ class TestTrain:
         pair = load_pair(dataset)
         const = tmp_path / "const"
         save_pair(ModalPair(x=pair.x, y=np.ones_like(pair.y)), const)
-        res = runner.invoke(main, ["train", "--data", str(const), "--out", str(tmp_path / "run"),
+        out = tmp_path / "run"
+        res = runner.invoke(main, ["train", "--data", str(const), "--out", str(out),
                                    "--epochs", "1"])
         assert res.exit_code == 2
         assert "modality y is constant" in res.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["shared", "differential"])
     def test_degenerate_inputs_exit_0(self, runner, dataset, tmp_path, mode):
@@ -374,6 +399,23 @@ class TestSelectEvaluate:
         res = runner.invoke(main, ["select", "--gates", str(out / "gates_x.csv"),
                                    "--policy", "top-k", "--k", "100000"])
         assert res.exit_code == 2
+
+    def test_select_converged_with_k_is_usage_error(self, runner, dataset, tmp_path):
+        """converged takes every gate at 1, so a --k it would ignore is a usage error."""
+        cfg = write_config(tmp_path, epochs=1)
+        out = tmp_path / "run"
+        runner.invoke(main, ["train", "--data", str(dataset), "--config", str(cfg),
+                             "--out", str(out)])
+        sel = tmp_path / "sel.json"
+        res = runner.invoke(main, ["select", "--gates", str(out / "gates_x.csv"),
+                                   "--policy", "converged", "--k", "3", "--out", str(sel)])
+        assert res.exit_code == 2, res.output
+        assert "--k applies to --policy top-k only" in res.output
+        assert not sel.exists()
+        res = runner.invoke(main, ["select", "--gates", str(out / "gates_x.csv"),
+                                   "--policy", "converged"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["k"] is None
 
 
 class TestBaseline:

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import norm
 
@@ -12,11 +14,13 @@ from mmdufs.gates import (
     SIGMA,
     GateState,
     expected_l0,
+    expected_l0_grad,
     load_gates_csv,
+    normal_cdf,
     save_gates_csv,
     select_features,
 )
-from mmdufs.tape import ContractError, Tape
+from mmdufs.tape import ContractError
 
 
 class TestGateState:
@@ -39,17 +43,45 @@ class TestGateState:
 
 
 def sample_gates(state: GateState) -> np.ndarray:
-    """Gates as training samples them: hard_sigmoid(mu + eps) on a tape, fresh noise per call."""
-    tape = Tape()
-    return tape.hard_sigmoid(tape.add(tape.leaf(state.mu), tape.constant(state.draw_noise()))).value
+    """Gates as training samples them: GateState.sample, fresh noise per call."""
+    return state.sample()[0]
 
 
 class TestSampling:
     def test_eval_mode_is_deterministic(self):
-        """Without noise the training sampler gives the evaluation gates."""
+        """Without noise the training sampler gives the evaluation gates, clamp01(0.5 + mu)."""
         g = GateState(mu=np.array([-0.7, 0.1, -0.3, 0.6]))
-        tape = Tape()
-        np.testing.assert_array_equal(tape.hard_sigmoid(tape.leaf(g.mu)).value, g.eval_gates())
+        z, mask = g.sample(np.zeros(4))
+        np.testing.assert_array_equal(z, g.eval_gates())
+        np.testing.assert_array_equal(z, [0.0, 0.6, 0.2, 1.0])
+        np.testing.assert_array_equal(mask, [False, True, True, False])
+
+    def test_sample_draws_through_draw_noise(self):
+        """sample() adds the next draw_noise of the gate state: the draw the benchmark times."""
+        mu = np.array([-0.2, 0.0, 0.3])
+        z, _ = GateState(mu=mu, seed=6).sample()
+        want, _ = GateState(mu=mu).sample(GateState.zeros(3, seed=6).draw_noise())
+        np.testing.assert_array_equal(z, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(gates=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), min_size=1,
+                          max_size=12))
+    @example(gates=[(0.5, 0.0), (-0.5, 0.0), (0.25, 0.25), (-0.25, -0.25), (0.0, 0.0)])
+    def test_mask_is_subgradient_of_clamp(self, gates):
+        """The open mask is dz/dmu where the clamp is differentiable, and at its two kinks
+        (0.5 + mu + eps = 0 or 1) the one-sided derivative toward the clamped side, 0."""
+        mu, eps = (np.array(col) for col in zip(*gates))
+        z, mask = GateState(mu=mu).sample(eps)
+        assert mask.dtype == bool and z.min() >= 0.0 and z.max() <= 1.0
+        shifted = 0.5 + (mu + eps)
+        h = 1e-7
+        up, down = (GateState(mu=mu + step).sample(eps)[0] for step in (h, -h))
+        smooth = np.minimum(np.abs(shifted), np.abs(shifted - 1.0)) > 4 * h
+        np.testing.assert_allclose(((up - down) / (2 * h))[smooth], mask[smooth], atol=1e-6)
+        kink = (shifted == 0.0) | (shifted == 1.0)
+        assert not mask[kink].any()
+        np.testing.assert_array_equal(z[mask], shifted[mask])
+        assert set(z[~mask]) <= {0.0, 1.0}
 
     def test_sigma_is_fixed_default(self):
         assert SIGMA == 0.5
@@ -95,23 +127,15 @@ class TestExpectedL0:
         g = GateState(mu=mu)
         assert expected_l0(g) == pytest.approx(float(ndtr((0.5 + mu) / 0.5).sum()))
 
-    def test_equals_the_tape_value(self):
-        """One Phi: expected_l0 is the tape's open_gate_expectation at the same mu."""
-        mu = np.random.default_rng(8).uniform(-3.0, 3.0, 300)
-        t = Tape()
-        assert expected_l0(GateState(mu=mu)) == t.open_gate_expectation(t.constant(mu), SIGMA).value
-
     def test_matches_monte_carlo(self):
         g = GateState(mu=np.array([0.0]), seed=5)
         draws = np.clip(0.5 + np.random.default_rng(1).normal(0, 0.5, 200_000), 0, 1)
         assert expected_l0(g) == pytest.approx(np.mean(draws > 0), abs=3e-3)
 
     def test_grad_matches_finite_difference(self):
-        """The tape's open_gate_expectation gradient against differences of expected_l0."""
+        """expected_l0_grad against central differences of expected_l0."""
         mu = np.array([-0.6, 0.0, 0.8])
-        t = Tape()
-        leaf = t.leaf(mu, trainable=True)
-        g = t.grad(t.open_gate_expectation(leaf, 0.5), leaf)
+        g = expected_l0_grad(GateState(mu=mu))
         h = 1e-6
         for i in range(3):
             up, dn = mu.copy(), mu.copy()
@@ -119,6 +143,26 @@ class TestExpectedL0:
             dn[i] -= h
             fd = (expected_l0(GateState(mu=up)) - expected_l0(GateState(mu=dn))) / (2 * h)
             assert g[i] == pytest.approx(fd, rel=1e-5)
+
+    def test_grad_matches_norm_pdf(self):
+        """d/dmu Phi((0.5 + mu)/SIGMA) = phi((0.5 + mu)/SIGMA)/SIGMA, with scipy's phi."""
+        mu = np.concatenate([np.linspace(-12.0, 12.0, 2401), [-0.5, 0.0]])
+        want = norm.pdf((0.5 + mu) / 0.5) / 0.5
+        np.testing.assert_allclose(expected_l0_grad(GateState(mu=mu)), want, rtol=1e-13, atol=0)
+
+    def test_normal_cdf_against_ndtr(self):
+        """Phi on [-40, 40], with 0 and both sides of the edges at +-1/sqrt(2) and +-1."""
+        edges = [s * e for s in (1.0, -1.0) for e in (2**-0.5, 1.0)]
+        t = np.concatenate([
+            np.linspace(-40.0, 40.0, 80_001),
+            [0.0, -0.0, 5e-324, 1e-300, -1e-300],
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf * np.sign(edges)),
+        ])
+        got = normal_cdf(t)
+        assert got.shape == t.shape
+        assert np.abs(got - ndtr(t)).max() <= 1e-15
+        assert normal_cdf(np.array([0.0]))[0] == 0.5
+        assert normal_cdf(np.array([])).shape == (0,)
 
 
 class TestSelection:

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, every
-name a module exports resolves, and every exported function has a caller."""
+name a module exports resolves, every exported function has a caller, every
+tape primitive is recorded by the package, and normal_cdf has one home."""
 
 import ast
 import importlib
@@ -124,3 +125,36 @@ def test_public_functions_have_callers(path):
         if inspect.isfunction(getattr(module, name)) and name not in elsewhere | ORACLES
     ]
     assert uncalled == []
+
+
+def method_calls(source: str) -> set[str]:
+    """Names called as methods (obj.name(...)) in a file's code, calls on np left out."""
+    return {
+        node.func.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and not (isinstance(node.func.value, ast.Name) and node.func.value.id == "np")
+    }
+
+
+def test_method_call_scanner_skips_numpy():
+    source = "import numpy as np\nnp.exp(x)\ntape.inner(a, tape.gram(b))\nf(x.trace)\n"
+    assert method_calls(source) == {"inner", "gram"}
+
+
+def test_every_primitive_is_recorded_outside_the_tape():
+    """A primitive that no other package module records is one the tape need not carry."""
+    from mmdufs.tape import PRIMITIVES
+
+    recorded = set().union(*(method_calls(p.read_text()) for p in MODULES if p.name != "tape.py"))
+    assert sorted(set(PRIMITIVES) - recorded) == []
+
+
+def test_normal_cdf_is_defined_in_gates_alone():
+    """One standard-normal CDF: the gate's, behind expected_l0."""
+    defining = [
+        p.name for p in PACKAGE
+        if any(isinstance(node, ast.FunctionDef) and node.name == "normal_cdf"
+               for node in ast.walk(ast.parse(p.read_text())))
+    ]
+    assert defining == ["gates.py"]

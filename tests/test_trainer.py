@@ -29,13 +29,15 @@ from mmdufs.operators import (
     shared_operator_array,
 )
 from mmdufs.tape import ContractError, NumericalError, Tape, pairwise_sq_dists
-from objective import ChainScore, gated_graphs, loss_for_mu
+from objective import CONFIGS, coupled_scores, gated_graphs, loss_for_mu, run_step
+from test_tape import trace
 from mmdufs import trainer
 from mmdufs.trainer import (
     RunConfig,
     TrainingDiverged,
     _eval_scores,
     _objective,
+    _regularized,
     differential_loss,
     run,
     train,
@@ -63,16 +65,16 @@ def frozen_bandwidth_scores(pair, seed, learning_rate, epochs=40, scale=0.4):
     )
     gates_x = GateState.zeros(pair.x.shape[1], seed=seed)
     gates_y = GateState.zeros(pair.y.shape[1], seed=seed + 1)
+    cfg = RunConfig(mode="shared", lambda_x=0.0, lambda_y=0.0)
     scores = []
     for _ in range(epochs):
-        tape, loss, mu_x, mu_y = loss_for_mu(
-            pair, gates_x.mu, gates_y.mu, "shared", gates_x.draw_noise(), gates_y.draw_noise(),
-            bw_x, bw_y, lam=0.0,
+        loss, (g_x, g_y) = run_step(
+            pair, gates_x.mu, gates_y.mu, cfg, gates_x.draw_noise(), gates_y.draw_noise(),
+            (bw_x, bw_y),
         )
-        grads = tape.backward(loss)
-        scores.append(-pair.n_samples * float(loss.value))  # lam = 0: loss = -(s_x + s_y)/n
-        gates_x.mu -= learning_rate * grads[mu_x.idx]
-        gates_y.mu -= learning_rate * grads[mu_y.idx]
+        scores.append(-pair.n_samples * loss)  # lam = 0: loss = -(s_x + s_y)/n
+        gates_x.mu -= learning_rate * g_x
+        gates_y.mu -= learning_rate * g_y
     return scores
 
 
@@ -84,8 +86,8 @@ class TestLosses:
         pair = tiny_pair()
         n = pair.n_samples
         noise = np.zeros(5), np.zeros(4)
-        tape, loss, mu_x, mu_y = loss_for_mu(
-            pair, np.full(5, 0.2), np.full(4, -0.1), "shared", *noise, 1.0, 1.0
+        loss, _ = run_step(
+            pair, np.full(5, 0.2), np.full(4, -0.1), CONFIGS["shared"], *noise, (1.0, 1.0)
         )
         # reconstruct by hand from plain arrays
         x = unit_norm_columns(pair.x) * np.clip(0.7, 0, 1)
@@ -101,18 +103,18 @@ class TestLosses:
             + 1e-2 * ndtr((0.5 + 0.2) / 0.5) * 5
             + 1e-2 * ndtr((0.5 - 0.1) / 0.5) * 4
         )
-        assert float(loss.value) == pytest.approx(expect, rel=1e-10)
+        assert loss == pytest.approx(expect, rel=1e-10)
 
     def test_differential_loss_identity_operator(self):
         """With Q = I the score is the squared Frobenius norm of the gated data."""
         pair = tiny_pair()
         n = pair.n_samples
         tape = Tape()
-        mu = tape.leaf(np.zeros(5), trainable=True)
-        gated = tape.col_gate(tape.constant(unit_norm_columns(pair.x)), tape.hard_sigmoid(mu))
+        z = tape.leaf(np.full(5, 0.5), trainable=True)
+        gated = tape.col_gate(tape.constant(unit_norm_columns(pair.x)), z)
         eye = tape.constant(np.eye(n))
         q = DifferentialOperator(inv=eye, l_target=eye, b=1.0)
-        loss, score = differential_loss(tape, gated, q, mu, 0.0)
+        loss, score = differential_loss(tape, gated, q)
         frob2 = np.sum((unit_norm_columns(pair.x) * 0.5) ** 2)
         assert float(score.value) == pytest.approx(frob2, rel=1e-10)
         assert float(loss.value) == pytest.approx(-frob2 / n, rel=1e-10)
@@ -129,38 +131,25 @@ class TestGradientCheck:
         noise_y = rng.normal(0, 0.5, 4)
         bw_x = median_bandwidth(pairwise_sq_dists(unit_norm_columns(pair.x)))
         bw_y = median_bandwidth(pairwise_sq_dists(unit_norm_columns(pair.y)))
+        cfg = CONFIGS[mode]
 
-        tape, loss, mu_x, mu_y = loss_for_mu(pair, mu_x0, mu_y0, mode, noise_x, noise_y, bw_x, bw_y)
-        grads = tape.backward(loss)
+        # the step run applies, against differences of the loss each gate vector follows
+        _, grads = run_step(pair, mu_x0, mu_y0, cfg, noise_x, noise_y, (bw_x, bw_y))
         h = 1e-5
-        for leaf, base, which in ((mu_x, mu_x0, "x"), (mu_y, mu_y0, "y")):
-            g = grads[leaf.idx]
+        for g, base, which in ((grads[0], mu_x0, 0), (grads[1], mu_y0, 1)):
             for i in range(base.size):
                 up, dn = base.copy(), base.copy()
                 up[i] += h
                 dn[i] -= h
-                if which == "x":
-                    _, lu, _, _ = loss_for_mu(pair, up, mu_y0, mode, noise_x, noise_y, bw_x, bw_y)
-                    _, ld, _, _ = loss_for_mu(pair, dn, mu_y0, mode, noise_x, noise_y, bw_x, bw_y)
+                if which == 0:
+                    lu = loss_for_mu(pair, up, mu_y0, cfg, noise_x, noise_y, bw_x, bw_y)[0]
+                    ld = loss_for_mu(pair, dn, mu_y0, cfg, noise_x, noise_y, bw_x, bw_y)[0]
                 else:
-                    _, lu, _, _ = loss_for_mu(pair, mu_x0, up, mode, noise_x, noise_y, bw_x, bw_y)
-                    _, ld, _, _ = loss_for_mu(pair, mu_x0, dn, mode, noise_x, noise_y, bw_x, bw_y)
-                fd = (float(lu.value) - float(ld.value)) / (2 * h)
+                    lu = loss_for_mu(pair, mu_x0, up, cfg, noise_x, noise_y, bw_x, bw_y)[1]
+                    ld = loss_for_mu(pair, mu_x0, dn, cfg, noise_x, noise_y, bw_x, bw_y)[1]
+                fd = (lu - ld) / (2 * h)
                 denom = max(abs(fd), abs(g[i]), 1e-8)
                 assert abs(g[i] - fd) / denom < 1e-3
-
-
-def coupled_differential(pair, cfg, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y):
-    """Both differential losses on one tape, each Q built from both Laplacian nodes, each
-    score by matmul and inner rather than Tape.quad_form."""
-    tape, mu_x, mu_y, gated_x, gated_y, graphs = gated_graphs(
-        pair, mu_x_val, mu_y_val, noise_x, noise_y, bw_x, bw_y
-    )
-    q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=cfg.c, b=cfg.b)
-    q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=cfg.c, b=cfg.b)
-    lx, _ = differential_loss(tape, gated_x, ChainScore(q_x), mu_x, cfg.lambda_x)
-    ly, _ = differential_loss(tape, gated_y, ChainScore(q_y), mu_y, cfg.lambda_y)
-    return tape, lx, ly, mu_x, mu_y
 
 
 class TestDifferentialSingleSweep:
@@ -183,14 +172,18 @@ class TestDifferentialSingleSweep:
         return grads, (noise_x, noise_y), (res.bandwidth_x, res.bandwidth_y)
 
     def test_matches_per_modality_oracle(self):
+        """Each gate vector's step from a sweep of its own score loss on the coupled tape."""
         pair = tiny_pair(seed=3)
+        n = pair.n_samples
         (gx, gy), noise, bws = self.first_epoch(pair)
-        zeros_x, zeros_y = np.zeros(pair.x.shape[1]), np.zeros(pair.y.shape[1])
-        tape, lx, ly, mu_x, mu_y = coupled_differential(
-            pair, self.CFG, zeros_x, zeros_y, *noise, *bws
-        )
-        oracle_x = tape.backward(lx)[mu_x.idx]
-        oracle_y = tape.backward(ly)[mu_y.idx]
+        gates = (GateState.zeros(pair.x.shape[1]), GateState.zeros(pair.y.shape[1]))
+        samples = tuple(g.sample(e) for g, e in zip(gates, noise))
+        (zv_x, _), (zv_y, _) = samples
+        tape, s_x, s_y, z_x, z_y = coupled_scores(pair, self.CFG, zv_x, zv_y, *bws)
+        z_grads = (tape.backward(tape.scale(s_x, -1.0 / n))[z_x.idx],
+                   tape.backward(tape.scale(s_y, -1.0 / n))[z_y.idx])
+        scores = (float(s_x.value), float(s_y.value))
+        _, (oracle_x, oracle_y) = _regularized(self.CFG, n, gates, samples, scores, z_grads)
         assert np.count_nonzero(oracle_x) > 0 and np.count_nonzero(oracle_y) > 0
         np.testing.assert_allclose(gx, oracle_x, rtol=1e-12, atol=0)
         np.testing.assert_allclose(gy, oracle_y, rtol=1e-12, atol=0)
@@ -202,8 +195,7 @@ class TestDifferentialSingleSweep:
         zeros_y = np.zeros(pair.y.shape[1])
 
         def loss_x(mu_x_val):
-            _, lx, _, _, _ = coupled_differential(pair, self.CFG, mu_x_val, zeros_y, *noise, *bws)
-            return float(lx.value)
+            return loss_for_mu(pair, mu_x_val, zeros_y, self.CFG, *noise, *bws)[0]
 
         h = 1e-5
         fd = np.zeros_like(gx)
@@ -250,9 +242,9 @@ class TestFactoredDifferentialScore:
         rng = np.random.default_rng(3)
         mu_x0, mu_y0 = rng.uniform(-0.3, 0.3, 6), rng.uniform(-0.3, 0.3, 13)
         noise_x, noise_y = rng.normal(0, 0.5, 6), rng.normal(0, 0.5, 13)
-        tape, mu_x, mu_y, gated_x, gated_y, graphs = gated_graphs(
-            pair, mu_x0, mu_y0, noise_x, noise_y, 0.8, 1.3
-        )
+        z_x0, z_y0 = (np.clip(0.5 + mu + e, 0.0, 1.0)
+                      for mu, e in ((mu_x0, noise_x), (mu_y0, noise_y)))
+        tape, z_x, z_y, gated_x, gated_y, graphs = gated_graphs(pair, z_x0, z_y0, 0.8, 1.3)
         c = 0.2
         for l_t, l_o, gated, gram in (
             (graphs.l_x, graphs.l_y, gated_x, graphs.gram_x),
@@ -264,10 +256,10 @@ class TestFactoredDifferentialScore:
             oracle = dense_q_score(tape, l_t, l_o, gram, c, b)
             assert float(score.value) == pytest.approx(float(oracle.value), rel=1e-10)
             got, want = tape.backward(score), tape.backward(oracle)
-            for leaf in (mu_x, mu_y):
+            for leaf in (z_x, z_y):
                 np.testing.assert_allclose(got[leaf.idx], want[leaf.idx], rtol=1e-10, atol=0)
             # the other modality's gates are reached only through a coupled L_other
-            other = mu_y if l_t is graphs.l_x else mu_x
+            other = z_y if l_t is graphs.l_x else z_x
             assert np.any(got[other.idx] != 0) == coupled
 
     @settings(max_examples=25, deadline=None)
@@ -297,25 +289,28 @@ class TestSharedFusedEpoch:
         gx, gy = -res.gates_x.mu, -res.gates_y.mu
         noise_x = GateState.zeros(pair.x.shape[1], seed=cfg.seed).draw_noise()
         noise_y = GateState.zeros(pair.y.shape[1], seed=cfg.seed + 1).draw_noise()
-        tape, mu_x, mu_y, gated_x, gated_y, graphs = gated_graphs(
-            pair, np.zeros(7), np.zeros(15), noise_x, noise_y, res.bandwidth_x, res.bandwidth_y
+        gates = (GateState.zeros(7), GateState.zeros(15))
+        samples = tuple(g.sample(e) for g, e in zip(gates, (noise_x, noise_y)))
+        (zv_x, _), (zv_y, _) = samples
+        tape, z_x, z_y, gated_x, gated_y, graphs = gated_graphs(
+            pair, zv_x, zv_y, res.bandwidth_x, res.bandwidth_y
         )
         l_x, l_y = graphs.l_x, graphs.l_y
         p = tape.scale(tape.add(tape.matmul(l_x, l_y), tape.matmul(l_y, l_x)), cfg.b)
 
         def score(gated):
-            return tape.trace(tape.matmul(tape.transpose(gated), tape.matmul(p, gated)))
-
-        def reg(mu, lam):
-            return tape.scale(tape.open_gate_expectation(mu, SIGMA), lam)
+            return trace(tape, tape.matmul(tape.transpose(gated), tape.matmul(p, gated)))
 
         n = pair.n_samples
-        loss = tape.add(tape.scale(score(gated_x), -1 / n), tape.scale(score(gated_y), -1 / n))
-        loss = tape.add(tape.add(loss, reg(mu_x, cfg.lambda_x)), reg(mu_y, cfg.lambda_y))
-        grads = tape.backward(loss)
+        s_x, s_y = score(gated_x), score(gated_y)
+        z_grads = tape.backward(tape.add(tape.scale(s_x, -1 / n), tape.scale(s_y, -1 / n)))
+        _, (want_x, want_y) = _regularized(
+            cfg, n, gates, samples, (float(s_x.value), float(s_y.value)),
+            (z_grads[z_x.idx], z_grads[z_y.idx]),
+        )
         assert np.count_nonzero(gx) > 0 and np.count_nonzero(gy) > 0
-        np.testing.assert_allclose(gx, grads[mu_x.idx], rtol=1e-10, atol=0)
-        np.testing.assert_allclose(gy, grads[mu_y.idx], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(gx, want_x, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(gy, want_y, rtol=1e-10, atol=0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -344,8 +339,7 @@ class TestSharedScoreSwap:
             tape = Tape()
             z_a, z_b = (tape.constant(np.clip(0.5 + mu, 0.0, 1.0)) for mu in (mu_a, mu_b))
             loss, s_a, s_b, _ = _objective(
-                tape, unit_norm_columns(a), unit_norm_columns(b), z_a, z_b,
-                tape.constant(mu_a), tape.constant(mu_b), cfg)
+                tape, unit_norm_columns(a), unit_norm_columns(b), z_a, z_b, cfg)
             return [float(loss.value), float(s_a.value), float(s_b.value)]
 
         loss, s_x, s_y = scores(x, y, mu_x, mu_y)
@@ -367,9 +361,7 @@ class TestFeaturePermutation:
         perm = rng.permutation(d_x)
 
         def grads(p, m_x, e_x):
-            tape, loss, leaf_x, leaf_y = loss_for_mu(p, m_x, mu_y, mode, e_x, noise_y, 0.7, 0.9)
-            g = tape.backward(loss)
-            return g[leaf_x.idx], g[leaf_y.idx]
+            return run_step(p, m_x, mu_y, CONFIGS[mode], e_x, noise_y, (0.7, 0.9))[1]
 
         g_x, g_y = grads(pair, mu_x, noise_x)
         permuted = ModalPair(x=pair.x[:, perm], y=pair.y)
@@ -403,17 +395,13 @@ class TestTapeReuse:
 
     @staticmethod
     def record(tape, pair, cfg):
-        """Values of every node and the gate gradients of one epoch's objective, copied."""
+        """The score-loss node, values of every node and the gate steps of one epoch, copied."""
         rng = np.random.default_rng(5)
-        mu_x = tape.leaf(rng.uniform(-0.3, 0.3, pair.x.shape[1]), trainable=True)
-        mu_y = tape.leaf(rng.uniform(-0.3, 0.3, pair.y.shape[1]), trainable=True)
-        z_x = tape.hard_sigmoid(tape.add(mu_x, tape.constant(rng.normal(0, 0.5, mu_x.shape))))
-        z_y = tape.hard_sigmoid(tape.add(mu_y, tape.constant(rng.normal(0, 0.5, mu_y.shape))))
-        xb, yb = unit_norm_columns(pair.x), unit_norm_columns(pair.y)
-        loss, _, _, _ = _objective(tape, xb, yb, z_x, z_y, mu_x, mu_y, cfg)
-        grads = tape.backward(loss)
+        mu = [rng.uniform(-0.3, 0.3, d) for d in (pair.x.shape[1], pair.y.shape[1])]
+        noise = [rng.normal(0, 0.5, m.shape) for m in mu]
+        _, (g_x, g_y) = run_step(pair, *mu, cfg, *noise, (None, None), tape=tape)
         values = [np.array(node.value) for node in tape.nodes]
-        return loss, values, grads[mu_x.idx].copy(), grads[mu_y.idx].copy()
+        return tape.nodes[-1], values, g_x.copy(), g_y.copy()
 
     @pytest.mark.parametrize("mode", ["shared", "differential"])
     def test_bit_identical_to_a_fresh_tape(self, mode):
@@ -443,9 +431,9 @@ class TestTapeReuse:
         """From the third chained tape on, the pool (handed out plus free) is one set of
         arrays: the same set each epoch, no array in it twice, and of a pinned size.
 
-        The sizes are the peak count of arrays alive at once; a sweep that kept every
-        gradient it formed would hold 49 and 55, and one that shared a buffer between
-        gradients (add's two inputs) and summed fan-in into new buffers 34 and 42."""
+        The sizes are the peak count of arrays alive at once; with backward's releases
+        turned off, so that the sweep keeps every gradient it forms, the same epoch holds
+        37 and 42."""
         pair = tiny_pair(seed=4, n=12, dx=6, dy=14)
         cfg = RunConfig(mode=mode, lambda_x=0.2, lambda_y=0.1, b=0.7, c=0.2)
         tape, pools = None, []
@@ -457,34 +445,24 @@ class TestTapeReuse:
             assert len(ids) == len(pool)
             pools.append(ids)
         assert pools[2] == pools[3] == pools[4]
-        assert len(pools[2]) == {"shared": 31, "differential": 37}[mode]
+        assert len(pools[2]) == {"shared": 25, "differential": 30}[mode]
 
     @pytest.mark.parametrize("mode", ["shared", "differential"])
     @pytest.mark.parametrize("case", DEGENERATE_CASES)
     def test_chained_tapes_match_finite_differences(self, mode, case):
-        """Gate gradients on three chained tapes, each against central differences of
-        fresh tapes' losses, at frozen bandwidths and gates inside (0, 1). In differential
-        mode each gate vector follows its own loss, built by the chain oracle."""
+        """The mu-gradients run applies, on three chained tapes, each against central
+        differences of the oracle's loss, at frozen bandwidths and gates inside (0, 1). In
+        differential mode each gate vector follows its own loss."""
         pair = degenerate_pair(case)
         cfg = RunConfig(mode=mode, lambda_x=0.2, lambda_y=0.1, b=0.7, c=0.2)
-        xb, yb = unit_norm_columns(pair.x), unit_norm_columns(pair.y)
+        widths = (pair.x.shape[1], pair.y.shape[1])
         bws = (0.8, 1.3)
         rng = np.random.default_rng(11)
-        mu = [rng.uniform(-0.3, 0.3, d) for d in (xb.shape[1], yb.shape[1])]
-        noise = [rng.uniform(-0.1, 0.1, d) for d in (xb.shape[1], yb.shape[1])]
-
-        def objective(tape, mu_x_val, mu_y_val):
-            mu_x, mu_y = tape.leaf(mu_x_val, trainable=True), tape.leaf(mu_y_val, trainable=True)
-            z_x, z_y = (tape.hard_sigmoid(tape.add(leaf, tape.constant(e)))
-                        for leaf, e in zip((mu_x, mu_y), noise))
-            loss, _, _, _ = _objective(tape, xb, yb, z_x, z_y, mu_x, mu_y, cfg, bws)
-            return loss, mu_x, mu_y
+        mu = [rng.uniform(-0.3, 0.3, d) for d in widths]
+        noise = [rng.uniform(-0.1, 0.1, d) for d in widths]
 
         def own_loss(which, mu_x_val, mu_y_val):
-            if mode == "shared":
-                return float(objective(Tape(), mu_x_val, mu_y_val)[0].value)
-            _, lx, ly, _, _ = coupled_differential(pair, cfg, mu_x_val, mu_y_val, *noise, *bws)
-            return float((lx, ly)[which].value)
+            return loss_for_mu(pair, mu_x_val, mu_y_val, cfg, *noise, *bws)[which]
 
         h, want = 1e-6, []
         for which, base in enumerate(mu):
@@ -500,10 +478,9 @@ class TestTapeReuse:
         tape = None
         for _ in range(3):
             tape = Tape(reuse=tape)
-            loss, mu_x, mu_y = objective(tape, *mu)
-            grads = tape.backward(loss)
-            for leaf, fd in zip((mu_x, mu_y), want):
-                np.testing.assert_allclose(grads[leaf.idx], fd, rtol=1e-5, atol=1e-8)
+            _, grads = run_step(pair, *mu, cfg, *noise, bws, tape=tape)
+            for grad, fd in zip(grads, want):
+                np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
 
 # Short runs of both modes on the gaussian presets (n=260, large enough for BLAS
