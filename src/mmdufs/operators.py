@@ -2,7 +2,8 @@
 
 The shared operator b*(L_x L_y + L_y L_x) amplifies structure present in both
 modalities; the differential operator b*(L_other + cI)^{-1} L_target
-(L_other + cI)^{-1} amplifies structure unique to the target modality.
+(L_other + cI)^{-1} amplifies structure unique to the target modality. On the
+tape both stay in factors; the *_array functions form them as plain arrays.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 from .tape import ContractError, DimensionError, Node, Tape
 
 __all__ = [
+    "SharedOperator",
     "shared_operator",
     "DifferentialOperator",
     "differential_operator",
@@ -24,15 +26,22 @@ __all__ = [
 ]
 
 
-def shared_operator(tape: Tape, l_x: Node, l_y: Node, b: float = 1.0) -> Node:
-    """b * (L_x L_y + L_y L_x), on tape."""
+class SharedOperator(NamedTuple):
+    """P = b * (M + M^T) with M = L_x L_y (L_y L_x = M^T), kept in factors: P is never formed."""
+
+    m: Node  # L_x L_y
+    b: float
+
+    def score(self, tape: Tape, gram: Node) -> Node:
+        """Tr[X~^T P X~] = <P, G> = 2b * <M, G> for the exactly symmetric G = gram(X~)."""
+        return tape.scale(tape.inner(self.m, gram), 2.0 * self.b)
+
+
+def shared_operator(tape: Tape, l_x: Node, l_y: Node, b: float = 1.0) -> SharedOperator:
+    """b * (L_x L_y + L_y L_x), on tape, in factored form: one product."""
     if l_x.value.shape != l_y.value.shape:
         raise DimensionError("Laplacians must share shape")
-    # L_y L_x = (L_x L_y)^T for symmetric Laplacians: one product, and P is
-    # exactly symmetric. Every shared preset has b = 1, which skips an n x n pass.
-    m = tape.matmul(l_x, l_y)
-    p = tape.add(m, tape.transpose(m))
-    return tape.scale(p, b) if b != 1.0 else p
+    return SharedOperator(tape.matmul(l_x, l_y), float(b))
 
 
 class DifferentialOperator(NamedTuple):
@@ -69,11 +78,8 @@ def differential_operator(
 
 
 def shared_operator_array(l_x: np.ndarray, l_y: np.ndarray, b: float = 1.0) -> np.ndarray:
-    """b * (L_x L_y + L_y L_x), formed as shared_operator forms it.
-
-    L_y L_x = M^T for M = L_x L_y, as both Laplacians are symmetric: one
-    product, and the result is exactly symmetric.
-    """
+    """b * (M + M^T) from the one product M = L_x L_y that shared_operator records: exactly
+    symmetric, and L_x L_y + L_y L_x to rounding, as both Laplacians are symmetric."""
     m = l_x @ l_y
     return b * (m + m.T)
 

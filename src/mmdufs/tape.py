@@ -11,8 +11,9 @@ back to the free list when their owner is done with them: scratch once its
 primitive returns, a gradient once the rule that read it has run. Node values,
 caches and returned gradients stay a tape's own until the next tape takes
 over, so a loop that records one tape per step allocates one buffer set in
-all. The symmetric positive-definite inverse is numpy's own (a recursive
-Schur-complement block inverse), so no primitive loads scipy.
+all. No primitive records, and no reverse rule passes on, a view, so the pool
+tracks arrays by identity. The symmetric positive-definite inverse is numpy's
+own (a recursive Schur-complement block inverse), so no primitive loads scipy.
 Eigendecomposition is provided as an off-tape analysis utility.
 """
 
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
-_SYM_BLOCK = 8192  # entries per block of the symmetry check
+_SYM_TILE = 128  # rows and columns of a square tile of the symmetry check
 _DIST_BLOCK = 1 << 16  # entries per scratch block of the in-place distances
 _LEAF_ROWS = 64  # largest block _spd_inverse inverts from its Cholesky factor
 
@@ -71,11 +72,6 @@ def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     """
     g = x @ x.T
     return _dists_from_gram(g, g)
-
-
-def _owner(arr: np.ndarray) -> np.ndarray:
-    """The array that owns arr's memory: arr itself, or the array it views."""
-    return arr if arr.base is None else arr.base
 
 
 def _dists_from_gram(g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -118,17 +114,20 @@ def _sym_normalize(k: np.ndarray, out=None):
     return out, d, r
 
 
-def _check_symmetric(a: np.ndarray) -> None:
-    """ContractError unless max|a - a^T| <= 1e-8 * max(max|a|, 1).
-
-    Works in blocks of rows, so the check takes no array as large as a.
-    """
-    rows = max(1, _SYM_BLOCK // max(len(a), 1))
-    asym = max(
-        (np.abs(a[i : i + rows] - a[:, i : i + rows].T).max() for i in range(0, len(a), rows)),
+def _max_asymmetry(a: np.ndarray) -> float:
+    """max|a - a^T| of a square a, from the tiles on and above the diagonal against their
+    mirror tiles (|a_ij - a_ji| is |a_ji - a_ij| exactly), so it takes no array as large as a."""
+    n, t = len(a), _SYM_TILE
+    return max(
+        (np.abs(a[i : i + t, j : j + t] - a[j : j + t, i : i + t].T).max()
+         for i in range(0, n, t) for j in range(i, n, t)),
         default=0.0,
     )
-    if asym > 1e-8 * max(a.max(initial=0.0), -a.min(initial=0.0), 1.0):
+
+
+def _check_symmetric(a: np.ndarray) -> None:
+    """ContractError unless max|a - a^T| <= 1e-8 * max(max|a|, 1)."""
+    if (asym := _max_asymmetry(a)) > 1e-8 * max(a.max(initial=0.0), -a.min(initial=0.0), 1.0):
         raise ContractError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
 
 
@@ -233,10 +232,9 @@ class Tape:
         return arr
 
     def _release(self, arr: np.ndarray) -> None:
-        """Put the pooled buffer that owns arr back on the free list, if pooled."""
-        buf = _owner(arr)
-        if self._taken.pop(id(buf), None) is not None:
-            self._free.setdefault(buf.shape, []).append(buf)
+        """Put arr back on the free list, if it is a pooled array."""
+        if self._taken.pop(id(arr), None) is not None:
+            self._free.setdefault(arr.shape, []).append(arr)
 
     def _record(self, value, op, inputs, cache=None, trainable=False) -> Node:
         value = np.asarray(value, dtype=np.float64)
@@ -277,12 +275,6 @@ class Tape:
         scale = float(scale)
         out = np.multiply(a.value, scale, out=self._take(a.value.shape))
         return self._record(np.exp(out, out=out), "exp", (a,), cache=scale)
-
-    def transpose(self, a: Node) -> Node:
-        if a.value.ndim != 2:
-            raise DimensionError("transpose needs a 2-D matrix")
-        # A view: no tape value is ever mutated in place.
-        return self._record(a.value.T, "transpose", (a,))
 
     def sym_normalize(self, k: Node) -> Node:
         """D^{-1/2} K D^{-1/2} with D = diag of row sums of K."""
@@ -391,8 +383,7 @@ class Tape:
                 continue
             passed_on = False
             for inp, contrib in self._vjp(node, g):
-                # A double transpose passes on a view of a view: compare owners.
-                passed_on = passed_on or _owner(contrib) is _owner(g)
+                passed_on = passed_on or contrib is g
                 acc = grads.get(inp.idx)
                 if acc is None:
                     grads[inp.idx] = contrib
@@ -423,9 +414,9 @@ class Tape:
 
         A one-input node needs a gradient only if its input does, so only the
         two-input rules check their operands. Each contribution owns its buffer:
-        g or g.T at most once per rule, else a new array (most from _take),
-        never a node's value or cache. A rule never writes to g and yields it
-        last, since backward may add into it or release it.
+        g itself at most once per rule, else a new array (most from _take),
+        never a view, nor a node's value or cache. A rule never writes to g and
+        yields it last, since backward may add into it or release it.
         """
         op = node.op
         a = node.inputs[0]
@@ -447,8 +438,6 @@ class Tape:
             out = np.multiply(g, node.value, out=take(g.shape))
             out *= node.cache
             yield a, out
-        elif op == "transpose":
-            yield a, g.T
         elif op == "sym_normalize":  # L = r_i K_ij r_j with r = d^{-1/2}
             d, r = node.cache
             gk = np.multiply(g, node.value, out=take(g.shape))
@@ -501,7 +490,6 @@ PRIMITIVES = (
     "add",
     "scale",
     "exp",
-    "transpose",
     "sym_normalize",
     "inverse",
     "gram",

@@ -22,7 +22,8 @@ import numpy as np
 
 from .gates import GateState, expected_l0, expected_l0_grad, f1, select_features
 from .graph import build_graph_pair
-from .operators import DifferentialOperator, differential_operator, shared_operator, zscore_columns
+from .operators import DifferentialOperator, SharedOperator, differential_operator
+from .operators import shared_operator, zscore_columns
 from .tape import ContractError, Node, NumericalError, Tape
 from .datagen import ModalPair
 
@@ -107,15 +108,15 @@ class TrainingDiverged(ArithmeticError):
         super().__init__(f"non-finite gates after epoch {epoch}; last record: {last_record}")
 
 
-def shared_loss(tape: Tape, gram_x: Node, gram_y: Node, p_shared: Node) -> tuple[Node, Node, Node]:
+def shared_loss(tape: Tape, gram_x: Node, gram_y: Node, p_op: SharedOperator) -> tuple[Node, Node, Node]:
     """Score loss -(1/n)Tr[X~T P X~] - (1/n)Tr[Y~T P Y~].
 
     The full shared objective adds lam_x E|z_x|_0 + lam_y E|z_y|_0 (_regularized).
-    Returns (loss, score_x, score_y): the raw traces, as <P, gram> of each modality.
+    Returns (loss, score_x, score_y): the raw traces, by p_op.score of each Gram node.
     """
     n = gram_x.value.shape[0]
-    score_x = tape.inner(p_shared, gram_x)
-    score_y = tape.inner(p_shared, gram_y)
+    score_x = p_op.score(tape, gram_x)
+    score_y = p_op.score(tape, gram_y)
     loss = tape.add(tape.scale(score_x, -1.0 / n), tape.scale(score_y, -1.0 / n))
     return loss, score_x, score_y
 
@@ -160,8 +161,8 @@ def _objective(tape, xb, yb, z_x, z_y, cfg, bandwidths=(None, None)):
     gated_y = tape.col_gate(tape.constant(yb), z_y)
     graphs = build_graph_pair(tape, gated_x, gated_y, cfg.bandwidth_scale, *bandwidths)
     if cfg.mode == "shared":
-        p = shared_operator(tape, graphs.l_x, graphs.l_y, b=cfg.b)
-        loss, s_x, s_y = shared_loss(tape, graphs.gram_x, graphs.gram_y, p)
+        p_op = shared_operator(tape, graphs.l_x, graphs.l_y, b=cfg.b)
+        loss, s_x, s_y = shared_loss(tape, graphs.gram_x, graphs.gram_y, p_op)
         return loss, s_x, s_y, graphs
     const_l_x = tape.constant(graphs.l_x.value)
     const_l_y = tape.constant(graphs.l_y.value)
@@ -173,18 +174,18 @@ def _objective(tape, xb, yb, z_x, z_y, cfg, bandwidths=(None, None)):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a step to inf/nan ends in TrainingDiverged
-def _regularized(cfg, n, gates, samples, scores, z_grads):
+def _regularized(cfg, n, gates, l0s, samples, scores, z_grads):
     """(loss, (grad_x, grad_y)): the full objective and the mu-gradients that run applies.
 
-    gates are both GateStates before the step, samples their (z, mask) pairs, scores the
-    raw traces of an n-row batch and z_grads the score loss's gradients w.r.t. z. The
-    weight w of E|z|_0 is lambda in shared mode and lambda / n in differential mode, and
-    the loss sums its terms in the order of shared_loss and differential_loss.
+    gates are both GateStates before the step, l0s their expected_l0, samples their (z, mask)
+    pairs, scores the raw traces of an n-row batch and z_grads the score loss's gradients
+    w.r.t. z. The weight w of E|z|_0 is lambda in shared mode and lambda / n in differential
+    mode, and the loss sums its terms in the order of shared_loss and differential_loss.
     """
     shared = cfg.mode == "shared"
     weights = [float(lam) / (1 if shared else n) for lam in (cfg.lambda_x, cfg.lambda_y)]
     t_x, t_y = (s * (-1.0 / n) for s in scores)
-    r_x, r_y = (w * expected_l0(g) for w, g in zip(weights, gates))
+    r_x, r_y = (w * l0 for w, l0 in zip(weights, l0s))
     loss = t_x + t_y + r_x + r_y if shared else (t_x + r_x) + (t_y + r_y)
     if not math.isfinite(loss):
         raise NumericalError(f"the regularized loss is non-finite ({loss})")
@@ -205,8 +206,8 @@ def check_pair(pair: ModalPair, cfg: RunConfig) -> None:
 def run(pair: ModalPair, cfg: RunConfig, truth: tuple | None = None) -> Iterator[TrainResult]:
     """Optimize both gate vectors by SGD, deterministic for a fixed config and seed.
 
-    After each epoch, yields the run so far: one TrainResult, which the next
-    epoch updates in place. cfg.epochs is not read; the caller stops the run.
+    After each epoch, yields the run so far: one TrainResult, which the next epoch updates in
+    place and whose gates' logged E|z|_0 it reuses. cfg.epochs is not read; the caller stops it.
     Each epoch takes its kernel bandwidths from that epoch's gated data and
     appends one row to the log. truth is an (x, y) pair of index arrays or
     None, as ModalPair.truth returns; for each array given, top-k selection
@@ -230,6 +231,8 @@ def run(pair: ModalPair, cfg: RunConfig, truth: tuple | None = None) -> Iterator
     result = TrainResult(gates_x, gates_y, log, bandwidth_x=np.nan, bandwidth_y=np.nan)
 
     tape = None
+    # E|z|_0 of the current gates: the loss of the next step and the log of the last one
+    l0s = expected_l0(gates_x), expected_l0(gates_y)
     for epoch in count():
         if cfg.batch_size is None or cfg.batch_size >= n:
             xb, yb = data_x, data_y
@@ -243,8 +246,8 @@ def run(pair: ModalPair, cfg: RunConfig, truth: tuple | None = None) -> Iterator
         score_loss, s_x, s_y, graphs = _objective(tape, xb, yb, z_x, z_y, cfg)
         z_grads = tape.backward(score_loss)
         loss, (grad_x, grad_y) = _regularized(
-            cfg, len(xb), (gates_x, gates_y), samples, (float(s_x.value), float(s_y.value)),
-            (z_grads[z_x.idx], z_grads[z_y.idx]))
+            cfg, len(xb), (gates_x, gates_y), l0s, samples,
+            (float(s_x.value), float(s_y.value)), (z_grads[z_x.idx], z_grads[z_y.idx]))
         # A step to inf/nan ends in TrainingDiverged, not a numpy warning.
         with np.errstate(over="ignore", invalid="ignore"):
             gates_x.mu -= cfg.learning_rate * grad_x
@@ -252,13 +255,14 @@ def run(pair: ModalPair, cfg: RunConfig, truth: tuple | None = None) -> Iterator
         if not (np.isfinite(gates_x.mu).all() and np.isfinite(gates_y.mu).all()):
             raise TrainingDiverged(epoch, log[-1] if log else None)
 
+        l0s = expected_l0(gates_x), expected_l0(gates_y)
         record = {
             "epoch": epoch,
             "loss": loss,
             "score_x": float(s_x.value),
             "score_y": float(s_y.value),
-            "reg_x": expected_l0(gates_x),
-            "reg_y": expected_l0(gates_y),
+            "reg_x": l0s[0],
+            "reg_y": l0s[1],
             "open_x": int(np.count_nonzero(gates_x.eval_gates() > 0)),
             "open_y": int(np.count_nonzero(gates_y.eval_gates() > 0)),
         }

@@ -4,7 +4,8 @@ GateState or gates.expected_l0; and the mu-gradients that trainer.run applies at
 
 The oracle's gates are np.clip(0.5 + mu + noise, 0, 1) and its regularizer scipy's ndtr, so central
 differences of loss_for_mu check the gate's clamp, open mask and expected-L0 derivative against code
-of their own. Its differential score is built from matmul and inner, not by
+of their own. Its shared score is <P, X~X~^T> of the formed array P (np.vdot), not
+SharedOperator.score, and its differential score is built from matmul and inner, not by
 DifferentialOperator.score (Tape.quad_form)."""
 
 from typing import NamedTuple
@@ -12,9 +13,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr
 
-from mmdufs.gates import SIGMA, GateState
+from mmdufs.gates import SIGMA, GateState, expected_l0
 from mmdufs.graph import build_graph_pair
-from mmdufs.operators import DifferentialOperator, differential_operator, shared_operator
+from mmdufs.operators import DifferentialOperator, differential_operator, shared_operator_array
 from mmdufs.tape import Tape
 from mmdufs.trainer import RunConfig, _objective, _regularized, unit_norm_columns
 
@@ -70,9 +71,9 @@ def loss_for_mu(pair, mu_x, mu_y, cfg, noise_x, noise_y, bw_x, bw_y):
     z_x, z_y = (np.clip(0.5 + mu + e, 0.0, 1.0) for mu, e in ((mu_x, noise_x), (mu_y, noise_y)))
     reg_x, reg_y = (float(ndtr((0.5 + mu) / SIGMA).sum()) for mu in (mu_x, mu_y))
     if cfg.mode == "shared":
-        tape, _, _, _, _, graphs = gated_graphs(pair, z_x, z_y, bw_x, bw_y)
-        p = shared_operator(tape, graphs.l_x, graphs.l_y, b=cfg.b)
-        s_x, s_y = (float(tape.inner(p, g).value) for g in (graphs.gram_x, graphs.gram_y))
+        *_, graphs = gated_graphs(pair, z_x, z_y, bw_x, bw_y)
+        p = shared_operator_array(graphs.l_x.value, graphs.l_y.value, b=cfg.b)
+        s_x, s_y = (float(np.vdot(p, g.value)) for g in (graphs.gram_x, graphs.gram_y))
         loss = -(s_x + s_y) / n + cfg.lambda_x * reg_x + cfg.lambda_y * reg_y
         return loss, loss
     _, s_x, s_y, _, _ = coupled_scores(pair, cfg, z_x, z_y, bw_x, bw_y)
@@ -92,5 +93,5 @@ def run_step(pair, mu_x, mu_y, cfg, noise_x, noise_y, bandwidths, tape=None):
     xb, yb = unit_norm_columns(pair.x), unit_norm_columns(pair.y)
     loss, s_x, s_y, _ = _objective(tape, xb, yb, z_x, z_y, cfg, bandwidths)
     z_grads = tape.backward(loss)
-    return _regularized(cfg, len(xb), gates, samples, (float(s_x.value), float(s_y.value)),
-                        (z_grads[z_x.idx], z_grads[z_y.idx]))
+    return _regularized(cfg, len(xb), gates, tuple(map(expected_l0, gates)), samples,
+                        (float(s_x.value), float(s_y.value)), (z_grads[z_x.idx], z_grads[z_y.idx]))

@@ -152,11 +152,15 @@ class TestCriterion5SharedSpectrum:
         assert np.linalg.norm(proj, 2) < 0.1
 
     def test_tape_operator_matches_array(self):
+        """The factored tape score 2 <L_x L_y, X~X~^T> is the quadratic form of the formed
+        array operator, <P, X~X~^T>."""
         l_x, l_y, _, _ = ideal_cluster_pair()
+        x = np.random.default_rng(7).normal(size=(l_x.shape[0], 4))
         t = Tape()
-        node = shared_operator(t, t.constant(l_x), t.constant(l_y))
-        sym = 0.5 * (node.value + node.value.T)
-        np.testing.assert_allclose(sym, shared_operator_array(l_x, l_y), atol=1e-12)
+        op = shared_operator(t, t.constant(l_x), t.constant(l_y))
+        score = op.score(t, t.gram(t.constant(x)))
+        p = shared_operator_array(l_x, l_y)
+        np.testing.assert_allclose(float(score.value), np.vdot(p, x @ x.T), atol=1e-12)
 
 
 class TestCriterion6CubeGeometry:

@@ -16,7 +16,7 @@ from mmdufs.graph import (
     median_bandwidth,
     normalized_laplacian,
 )
-from mmdufs.operators import shared_operator, shared_operator_array
+from mmdufs.operators import shared_operator
 from mmdufs.tape import ContractError, DimensionError, NumericalError, Tape, pairwise_sq_dists
 
 RNG = np.random.default_rng(7)
@@ -232,10 +232,8 @@ class TestOnTape:
         np.testing.assert_array_equal(gp.l_y.value, l_y)
         np.testing.assert_array_equal(gp.gram_x.value, x @ x.T)
         np.testing.assert_array_equal(gp.gram_y.value, y @ y.T)
-        for b in (1.0, 0.3):  # the tape's P is the plain-array operator, bit for bit
-            np.testing.assert_array_equal(
-                shared_operator(t, gp.l_x, gp.l_y, b).value, shared_operator_array(l_x, l_y, b)
-            )
+        # the tape's M is the plain-array product, bit for bit
+        assert np.array_equal(shared_operator(t, gp.l_x, gp.l_y).m.value, l_x @ l_y)
 
     def test_build_graph_pair_frozen_bandwidth(self):
         x, y = RNG.normal(size=(8, 3)), RNG.normal(size=(8, 2))

@@ -39,24 +39,29 @@ def nested_block_pair():
 
 class TestSharedOperator:
     def test_array_matches_tape(self):
+        """The tape keeps M = A B, and 2b <M, X~X~^T> is <P, X~X~^T> for the formed array P."""
         a = RNG.normal(size=(6, 6))
         b = RNG.normal(size=(6, 6))
         a, b = a + a.T, b + b.T
+        x = RNG.normal(size=(6, 3))
         t = Tape()
-        node = shared_operator(t, t.constant(a), t.constant(b), b=2.5)
-        np.testing.assert_allclose(
-            0.5 * (node.value + node.value.T), shared_operator_array(a, b, b=2.5), atol=1e-12
-        )
+        op = shared_operator(t, t.constant(a), t.constant(b), b=2.5)
+        assert np.array_equal(op.m.value, a @ b) and op.b == 2.5
+        score = op.score(t, t.gram(t.constant(x)))
+        want = np.vdot(shared_operator_array(a, b, b=2.5), x @ x.T)
+        np.testing.assert_allclose(float(score.value), want, rtol=1e-12)
 
     def test_one_product_is_exactly_symmetric(self):
-        """L_x L_y + (L_x L_y)^T: exactly symmetric, and L_x L_y + L_y L_x to rounding."""
+        """L_x L_y + (L_x L_y)^T: exactly symmetric, and L_x L_y + L_y L_x to rounding. The
+        tape records the one product, bit for bit."""
         x, y = RNG.normal(size=(30, 4)), RNG.normal(size=(30, 3))
         l_x = normalized_laplacian(gaussian_kernel(pairwise_sq_dists(x), 1.2))
         l_y = normalized_laplacian(gaussian_kernel(pairwise_sq_dists(y), 0.8))
-        t = Tape()
-        p = shared_operator(t, t.constant(l_x), t.constant(l_y)).value
+        p = shared_operator_array(l_x, l_y)
         assert np.array_equal(p, p.T)
         np.testing.assert_allclose(p, l_x @ l_y + l_y @ l_x, rtol=0, atol=1e-14)
+        t = Tape()
+        assert np.array_equal(shared_operator(t, t.constant(l_x), t.constant(l_y)).m.value, l_x @ l_y)
 
     def test_scale_covariance(self):
         """Scaling both Laplacians by alpha scales the operator by alpha^2."""

@@ -65,7 +65,7 @@ def assert_no_live_array_free(tape, grads):
         live += [node.value, *(node.cache if isinstance(node.cache, tuple) else (node.cache,))]
     for arr in live:
         if isinstance(arr, np.ndarray):
-            assert id(arr if arr.base is None else arr.base) not in free
+            assert id(arr) not in free
 
 
 def assert_one_owner_each(grads):
@@ -107,13 +107,12 @@ class TestForwardValues:
         np.testing.assert_allclose(t.add(na, nb).value, a + b)
         np.testing.assert_allclose(t.scale(na, -2.5).value, -2.5 * a)
 
-    def test_exp_transpose_trace(self):
+    def test_exp_trace(self):
         a = RNG.normal(size=(4, 3))
         t = Tape()
         na = t.constant(a)
         np.testing.assert_allclose(t.exp(na, 1.0).value, np.exp(a))
         np.testing.assert_allclose(t.exp(na, -0.4).value, np.exp(-0.4 * a))
-        np.testing.assert_allclose(t.transpose(na).value, a.T)
         sq = RNG.normal(size=(3, 3))
         np.testing.assert_allclose(trace(t, t.constant(sq)).value, np.trace(sq))
 
@@ -239,13 +238,6 @@ class TestGradients:
                 0.3 * RNG.normal(size=(3, 3)),
             )
 
-    def test_transpose(self):
-        w = RNG.normal(size=(3, 3))
-        check_grad(
-            lambda t, x: trace(t, t.matmul(t.matmul(t.transpose(x), t.constant(w)), x)),
-            RNG.normal(size=(3, 4)),
-        )
-
     def test_sym_normalize(self):
         k0 = np.abs(RNG.normal(size=(5, 5))) + 0.5
         k0 = 0.5 * (k0 + k0.T)
@@ -262,8 +254,8 @@ class TestGradients:
             return trace(t, t.matmul(t.inverse(x, shift=shift), t.constant(w)))
 
         # Tape.inverse accepts symmetric input only, so finite differences go
-        # through a symmetric parametrization, A = x + x^T ...
-        check_grad(lambda t, x: build(t, t.add(x, t.transpose(x)), 0.2), 0.5 * a0, rtol=1e-4)
+        # through a symmetric parametrization, A = x x^T ...
+        check_grad(lambda t, x: build(t, t.gram(x), 0.2), np.linalg.cholesky(a0), rtol=1e-4)
         # ... and the full rule, in every direction, is checked against
         # central differences of NumPy's general inverse.
         t = Tape()
@@ -368,7 +360,7 @@ class TestGradients:
 
 class TestGradientBufferRecycling:
     """Each gradient owns its buffer: backward hands a spent one out again, never one a
-    pending gradient is or views, nor a node value or a gradient it returns."""
+    pending gradient is, nor a node value or a gradient it returns."""
 
     def test_add_feeding_two_nodes_that_take_buffers(self):
         """add passes g to both inputs, whose exp and scale rules each take a buffer of g's
@@ -380,43 +372,31 @@ class TestGradientBufferRecycling:
             0.5 * RNG.normal(size=(4, 4)),
         )
 
-    def test_transpose_pass_through(self):
-        """transpose passes g.T, a view of g's buffer, to x; the scale rules that run after it
-        take buffers of g's shape, and none may be that one while x's gradient views it."""
-        w = RNG.normal(size=(4, 4))
-        check_grad(
-            lambda t, x, y: trace(t, t.matmul(
-                t.add(t.scale(t.scale(y, 0.5), 3.0), t.transpose(x)), t.constant(w))),
-            RNG.normal(size=(4, 4)),
-            RNG.normal(size=(4, 4)),
-        )
-
     def test_accumulation_into_a_trainable_leaf(self):
         """x feeds four nodes, so its gradient is summed three times, each sum into the
         gradient already there while the added buffer goes back to the free list."""
         w = RNG.normal(size=(4, 4))
 
         def build(t, x):
-            s = t.add(t.add(t.matmul(x, x), t.scale(x, -0.7)), t.add(t.exp(x, 0.3), t.transpose(x)))
+            s = t.add(t.add(t.matmul(x, x), t.scale(x, -0.7)), t.add(t.exp(x, 0.3), t.scale(x, 1.3)))
             return trace(t, t.matmul(s, t.constant(w)))
 
         check_grad(build, 0.5 * RNG.normal(size=(4, 4)))
 
     def test_a_chain_runs_in_two_gradient_buffers(self):
-        """Ten scales in a row, a transpose after the fifth: each rule's input gradient is
-        spent once it has run, the transpose's view with it, so the sweep alternates
-        between two buffers of the chain's shape."""
+        """Ten scales in a row: each rule's input gradient is spent once it has run, so the
+        sweep alternates between two buffers of the chain's shape."""
         w = RNG.normal(size=(3, 3))
         t = Tape()
         x = t.leaf(RNG.normal(size=(3, 3)), trainable=True)
         node = x
-        for i in range(10):
-            node = t.scale(t.transpose(node) if i == 5 else node, 1.1)
+        for _ in range(10):
+            node = t.scale(node, 1.1)
         loss = trace(t, t.matmul(node, t.constant(w)))
-        forward = len(pool(t))  # ten scales and the product; a transpose takes none
+        forward = len(pool(t))  # ten scales and the product
         grads = t.backward(loss)
         assert len(pool(t)) == forward + 2
-        np.testing.assert_allclose(grads[x.idx], 1.1**10 * w, rtol=1e-13)
+        np.testing.assert_allclose(grads[x.idx], 1.1**10 * w.T, rtol=1e-13)
         assert_no_live_array_free(t, grads)
 
     def test_second_backward_leaves_the_first_gradients_intact(self):
@@ -449,18 +429,6 @@ class TestGradientBufferRecycling:
         assert np.array_equal(grads[x.idx], 0.5 * np.eye(3))
         assert np.array_equal(grads[y.idx], np.eye(3))
 
-    def test_double_transpose_passes_on_its_buffer(self):
-        """The inner transpose's rule passes on g.T of a g that is itself a view: the buffer
-        both view stays a's pending gradient while c's rule, which runs next, takes a
-        buffer of the same shape."""
-        w = RNG.normal(size=(3, 3))
-
-        def build(t, x):
-            a, c = t.scale(x, 2.0), t.scale(x, 3.0)
-            return t.inner(t.add(t.transpose(t.transpose(a)), c), t.constant(w))
-
-        check_grad(build, RNG.normal(size=(3, 3)))
-
 
 def one_owner_graph(program):
     """build(tape, *leaves) for the graph program describes: each (op, i, j, p) appends
@@ -474,7 +442,6 @@ def one_owner_graph(program):
             a, b = nodes[i % len(nodes)], nodes[j % len(nodes)]
             nodes.append({
                 "add": lambda: t.add(a, b),
-                "transpose": lambda: t.transpose(a),
                 "matmul": lambda: t.matmul(a, b),
                 "scale": lambda: t.scale(a, p),
                 "exp": lambda: t.exp(a, p / 4),
@@ -484,28 +451,21 @@ def one_owner_graph(program):
     return build
 
 
-# Scale, scale, transpose of the first scale, transpose of that, add of it and the second
-# scale: a double transpose whose consumer's other input takes a buffer in its rule.
-DOUBLE_TRANSPOSE = [("scale", 0, 0, 2.0), ("scale", 0, 0, 3.0), ("transpose", 1, 0, 0.0),
-                    ("transpose", 3, 0, 0.0), ("add", 4, 2, 0.0)]
-
-
 class TestOneOwnerProperty:
     @settings(max_examples=60, deadline=None)
     @given(
         program=st.lists(
-            st.tuples(st.sampled_from(["add", "transpose", "matmul", "scale", "exp"]),
+            st.tuples(st.sampled_from(["add", "matmul", "scale", "exp"]),
                       st.integers(0, 9), st.integers(0, 9), st.floats(-1.5, 1.5)),
             min_size=1, max_size=6),
         two_leaves=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    @example(program=DOUBLE_TRANSPOSE, two_leaves=False, seed=0)
     @example(program=[("add", 0, 0, 0.0)], two_leaves=False, seed=0)
     @example(program=[("add", 0, 1, 0.0)], two_leaves=True, seed=0)
     def test_gradients_match_fd_and_own_their_buffers(self, program, two_leaves, seed):
-        """Random graphs of add (add(x, x) too), transpose, matmul, scale and exp into one
-        or two trainable leaves."""
+        """Random graphs of add (add(x, x) too), matmul, scale and exp into one or two
+        trainable leaves."""
         rng = np.random.default_rng(seed)
         x0 = [rng.uniform(-0.3, 0.3, size=(3, 3)) for _ in range(1 + two_leaves)]
         build = one_owner_graph(program)
@@ -545,9 +505,9 @@ def test_every_primitive_has_a_reverse_rule():
     assert vjp_branches() == set(PRIMITIVES)
 
 
-def quad_trace_chain(t, a, x):
-    """Tr[x^T a x] as the transpose -> matmul -> matmul -> trace chain."""
-    return trace(t, t.matmul(t.transpose(x), t.matmul(a, x)))
+def quad_chain(t, a, x):
+    """Tr[x^T a x] = <a x, x> as the matmul -> inner chain."""
+    return t.inner(t.matmul(a, x), x)
 
 
 def quad_trace_gram(t, a, x):
@@ -558,7 +518,7 @@ def quad_trace_gram(t, a, x):
 def fused_and_chain(a0, x0):
     """[(value, grad a, grad x)] of Tr[x^T a x] in Gram form, then from the chain."""
     out = []
-    for build in (quad_trace_gram, quad_trace_chain):
+    for build in (quad_trace_gram, quad_chain):
         t = Tape()
         a, x = t.leaf(a0, trainable=True), t.leaf(x0, trainable=True)
         score = build(t, a, x)
@@ -616,11 +576,6 @@ class TestQuadTrace:
             t.sq_dists(t.constant(np.ones((4, 3))))
 
 
-def quad_form_chain(t, l, w):
-    """<l w, w> as inner(matmul(l, w), w), the chain that quad_form replaces."""
-    return t.inner(t.matmul(l, w), w)
-
-
 def symmetric(rng, n):
     m = rng.normal(size=(n, n))
     return m + m.T
@@ -630,10 +585,10 @@ class TestQuadForm:
     """<l w, w> for a symmetric l, against finite differences and the matmul -> inner chain."""
 
     def test_fd_wrt_operator(self):
-        # quad_form accepts symmetric l only, so finite differences go through l = x + x^T
+        # quad_form accepts symmetric l only, so finite differences go through l = x x^T
         w0 = RNG.normal(size=(4, 3))
         check_grad(
-            lambda t, x: t.scale(t.quad_form(t.add(x, t.transpose(x)), t.constant(w0)), -0.7),
+            lambda t, x: t.scale(t.quad_form(t.gram(x), t.constant(w0)), -0.7),
             RNG.normal(size=(4, 4)),
         )
 
@@ -652,7 +607,7 @@ class TestQuadForm:
         rng = np.random.default_rng(seed)
         l0, w0 = symmetric(rng, n), rng.normal(size=(n, d))
         out = []
-        for build in (Tape.quad_form, quad_form_chain):
+        for build in (Tape.quad_form, quad_chain):
             t = Tape()
             l, w = t.leaf(l0, trainable=True), t.leaf(w0, trainable=True)
             score = t.scale(build(t, l, w), -0.7)
@@ -732,8 +687,6 @@ class TestErrors:
             t.col_gate(a, t.constant(np.ones(2)))
         with pytest.raises(DimensionError, match=r"add: \(2, 3\) vs \(3, 2\)"):
             t.add(a, t.constant(np.ones((3, 2))))
-        with pytest.raises(DimensionError, match="transpose needs a 2-D matrix"):
-            t.transpose(t.constant(np.ones(3)))
 
     def test_nonfinite_rejected(self):
         t = Tape()
@@ -834,6 +787,31 @@ class TestErrors:
         t = Tape()
         with pytest.raises(ContractError):
             t.sym_normalize(t.constant(-np.eye(3)))
+
+
+class TestSymmetryCheck:
+    @pytest.mark.parametrize("n", [1, 2, 127, 129, 300])
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_reports_max_asymmetry_bit_for_bit(self, n, upper):
+        """The tiled scan reports np.abs(a - a.T).max() exactly, with one entry perturbed on
+        each side of the diagonal and the larger on either side, and the check's error
+        carries that value."""
+        rng = np.random.default_rng(n)
+        a = symmetric(rng, n)
+        if n > 1:
+            i, j = sorted(rng.choice(n, size=2, replace=False))  # i < j: (i, j) is above
+            a[i, j] += 3e-6 if upper else 2e-6
+            a[n - 1, 0] -= 2e-6 if upper else 3e-6  # below the diagonal
+        want = np.abs(a - a.T).max()
+        assert tape_module._max_asymmetry(a) == want
+        assert (want > 0) == (n > 1)
+        if n > 1:
+            with pytest.raises(ContractError, match=rf"max asymmetry {want:.3e}\)"):
+                tape_module._check_symmetric(a)
+
+    def test_takes_no_array_as_large_as_a(self):
+        a = symmetric(np.random.default_rng(0), 600)
+        assert traced_peak(lambda: tape_module._max_asymmetry(a)) < a.nbytes / 4
 
 
 class TestEigh:

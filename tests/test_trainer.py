@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmdufs.datagen import ModalPair, gen_gaussian_mixture
-from mmdufs.gates import SIGMA, GateState
+from mmdufs.gates import SIGMA, GateState, expected_l0
 from mmdufs.graph import (
     build_graph_pair,
     gaussian_kernel,
@@ -30,7 +30,6 @@ from mmdufs.operators import (
 )
 from mmdufs.tape import ContractError, NumericalError, Tape, pairwise_sq_dists
 from objective import CONFIGS, coupled_scores, gated_graphs, loss_for_mu, run_step
-from test_tape import trace
 from mmdufs import trainer
 from mmdufs.trainer import (
     RunConfig,
@@ -183,7 +182,8 @@ class TestDifferentialSingleSweep:
         z_grads = (tape.backward(tape.scale(s_x, -1.0 / n))[z_x.idx],
                    tape.backward(tape.scale(s_y, -1.0 / n))[z_y.idx])
         scores = (float(s_x.value), float(s_y.value))
-        _, (oracle_x, oracle_y) = _regularized(self.CFG, n, gates, samples, scores, z_grads)
+        l0s = tuple(map(expected_l0, gates))
+        _, (oracle_x, oracle_y) = _regularized(self.CFG, n, gates, l0s, samples, scores, z_grads)
         assert np.count_nonzero(oracle_x) > 0 and np.count_nonzero(oracle_y) > 0
         np.testing.assert_allclose(gx, oracle_x, rtol=1e-12, atol=0)
         np.testing.assert_allclose(gy, oracle_y, rtol=1e-12, atol=0)
@@ -275,7 +275,7 @@ class TestFactoredDifferentialScore:
 
 
 class TestSharedFusedEpoch:
-    """train's shared gradients against the two-product, trace-chain composition."""
+    """train's shared gradients against the two-product, matmul -> inner composition."""
 
     CFG = RunConfig(
         mode="shared", epochs=1, learning_rate=1.0, lambda_x=0.3, lambda_y=0.1, b=1.5, seed=4
@@ -299,13 +299,14 @@ class TestSharedFusedEpoch:
         p = tape.scale(tape.add(tape.matmul(l_x, l_y), tape.matmul(l_y, l_x)), cfg.b)
 
         def score(gated):
-            return trace(tape, tape.matmul(tape.transpose(gated), tape.matmul(p, gated)))
+            return tape.inner(tape.matmul(p, gated), gated)
 
         n = pair.n_samples
         s_x, s_y = score(gated_x), score(gated_y)
         z_grads = tape.backward(tape.add(tape.scale(s_x, -1 / n), tape.scale(s_y, -1 / n)))
         _, (want_x, want_y) = _regularized(
-            cfg, n, gates, samples, (float(s_x.value), float(s_y.value)),
+            cfg, n, gates, tuple(map(expected_l0, gates)), samples,
+            (float(s_x.value), float(s_y.value)),
             (z_grads[z_x.idx], z_grads[z_y.idx]),
         )
         assert np.count_nonzero(gx) > 0 and np.count_nonzero(gy) > 0
@@ -433,7 +434,7 @@ class TestTapeReuse:
 
         The sizes are the peak count of arrays alive at once; with backward's releases
         turned off, so that the sweep keeps every gradient it forms, the same epoch holds
-        37 and 42."""
+        37 and 44. In shared mode 14 of the 26 are n x n and 8 are scalars."""
         pair = tiny_pair(seed=4, n=12, dx=6, dy=14)
         cfg = RunConfig(mode=mode, lambda_x=0.2, lambda_y=0.1, b=0.7, c=0.2)
         tape, pools = None, []
@@ -445,7 +446,7 @@ class TestTapeReuse:
             assert len(ids) == len(pool)
             pools.append(ids)
         assert pools[2] == pools[3] == pools[4]
-        assert len(pools[2]) == {"shared": 25, "differential": 30}[mode]
+        assert len(pools[2]) == {"shared": 26, "differential": 30}[mode]
 
     @pytest.mark.parametrize("mode", ["shared", "differential"])
     @pytest.mark.parametrize("case", DEGENERATE_CASES)
@@ -481,6 +482,35 @@ class TestTapeReuse:
             _, grads = run_step(pair, *mu, cfg, *noise, bws, tape=tape)
             for grad, fd in zip(grads, want):
                 np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(mode="shared", lambda_x=0.2, b=0.7),
+        RunConfig(mode="differential", lambda_x=0.2, c=0.2, b=0.7),
+        RunConfig(mode="shared", batch_size=8, lambda_x=0.2, b=0.7),
+    ], ids=["shared", "differential", "shared-minibatch"])
+    def test_no_array_a_tape_holds_or_returns_is_a_view(self, cfg, monkeypatch):
+        """After the third epoch of run, every node value and cache of its tape and every
+        gradient its backward returned owns its memory, so the pool's identity checks
+        see every array."""
+        tapes, grads = [], []
+
+        class Recording(Tape):
+            def __init__(self, reuse=None):
+                super().__init__(reuse)
+                tapes.append(self)
+
+            def backward(self, loss):
+                grads.append(super().backward(loss))
+                return grads[-1]
+
+        monkeypatch.setattr(trainer, "Tape", Recording)
+        train(tiny_pair(seed=4, n=12, dx=6, dy=14), dataclasses.replace(cfg, epochs=3))
+        arrays = list(grads[-1].values())
+        for node in tapes[-1].nodes:
+            arrays += [node.value, *(node.cache if isinstance(node.cache, tuple) else (node.cache,))]
+        arrays = [arr for arr in arrays if isinstance(arr, np.ndarray)]
+        assert len(arrays) > len(tapes[-1].nodes)
+        assert [arr.shape for arr in arrays if arr.base is not None] == []
 
 
 # Short runs of both modes on the gaussian presets (n=260, large enough for BLAS
@@ -754,6 +784,24 @@ class TestRun:
             assert np.array_equal(result.gates_x.mu, want.gates_x.mu)
             assert np.array_equal(result.gates_y.mu, want.gates_y.mu)
             assert (result.bandwidth_x, result.bandwidth_y) == (want.bandwidth_x, want.bandwidth_y)
+
+    def test_expected_l0_once_per_gate_vector_per_epoch(self, monkeypatch):
+        """E|z|_0 of each gate vector is computed once before the first epoch and once after
+        each step; the next step's loss reuses the value the log holds."""
+        calls = []
+
+        def counting(state):
+            calls.append(state)
+            return expected_l0(state)
+
+        monkeypatch.setattr(trainer, "expected_l0", counting)
+        cfg = RunConfig(mode="shared", lambda_x=0.3, lambda_y=0.2, learning_rate=0.5, seed=3)
+        epochs = run(tiny_pair(seed=2), cfg)
+        for e in range(1, 5):
+            result = next(epochs)
+            assert len(calls) == 2 * (e + 1)
+            assert result.log[-1]["reg_x"] == expected_l0(result.gates_x)
+            assert result.log[-1]["reg_y"] == expected_l0(result.gates_y)
 
 
 class TestWarmupTune:
