@@ -262,6 +262,13 @@ def evaluate(selection_path, datadir, mode, out_path, force) -> None:
     _emit(json.dumps(rows, indent=2), out_path, force)
 
 
+# Every file each reproduce target writes; any one that exists stops it without --force.
+_REPRODUCE_ARTIFACTS = {
+    "gaussian-table": ("gaussian_table.csv", "gaussian_table.txt"),
+    "tree-table": ("tree_table.csv", "tree_table.txt"),
+    "cube-figure": ("cube_figure.csv", "cube_r2.csv"),
+    "lambda-grid": ("lambda_grid.csv",),
+}
 _TABLE_DATASETS = {
     "gaussian_table": ["gaussian", "gaussian+10", "gaussian+30", "gaussian+50"],
     "tree_table": ["tree"],
@@ -345,8 +352,7 @@ def _reproduce_lambda_grid(outdir: Path, seed: int, jobs: int, epochs: int | Non
 
 
 @main.command()
-@click.argument("target", type=click.Choice(
-    ["gaussian-table", "tree-table", "cube-figure", "lambda-grid"]))
+@click.argument("target", type=click.Choice(list(_REPRODUCE_ARTIFACTS)))
 @click.option("--out", "outdir", required=True, type=click.Path(path_type=Path))
 @click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--jobs", type=click.IntRange(min=1), default=None,
@@ -358,8 +364,8 @@ def reproduce(target, outdir, seed, jobs, epochs, force) -> None:
     """One-command reproduction of a desk-scale result."""
     s = _seed(seed)
     outdir.mkdir(parents=True, exist_ok=True)
-    stem = target.replace("-", "_")  # each target's main artifact is <stem>.csv
-    _guard_overwrite([outdir / f"{stem}.csv"], force)
+    _guard_overwrite([outdir / name for name in _REPRODUCE_ARTIFACTS[target]], force)
+    stem = target.replace("-", "_")
     n_jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     if stem in _TABLE_DATASETS:
         _reproduce_table(outdir, stem, s, n_jobs, epochs)

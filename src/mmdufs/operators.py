@@ -50,7 +50,7 @@ class DifferentialOperator(NamedTuple):
     Q itself is never formed: scoring needs only products with the n x d data.
     """
 
-    inv: Node  # A^{-1}, symmetric
+    inv: Node  # A^{-1}, symmetric, with no inputs
     l_target: Node
     b: float
 
@@ -60,17 +60,16 @@ class DifferentialOperator(NamedTuple):
 
 
 def differential_operator(
-    tape: Tape, l_target: Node, l_other: Node, c: float, b: float = 1.0
+    tape: Tape, l_target: Node, l_other: np.ndarray, c: float, b: float = 1.0
 ) -> DifferentialOperator:
     """b * (L_other + cI)^{-1} L_target (L_other + cI)^{-1}, on tape, in factored form.
 
     L_other + cI is symmetric positive definite (the normalized Gaussian
     kernel is PSD and c > 0), so one SPD inverse (Tape.inverse, numpy's
-    Cholesky on its smallest blocks) is all the n^3 work.
-    Gradients flow into both Laplacian nodes; pass l_other as a tape constant
-    to differentiate with respect to the target modality only.
+    Cholesky on its smallest blocks) is all the n^3 work. l_other is data, the
+    other modality's Laplacian values: gradients flow into l_target only.
     """
-    if l_target.value.shape != l_other.value.shape:
+    if l_target.value.shape != l_other.shape:
         raise DimensionError("Laplacians must share shape")
     if c <= 0:
         raise ContractError("regularization constant c must be positive")

@@ -4,16 +4,19 @@ The tape records a fixed set of coarse matrix primitives (matmul, kernels,
 normalization sandwiches, inverses, inner products, quadratic forms, column
 scaling, ...).
 Calling :meth:`Tape.backward` on a scalar node returns exact gradients with
-respect to every trainable leaf. Every pooled array has one owner: a node
-value, a cache, a scratch buffer or one gradient. Arrays change hands at
-``Tape(reuse=prev)``, where the next tape takes over the whole set, and go
-back to the free list when their owner is done with them: scratch once its
-primitive returns, a gradient once the rule that read it has run. Node values,
-caches and returned gradients stay a tape's own until the next tape takes
-over, so a loop that records one tape per step allocates one buffer set in
-all. No primitive records, and no reverse rule passes on, a view, so the pool
-tracks arrays by identity. The symmetric positive-definite inverse is numpy's
-own (a recursive Schur-complement block inverse), so no primitive loads scipy.
+respect to every trainable leaf. An operand that no gradient reaches is a
+plain array, not a node: scale's and exp's factors, the data col_gate scales
+and the matrix inverse inverts, so an inverse node has no inputs. Every pooled
+array has one owner: a node value, a cache, a scratch buffer or one gradient.
+Arrays change hands at ``Tape(reuse=prev)``, where the next tape takes over
+the whole set, and go back to the free list when their owner is done with
+them: scratch once its primitive returns, a gradient once the rule that read
+it has run. Node values, caches and returned gradients stay a tape's own until
+the next tape takes over, so a loop that records one tape per step allocates
+one buffer set in all. No primitive records, and no reverse rule passes on, a
+view, so the pool tracks arrays by identity. The symmetric positive-definite
+inverse is numpy's own (a recursive Schur-complement block inverse), so no
+primitive loads scipy.
 Eigendecomposition is provided as an off-tape analysis utility.
 """
 
@@ -281,24 +284,24 @@ class Tape:
         out, d, r = _sym_normalize(k.value, out=self._take(k.value.shape))
         return self._record(out, "sym_normalize", (k,), cache=(d, r))
 
-    def inverse(self, a: Node, shift: float = 0.0) -> Node:
+    def inverse(self, a: np.ndarray, shift: float = 0.0) -> Node:
         """(a + shift*I)^{-1} for a symmetric positive-definite a + shift*I.
 
         A recursive Schur-complement block inverse in numpy (_spd_inverse),
-        read from the upper triangle of a, exactly symmetric. shift moves the
-        diagonal of a working copy, so no identity matrix is recorded; the
-        gradient with respect to a is the one without it.
+        read from the upper triangle of a, exactly symmetric. a is data, like
+        scale's factor: no gradient reaches it, so the node records no input
+        and no cache. shift moves the diagonal of a working copy, so a is left
+        as it was and no identity matrix is recorded.
         """
-        av = a.value
-        if av.ndim != 2 or av.shape[0] != av.shape[1]:
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError("inverse needs a square matrix")
-        n = av.shape[0]
-        _check_symmetric(av)
+        n = a.shape[0]
+        _check_symmetric(a)
         # Two buffers: the result, scratch for the 1-norm until the inversion
         # writes it, and the work copy that the inversion overwrites, scratch
         # again until it is released.
         inv, work = self._take((n, n)), self._take((n, n))
-        np.copyto(work, av)
+        np.copyto(work, a)
         work.flat[:: n + 1] += shift
         anorm = np.abs(work, out=inv).sum(axis=0).max()
         try:
@@ -310,7 +313,7 @@ class Tape:
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularMatrixError(f"condition estimate {cond:.3e} exceeds {_COND_LIMIT:.0e}")
         self._release(work)
-        return self._record(inv, "inverse", (a,), cache=inv)
+        return self._record(inv, "inverse", ())
 
     def gram(self, x: Node) -> Node:
         """x x^T: one BLAS syrk for a contiguous x, so exactly symmetric."""
@@ -334,12 +337,13 @@ class Tape:
         lw = np.matmul(lv, wv, out=self._take(wv.shape))
         return self._record(np.vdot(lw, wv), "quad_form", (l, w), cache=lw)
 
-    def col_gate(self, x: Node, z: Node) -> Node:
-        """Scale column j of x by z[j]."""
-        if x.value.ndim != 2 or z.value.ndim != 1 or x.value.shape[1] != z.value.shape[0]:
-            raise DimensionError(f"col_gate: {x.value.shape} with scales {z.value.shape}")
-        out = np.multiply(x.value, z.value[None, :], out=self._take(x.value.shape))
-        return self._record(out, "col_gate", (x, z))
+    def col_gate(self, x: np.ndarray, z: Node) -> Node:
+        """Scale column j of the data x by z[j]. z is the one input; x, which no gradient
+        reaches, is kept as the cache."""
+        if x.ndim != 2 or z.value.ndim != 1 or x.shape[1] != z.value.shape[0]:
+            raise DimensionError(f"col_gate: {x.shape} with scales {z.value.shape}")
+        out = np.multiply(x, z.value[None, :], out=self._take(x.shape))
+        return self._record(out, "col_gate", (z,), cache=x)
 
     def sq_dists(self, g: Node) -> Node:
         """Pairwise squared distances between the rows of x, from g = gram(x)."""
@@ -450,11 +454,6 @@ class Tape:
             # row sum, so dK_pq perturbs only d_p, hence r_p, for every q.
             gk += w[:, None]
             yield a, gk
-        elif op == "inverse":  # inv is symmetric; -(inv g inv), negated exactly last
-            inv = node.cache
-            half = np.matmul(inv, g, out=take(g.shape))
-            out = np.matmul(half, inv, out=take(g.shape))
-            yield a, np.negative(out, out=out)
         elif op == "gram":
             h = np.add(g, g.T, out=take(g.shape))
             yield a, np.matmul(h, a.value, out=take(a.value.shape))
@@ -471,12 +470,8 @@ class Tape:
                 yield a, np.multiply(out, g, out=out)
             if w.needs_grad:
                 yield w, np.multiply(node.cache, 2.0 * g, out=take(w.value.shape))
-        elif op == "col_gate":
-            x, z = node.inputs
-            if x.needs_grad:
-                yield x, np.multiply(g, z.value[None, :], out=take(g.shape))
-            if z.needs_grad:
-                yield z, np.einsum("ij,ij->j", g, x.value)
+        elif op == "col_gate":  # x, the cache, is data
+            yield a, np.einsum("ij,ij->j", g, node.cache)
         elif op == "sq_dists":  # d_ij = G_ii + G_jj - 2 G_ij
             out = np.multiply(g, -2.0, out=take(g.shape))
             out.flat[:: g.shape[0] + 1] += g.sum(axis=1) + g.sum(axis=0)

@@ -1,12 +1,12 @@
 """Training loop for gate optimization with the shared and differential losses.
 
 Each epoch samples stochastic gates z, evaluates the mode's score loss on a
-new tape whose trainable leaves are z (kernels, Laplacians and graph operators
-rebuilt from the gated data), and backpropagates to z; _regularized adds the
-expected-L0 term and forms the step on the gate parameters. The new tape is
-built with Tape(reuse=) of the previous epoch's, so it writes into that tape's
-arrays and a run allocates one buffer set. run yields after every epoch; train
-stops it at cfg.epochs. A warm-up grid search over the sparsity weight lambda
+new tape whose only leaves are z, both trainable (kernels, Laplacians and
+graph operators rebuilt from the gated data), and backpropagates to z;
+_regularized adds the expected-L0 term and forms the step on the gate
+parameters. The new tape is built with Tape(reuse=) of the previous epoch's,
+so it writes into that tape's arrays and a run allocates one buffer set. run
+yields after every epoch; train stops it at cfg.epochs. A warm-up grid search over the sparsity weight lambda
 scores the same objective at deterministic gates.
 """
 
@@ -152,22 +152,20 @@ def _objective(tape, xb, yb, z_x, z_y, cfg, bandwidths=(None, None)):
     """(score loss, score_x, score_y, graphs) of cfg's mode on xb, yb gated by nodes z_x, z_y.
 
     bandwidths freezes the kernel bandwidths; None takes each from the gated
-    data, as build_graph_pair does. In differential mode each Q takes the
-    other modality's Laplacian as a constant: loss_x then reaches only z_x
-    and loss_y only z_y, so one sweep of their sum skips the inverses and the
-    other modality's kernel chain.
+    data, as build_graph_pair does. xb and yb are data, not nodes. In
+    differential mode each Q takes the other modality's Laplacian values as
+    data: loss_x then reaches only z_x and loss_y only z_y, so one sweep of
+    their sum skips the inverses and the other modality's kernel chain.
     """
-    gated_x = tape.col_gate(tape.constant(xb), z_x)
-    gated_y = tape.col_gate(tape.constant(yb), z_y)
+    gated_x = tape.col_gate(xb, z_x)
+    gated_y = tape.col_gate(yb, z_y)
     graphs = build_graph_pair(tape, gated_x, gated_y, cfg.bandwidth_scale, *bandwidths)
     if cfg.mode == "shared":
         p_op = shared_operator(tape, graphs.l_x, graphs.l_y, b=cfg.b)
         loss, s_x, s_y = shared_loss(tape, graphs.gram_x, graphs.gram_y, p_op)
         return loss, s_x, s_y, graphs
-    const_l_x = tape.constant(graphs.l_x.value)
-    const_l_y = tape.constant(graphs.l_y.value)
-    q_x = differential_operator(tape, graphs.l_x, const_l_y, c=cfg.c, b=cfg.b)
-    q_y = differential_operator(tape, graphs.l_y, const_l_x, c=cfg.c, b=cfg.b)
+    q_x = differential_operator(tape, graphs.l_x, graphs.l_y.value, c=cfg.c, b=cfg.b)
+    q_y = differential_operator(tape, graphs.l_y, graphs.l_x.value, c=cfg.c, b=cfg.b)
     loss_x, s_x = differential_loss(tape, gated_x, q_x)
     loss_y, s_y = differential_loss(tape, gated_y, q_y)
     return tape.add(loss_x, loss_y), s_x, s_y, graphs
@@ -214,7 +212,7 @@ def run(pair: ModalPair, cfg: RunConfig, truth: tuple | None = None) -> Iterator
     F1 (k = truth size) is logged.
 
     In differential mode each modality's gates follow only their own loss:
-    the other modality's Laplacian enters Q_x (and Q_y) as a constant, so one
+    the other modality's Laplacian enters Q_x (and Q_y) as data, so one
     reverse sweep of loss_x + loss_y gives both gradients. check_pair's
     errors come before the first epoch; a step that makes the gate parameters
     non-finite raises TrainingDiverged.

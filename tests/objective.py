@@ -6,7 +6,8 @@ The oracle's gates are np.clip(0.5 + mu + noise, 0, 1) and its regularizer scipy
 differences of loss_for_mu check the gate's clamp, open mask and expected-L0 derivative against code
 of their own. Its shared score is <P, X~X~^T> of the formed array P (np.vdot), not
 SharedOperator.score, and its differential score is built from matmul and inner, not by
-DifferentialOperator.score (Tape.quad_form)."""
+DifferentialOperator.score (Tape.quad_form). The data are plain arrays, not tape nodes, as in
+trainer.run."""
 
 from typing import NamedTuple
 
@@ -43,18 +44,22 @@ def gated_graphs(pair, z_x_val, z_y_val, bw_x, bw_y):
     tape = Tape()
     z_x = tape.leaf(z_x_val, trainable=True)
     z_y = tape.leaf(z_y_val, trainable=True)
-    gated_x = tape.col_gate(tape.constant(unit_norm_columns(pair.x)), z_x)
-    gated_y = tape.col_gate(tape.constant(unit_norm_columns(pair.y)), z_y)
+    gated_x = tape.col_gate(unit_norm_columns(pair.x), z_x)
+    gated_y = tape.col_gate(unit_norm_columns(pair.y), z_y)
     graphs = build_graph_pair(tape, gated_x, gated_y, 1.0, bandwidth_x=bw_x, bandwidth_y=bw_y)
     return tape, z_x, z_y, gated_x, gated_y, graphs
 
 
 def coupled_scores(pair, cfg, z_x_val, z_y_val, bw_x, bw_y):
-    """Both differential scores on one tape, each Q built from both Laplacian nodes, each
-    score by matmul and inner rather than Tape.quad_form. Returns (tape, s_x, s_y, z_x, z_y)."""
+    """Both differential scores on one tape, each Q built from the other Laplacian's values,
+    each score by matmul and inner rather than Tape.quad_form. Returns (tape, s_x, s_y, z_x, z_y).
+
+    As in training, the other Laplacian is data. It depends only on the other modality's
+    gates, so each score's gradient w.r.t. its own gates is the one a Q built from both
+    Laplacian nodes would give, and the forward values, all that loss_for_mu reads, are too."""
     tape, z_x, z_y, gated_x, gated_y, graphs = gated_graphs(pair, z_x_val, z_y_val, bw_x, bw_y)
-    q_x = differential_operator(tape, graphs.l_x, graphs.l_y, c=cfg.c, b=cfg.b)
-    q_y = differential_operator(tape, graphs.l_y, graphs.l_x, c=cfg.c, b=cfg.b)
+    q_x = differential_operator(tape, graphs.l_x, graphs.l_y.value, c=cfg.c, b=cfg.b)
+    q_y = differential_operator(tape, graphs.l_y, graphs.l_x.value, c=cfg.c, b=cfg.b)
     s_x = ChainScore(q_x).score(tape, gated_x)
     s_y = ChainScore(q_y).score(tape, gated_y)
     return tape, s_x, s_y, z_x, z_y

@@ -134,7 +134,7 @@ class TestCriterion4DifferentialSpectrum:
         l_x, l_y, _, _ = ideal_cluster_pair()
         x = np.random.default_rng(7).normal(size=(l_x.shape[0], 4))
         t = Tape()
-        op = differential_operator(t, t.constant(l_x), t.constant(l_y), c=0.1)
+        op = differential_operator(t, t.constant(l_x), l_y, c=0.1)
         score = op.score(t, t.constant(x))
         q = differential_operator_array(l_x, l_y, c=0.1)
         np.testing.assert_allclose(float(score.value), np.vdot(q, x @ x.T), atol=1e-10)

@@ -547,6 +547,23 @@ class TestReproduce:
         assert "jobs" in res.output
         assert cells == [] and not (out / "tree_table.csv").exists()
 
+    @pytest.mark.parametrize("target, name", [("cube-figure", "cube_r2.csv"),
+                                              ("gaussian-table", "gaussian_table.txt")])
+    def test_every_artifact_is_guarded(self, runner, tmp_path, monkeypatch, target, name):
+        """An existing artifact other than <stem>.csv stops the target too, before any work,
+        and stays as it was."""
+        cells = []
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: cells.append(spec) or [])
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).write_text("kept\n")
+        res = runner.invoke(main, ["reproduce", target, "--out", str(out), "--seed", "0",
+                                   "--epochs", "1", "--jobs", "1"])
+        assert res.exit_code == 2, res.output
+        assert name in res.output
+        assert cells == [] and [p.name for p in out.iterdir()] == [name]
+        assert (out / name).read_text() == "kept\n"
+
     def test_unknown_target(self, runner, tmp_path):
         res = runner.invoke(main, ["reproduce", "mnist-figure", "--out", str(tmp_path / "o")])
         assert res.exit_code == 2

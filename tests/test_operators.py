@@ -103,7 +103,7 @@ class TestDifferentialOperator:
         a, b = a + a.T, 0.1 * (b @ b.T)  # B + cI must be positive definite
         x = RNG.normal(size=(5, 3))
         t = Tape()
-        op = differential_operator(t, t.constant(a), t.constant(b), c=0.3, b=1.5)
+        op = differential_operator(t, t.constant(a), b, c=0.3, b=1.5)
         score = op.score(t, t.constant(x))
         q = differential_operator_array(a, b, c=0.3, b=1.5)
         np.testing.assert_allclose(float(score.value), np.vdot(q, x @ x.T), atol=1e-10)
@@ -131,12 +131,12 @@ class TestDifferentialOperator:
     def test_shape_mismatch(self):
         t = Tape()
         with pytest.raises(DimensionError, match="Laplacians must share shape"):
-            differential_operator(t, t.constant(np.eye(3)), t.constant(np.eye(4)), c=0.1)
+            differential_operator(t, t.constant(np.eye(3)), np.eye(4), c=0.1)
 
     def test_c_validation(self):
         t = Tape()
         with pytest.raises(ContractError):
-            differential_operator(t, t.constant(np.eye(3)), t.constant(np.eye(3)), c=0.0)
+            differential_operator(t, t.constant(np.eye(3)), np.eye(3), c=0.0)
         with pytest.raises(ContractError):
             differential_operator_array(np.eye(3), np.eye(3), c=-1.0)
 

@@ -124,7 +124,7 @@ class TestForwardValues:
         t = Tape()
         leaf = t.leaf(z, trainable=True)
         np.testing.assert_allclose(leaf.value, np.clip(0.5 + x, 0.0, 1.0))
-        gated = t.col_gate(t.constant(np.ones((2, x.size))), leaf)
+        gated = t.col_gate(np.ones((2, x.size)), leaf)
         np.testing.assert_allclose(gated.value, np.tile(np.clip(0.5 + x, 0.0, 1.0), (2, 1)))
 
     def test_sym_normalize(self):
@@ -140,15 +140,14 @@ class TestForwardValues:
         a = spd(4)
         orig = a.copy()
         t = Tape()
-        node = t.constant(a)
-        inv = t.inverse(node).value
+        inv = t.inverse(a).value
         np.testing.assert_allclose(inv, np.linalg.inv(orig))
         assert np.array_equal(inv, inv.T)
-        # shift adds to the diagonal of a working copy: the input value is
-        # unchanged and no identity matrix is recorded
-        shifted = t.inverse(node, shift=0.3).value
+        # shift adds to the diagonal of a working copy: the input is unchanged
+        # and no identity matrix is recorded
+        shifted = t.inverse(a, shift=0.3).value
         np.testing.assert_allclose(shifted, np.linalg.inv(orig + 0.3 * np.eye(4)))
-        assert np.array_equal(node.value, orig) and len(t.nodes) == 3
+        assert np.array_equal(a, orig) and len(t.nodes) == 2
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 260, 1000])
     def test_inverse_matches_lapack_and_numpy(self, n):
@@ -159,7 +158,7 @@ class TestForwardValues:
 
         a = spd(n, np.random.default_rng(n))
         t = Tape()
-        inv = t.inverse(t.constant(a)).value
+        inv = t.inverse(a).value
         factor, info = lapack.dpotrf(a, lower=False, clean=True)
         upper, info2 = lapack.dpotri(factor, lower=False)
         assert info == info2 == 0
@@ -176,15 +175,14 @@ class TestForwardValues:
         n = 1000
         a = spd(n)
         prev = Tape()
-        prev.inverse(prev.constant(a))
+        prev.inverse(a)
         t = Tape(reuse=prev)
-        node = t.constant(a)
-        assert traced_peak(lambda: t.inverse(node)) < n * n * 8 / 4
+        assert traced_peak(lambda: t.inverse(a)) < n * n * 8 / 4
 
     def test_col_gate(self):
         x, z = RNG.normal(size=(5, 3)), RNG.uniform(size=3)
         t = Tape()
-        out = t.col_gate(t.constant(x), t.constant(z))
+        out = t.col_gate(x, t.constant(z))
         np.testing.assert_allclose(out.value, x * z[None, :])
 
     def test_sq_dists(self):
@@ -221,8 +219,7 @@ class TestGradients:
         w = RNG.normal(size=(x.size, 3)) + 2.0
         t = Tape()
         leaf = t.leaf(z, trainable=True)
-        loss = trace(t, t.matmul(t.col_gate(t.constant(np.ones((3, x.size))), leaf),
-                                 t.constant(w)))
+        loss = trace(t, t.matmul(t.col_gate(np.ones((3, x.size)), leaf), t.constant(w)))
         g_z = t.grad(loss, leaf)
         np.testing.assert_allclose(g_z, w.sum(axis=1))
         g = mask * g_z
@@ -246,34 +243,16 @@ class TestGradients:
             lambda t, x: trace(t, t.matmul(t.sym_normalize(x), t.constant(w))), k0, rtol=1e-4
         )
 
-    def test_inverse(self):
-        a0 = spd(4)
-        w = RNG.normal(size=(4, 4))
-
-        def build(t, x, shift=0.0):
-            return trace(t, t.matmul(t.inverse(x, shift=shift), t.constant(w)))
-
-        # Tape.inverse accepts symmetric input only, so finite differences go
-        # through a symmetric parametrization, A = x x^T ...
-        check_grad(lambda t, x: build(t, t.gram(x), 0.2), np.linalg.cholesky(a0), rtol=1e-4)
-        # ... and the full rule, in every direction, is checked against
-        # central differences of NumPy's general inverse.
-        t = Tape()
-        leaf = t.leaf(a0, trainable=True)
-        g = t.grad(build(t, leaf, shift=0.2), leaf)
-        fd = fd_grad(lambda a: np.trace(np.linalg.inv(a + 0.2 * np.eye(4)) @ w), a0)
-        np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
-
     def test_col_gate_both_args(self):
+        """The gates z by finite differences; the data x is no input, so no rule reaches it."""
         x0 = RNG.normal(size=(5, 3))
         z0 = RNG.uniform(0.2, 0.8, size=3)
         w = RNG.normal(size=(3, 5))
-        check_grad(
-            lambda t, z: trace(t, t.matmul(t.constant(w), t.col_gate(t.constant(x0), z))), z0
-        )
-        check_grad(
-            lambda t, x: trace(t, t.matmul(t.constant(w), t.col_gate(x, t.constant(z0)))), x0
-        )
+        check_grad(lambda t, z: trace(t, t.matmul(t.constant(w), t.col_gate(x0, z))), z0)
+        t = Tape()
+        z = t.leaf(z0, trainable=True)
+        gated = t.col_gate(x0, z)
+        assert gated.inputs == (z,) and gated.cache is x0
 
     def test_sq_dists(self):
         w = RNG.normal(size=(5, 5))
@@ -308,7 +287,7 @@ class TestGradients:
         z0 = RNG.uniform(0.3, 0.9, size=3)
 
         def build(t, z):
-            gated = t.col_gate(t.constant(x0), z)
+            gated = t.col_gate(x0, z)
             k = t.exp(t.sq_dists(t.gram(gated)), -0.5)
             l = t.sym_normalize(k)
             return trace(t, t.matmul(l, l))
@@ -326,11 +305,11 @@ class TestGradients:
 
     def test_backward_skips_constant_subgraphs(self):
         """No VJP runs for, and no contribution flows into, a node without a
-        trainable ancestor, such as the inverse of a constant."""
+        trainable ancestor, such as an inverse, which has no inputs."""
         a0 = spd(4)
         t = Tape()
         x = t.leaf(RNG.normal(size=(4, 4)), trainable=True)
-        inv = t.inverse(t.add(t.constant(a0), t.constant(np.eye(4))))
+        inv = t.inverse(a0 + np.eye(4))
         loss = trace(t, t.matmul(inv, t.matmul(x, inv)))
         visited, fed = [], []
         vjp = t._vjp
@@ -500,9 +479,21 @@ def vjp_branches() -> set[str]:
     }
 
 
+# The one primitive that records no input: inverse takes its matrix as data.
+INPUT_FREE = {"inverse"}
+
+
 def test_every_primitive_has_a_reverse_rule():
-    """A primitive added without a branch in Tape._vjp fails here, not mid-run."""
-    assert vjp_branches() == set(PRIMITIVES)
+    """A primitive with inputs added without a branch in Tape._vjp fails here, not mid-run;
+    the input-free primitive has no branch."""
+    assert vjp_branches() == set(PRIMITIVES) - INPUT_FREE
+
+
+def test_inverse_node_has_no_inputs():
+    """An inverse node records neither an input nor a cache, so no reverse rule can reach it."""
+    t = Tape()
+    node = t.inverse(spd(3), shift=0.1)
+    assert (node.op, node.inputs, node.cache, node.needs_grad) == ("inverse", (), None, False)
 
 
 def quad_chain(t, a, x):
@@ -684,7 +675,7 @@ class TestErrors:
         with pytest.raises(DimensionError):
             t.sym_normalize(a)
         with pytest.raises(DimensionError):
-            t.col_gate(a, t.constant(np.ones(2)))
+            t.col_gate(np.ones((2, 3)), t.constant(np.ones(2)))
         with pytest.raises(DimensionError, match=r"add: \(2, 3\) vs \(3, 2\)"):
             t.add(a, t.constant(np.ones((3, 2))))
 
@@ -702,14 +693,36 @@ class TestErrors:
         with pytest.raises(NumericalError):
             t.exp(t.constant(800.0), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_data_of_col_gate(self, bad):
+        """The data is no leaf, so nothing checks it on the way in: the gated output's check
+        raises, also where a zero gate meets an infinite entry."""
+        t = Tape()
+        z = t.constant(np.array([0.5, 0.0]))
+        for col in (0, 1):
+            x = np.ones((3, 2))
+            x[1, col] = bad
+            with pytest.raises(NumericalError, match="'col_gate'"):
+                t.col_gate(x, z)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+    def test_nonfinite_matrix_of_inverse(self, bad, where):
+        """A non-finite matrix ends in a typed error, whichever check meets it first."""
+        a = spd(70)  # past one leaf block, so the Schur complement sees it too
+        i, j = (3, 3) if where == "diagonal" else (3, 60)
+        a[i, j] = a[j, i] = bad
+        with pytest.raises((NumericalError, SingularMatrixError)):
+            Tape().inverse(a)
+
     def test_singular_inverse(self):
         t = Tape()
         with pytest.raises(SingularMatrixError):
-            t.inverse(t.constant(np.zeros((3, 3))))
+            t.inverse(np.zeros((3, 3)))
         # ill-conditioned but formally invertible
         a = np.diag([1.0, 1e-14])
         with pytest.raises(SingularMatrixError):
-            t.inverse(t.constant(a))
+            t.inverse(a)
 
     def test_inverse_rejects_non_symmetric(self):
         """A general matrix never gets the inverse of its upper triangle."""
@@ -717,25 +730,25 @@ class TestErrors:
         a[0, 3] += 0.5
         t = Tape()
         with pytest.raises(ContractError, match="not symmetric"):
-            t.inverse(t.constant(a))
+            t.inverse(a)
         with pytest.raises(DimensionError):
-            t.inverse(t.constant(np.ones((2, 3))))
+            t.inverse(np.ones((2, 3)))
 
     def test_inverse_rejects_indefinite(self):
         """Symmetric and invertible, but not positive definite: no Cholesky factor."""
         t = Tape()
         with pytest.raises(SingularMatrixError, match="not positive definite"):
-            t.inverse(t.constant(np.diag([2.0, -1.0, 3.0])))
+            t.inverse(np.diag([2.0, -1.0, 3.0]))
         # a shift that leaves an eigenvalue negative
         with pytest.raises(SingularMatrixError, match="not positive definite"):
-            t.inverse(t.constant(np.diag([2.0, -1.0, 3.0])), shift=0.5)
+            t.inverse(np.diag([2.0, -1.0, 3.0]), shift=0.5)
         # positive definite in its leading half, indefinite in the Schur complement
         # of it: the failure comes from a block below the first split
         a = spd(100, np.random.default_rng(3))
         a[-1, -1] -= 10.0
         assert np.linalg.eigvalsh(a[:50, :50]).min() > 0 > np.linalg.eigvalsh(a).min()
         with pytest.raises(SingularMatrixError, match="not positive definite"):
-            t.inverse(t.constant(a))
+            t.inverse(a)
 
     def test_inverse_rejects_ill_conditioned_spd(self):
         """Positive definite and factorizable, but past the condition limit."""
@@ -744,10 +757,10 @@ class TestErrors:
         a = 0.5 * (a + a.T)
         t = Tape()
         with pytest.raises(SingularMatrixError, match="condition estimate"):
-            t.inverse(t.constant(a))
+            t.inverse(a)
         # the same matrix shifted well away from singular is fine
         np.testing.assert_allclose(
-            t.inverse(t.constant(a), shift=0.1).value, np.linalg.inv(a + 0.1 * np.eye(5))
+            t.inverse(a, shift=0.1).value, np.linalg.inv(a + 0.1 * np.eye(5))
         )
 
     def test_backward_contract(self):
@@ -766,7 +779,7 @@ class TestErrors:
         noise = t.constant(np.full(3, 0.1))
         shifted = t.add(mu, noise)
         ones = np.ones((2, 3))
-        loss = t.inner(t.col_gate(t.constant(ones), shifted), t.constant(ones))
+        loss = t.inner(t.col_gate(ones, shifted), t.constant(ones))
         assert t.grad(loss, mu).shape == (3,)
         other = Tape()
         stranger = other.leaf(np.zeros(3), trainable=True)

@@ -28,7 +28,7 @@ from mmdufs.operators import (
     differential_operator_array,
     shared_operator_array,
 )
-from mmdufs.tape import ContractError, NumericalError, Tape, pairwise_sq_dists
+from mmdufs.tape import PRIMITIVES, ContractError, NumericalError, Tape, pairwise_sq_dists
 from objective import CONFIGS, coupled_scores, gated_graphs, loss_for_mu, run_step
 from mmdufs import trainer
 from mmdufs.trainer import (
@@ -110,7 +110,7 @@ class TestLosses:
         n = pair.n_samples
         tape = Tape()
         z = tape.leaf(np.full(5, 0.5), trainable=True)
-        gated = tape.col_gate(tape.constant(unit_norm_columns(pair.x)), z)
+        gated = tape.col_gate(unit_norm_columns(pair.x), z)
         eye = tape.constant(np.eye(n))
         q = DifferentialOperator(inv=eye, l_target=eye, b=1.0)
         loss, score = differential_loss(tape, gated, q)
@@ -209,10 +209,11 @@ class TestDifferentialSingleSweep:
 def dense_q_score(tape, l_target, l_other, gram, c, b):
     """The differential score through the formed operator: <b A^-1 L A^-1, X~X~^T>.
 
-    A = L_other + cI. This chain builds the n x n Q; the factored score never does.
+    A = L_other + cI, from the array l_other. This chain builds the n x n Q; the factored
+    score never does.
     """
-    n = l_other.value.shape[0]
-    inv = tape.inverse(tape.add(l_other, tape.constant(c * np.eye(n))))
+    n = l_other.shape[0]
+    inv = tape.inverse(l_other + c * np.eye(n))
     q = tape.scale(tape.matmul(inv, tape.matmul(l_target, inv)), b)
     return tape.inner(q, gram)
 
@@ -235,9 +236,10 @@ def assert_first_epoch_permutation_invariant(mode, seed, n, dx, dy, b):
 class TestFactoredDifferentialScore:
     """b Tr[W^T L W], W = (L_other + cI)^{-1} X~, against the dense-Q chain."""
 
-    @pytest.mark.parametrize("coupled", [False, True], ids=["constant", "coupled"])
+    # L_other enters as an array, not a node
+    @pytest.mark.parametrize("l_other", ["constant"])
     @pytest.mark.parametrize("b", [1.0, 0.37])
-    def test_matches_dense_q_oracle(self, coupled, b):
+    def test_matches_dense_q_oracle(self, l_other, b):
         pair = tiny_pair(seed=8, n=11, dx=6, dy=13)  # dy > n
         rng = np.random.default_rng(3)
         mu_x0, mu_y0 = rng.uniform(-0.3, 0.3, 6), rng.uniform(-0.3, 0.3, 13)
@@ -247,20 +249,18 @@ class TestFactoredDifferentialScore:
         tape, z_x, z_y, gated_x, gated_y, graphs = gated_graphs(pair, z_x0, z_y0, 0.8, 1.3)
         c = 0.2
         for l_t, l_o, gated, gram in (
-            (graphs.l_x, graphs.l_y, gated_x, graphs.gram_x),
-            (graphs.l_y, graphs.l_x, gated_y, graphs.gram_y),
+            (graphs.l_x, graphs.l_y.value, gated_x, graphs.gram_x),
+            (graphs.l_y, graphs.l_x.value, gated_y, graphs.gram_y),
         ):
-            if not coupled:
-                l_o = tape.constant(l_o.value)
             score = differential_operator(tape, l_t, l_o, c=c, b=b).score(tape, gated)
             oracle = dense_q_score(tape, l_t, l_o, gram, c, b)
             assert float(score.value) == pytest.approx(float(oracle.value), rel=1e-10)
             got, want = tape.backward(score), tape.backward(oracle)
             for leaf in (z_x, z_y):
                 np.testing.assert_allclose(got[leaf.idx], want[leaf.idx], rtol=1e-10, atol=0)
-            # the other modality's gates are reached only through a coupled L_other
+            # the other modality's gates are reached only through L_other
             other = z_y if l_t is graphs.l_x else z_x
-            assert np.any(got[other.idx] != 0) == coupled
+            assert not np.any(got[other.idx] != 0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -391,6 +391,57 @@ def degenerate_pair(case):
     return ModalPair(x=x, y=rng.normal(size=(8, 3)))
 
 
+# One config per kind of epoch: full batch in both modes, and a minibatch of 8 of the
+# 12 rows of tiny_pair(seed=4, n=12, dx=6, dy=14).
+EPOCH_CONFIGS = {
+    "shared": RunConfig(mode="shared", lambda_x=0.2, b=0.7),
+    "differential": RunConfig(mode="differential", lambda_x=0.2, c=0.2, b=0.7),
+    "shared-minibatch": RunConfig(mode="shared", batch_size=8, lambda_x=0.2, b=0.7),
+}
+
+
+class TestEpochTape:
+    """What an epoch of train records: the sampled gates are its only leaves, and every
+    input it records receives a gradient."""
+
+    @pytest.mark.parametrize("cfg", EPOCH_CONFIGS.values(), ids=EPOCH_CONFIGS)
+    def test_leaves_are_the_two_trainable_gate_vectors(self, cfg, monkeypatch):
+        """The data, and in differential mode the other modality's Laplacian, are arrays."""
+        leaves = []
+
+        class Recording(Tape):
+            def backward(self, loss):
+                leaves.append([(node.trainable, node.shape)
+                               for node in self.nodes if node.op == "leaf"])
+                return super().backward(loss)
+
+        monkeypatch.setattr(trainer, "Tape", Recording)
+        train(tiny_pair(seed=4, n=12, dx=6, dy=14), dataclasses.replace(cfg, epochs=2))
+        assert leaves == [[(True, (6,)), (True, (14,))]] * 2
+
+    def test_every_reverse_rule_branch_yields(self, monkeypatch):
+        """Over one epoch of each config, every primitive is recorded, and Tape._vjp yields a
+        gradient for every (op, input slot) that a recorded node has."""
+        ops, slots, yielded = set(), set(), set()
+
+        class Recording(Tape):
+            def backward(self, loss):
+                ops.update(node.op for node in self.nodes)
+                slots.update((node.op, i) for node in self.nodes for i in range(len(node.inputs)))
+                return super().backward(loss)
+
+            def _vjp(self, node, g):
+                for inp, contrib in super()._vjp(node, g):
+                    yielded.update((node.op, i) for i, x in enumerate(node.inputs) if x is inp)
+                    yield inp, contrib
+
+        monkeypatch.setattr(trainer, "Tape", Recording)
+        for cfg in EPOCH_CONFIGS.values():
+            train(tiny_pair(seed=4, n=12, dx=6, dy=14), dataclasses.replace(cfg, epochs=1))
+        assert ops == {"leaf", *PRIMITIVES}
+        assert sorted(slots - yielded) == []
+
+
 class TestTapeReuse:
     """Tape(reuse=prev), as train chains it: the arrays change hands, the bits do not."""
 
@@ -483,11 +534,7 @@ class TestTapeReuse:
             for grad, fd in zip(grads, want):
                 np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
-    @pytest.mark.parametrize("cfg", [
-        RunConfig(mode="shared", lambda_x=0.2, b=0.7),
-        RunConfig(mode="differential", lambda_x=0.2, c=0.2, b=0.7),
-        RunConfig(mode="shared", batch_size=8, lambda_x=0.2, b=0.7),
-    ], ids=["shared", "differential", "shared-minibatch"])
+    @pytest.mark.parametrize("cfg", EPOCH_CONFIGS.values(), ids=EPOCH_CONFIGS)
     def test_no_array_a_tape_holds_or_returns_is_a_view(self, cfg, monkeypatch):
         """After the third epoch of run, every node value and cache of its tape and every
         gradient its backward returned owns its memory, so the pool's identity checks
